@@ -462,12 +462,13 @@ def bench_run(name="deriv2", ns=(250, 500, 1000, 2000), ks=(20,), penalty="none"
     """Best-of wall times per (n, method, k) cell.
 
     Randomized cells include the factorization time, and direct cells the
-    Gram matrix they factor.  The shift is pinned to ``alpha_scale`` times
-    the squared top singular value estimate so all methods solve the same
-    problem.  The cells are timed in interleaved rounds (at least
-    ``repeats``, see :func:`_interleaved_best_of`) with BLAS pinned to a
-    single thread, so small and large sizes run at comparable arithmetic
-    rates.  Each row records ``blas_threads``, the thread count read back
+    Gram matrix they factor; with a penalty, the direct and range cells
+    also include its standard-form reduction (``weighted_pinv``).  The
+    shift is pinned to ``alpha_scale`` times the squared top singular value
+    estimate so all methods solve the same problem.  The cells are timed
+    in interleaved rounds (at least ``repeats``, see
+    :func:`_interleaved_best_of`) with BLAS pinned to a single thread, so
+    small and large sizes run at comparable arithmetic rates.  Each row records ``blas_threads``, the thread count read back
     from the pin (None when it could not be confirmed).
     """
     with _single_thread_blas() as blas_threads:
@@ -478,10 +479,12 @@ def bench_run(name="deriv2", ns=(250, 500, 1000, 2000), ks=(20,), penalty="none"
             for (row, _), t in zip(cells, times)]
 
 
-def _bench_call(method, A, L, bundle, b, alpha, cfg):
-    """The timed call of one bench cell, on a fresh copy of ``A``."""
+def _bench_call(method, A, L, b, alpha, cfg):
+    """The timed call of one bench cell, on a fresh copy of ``A``.  A
+    penalized direct or range call builds its own standard-form reduction,
+    so its time includes the penalty set-up a lone solve pays."""
     A = A.copy()
-    if bundle is None:
+    if L.kind == "identity":
         calls = {
             "direct": lambda: solvers.tikhonov_solve_direct(A, b, alpha),
             "projected": lambda: solvers.rsvd_tikhonov_projected(
@@ -490,13 +493,20 @@ def _bench_call(method, A, L, bundle, b, alpha, cfg):
                 A, rsvd_auto(A, cfg), b, alpha),
         }
     else:
-        B = smoothing.form_B(A, bundle)
+        def direct():
+            bundle = smoothing.weighted_pinv(A, L)
+            return solvers.gen_tikhonov_direct(A, L, b, alpha, bundle)
+
+        def range_():
+            bundle = smoothing.weighted_pinv(A, L)
+            approx = rsvd_auto(smoothing.form_B(A, bundle), cfg)
+            return solvers.rsvd_gen_tikhonov_range(A, L, approx, b, alpha, bundle)
+
         calls = {
-            "direct": lambda: solvers.gen_tikhonov_direct(A, L, b, alpha, bundle),
+            "direct": direct,
             "projected": lambda: solvers.rsvd_gen_tikhonov_projected(
                 rsvd_auto(A, cfg), L, b, alpha),
-            "range": lambda: solvers.rsvd_gen_tikhonov_range(
-                A, L, rsvd_auto(B, cfg), b, alpha, bundle),
+            "range": range_,
         }
     if method not in calls:
         raise ValueError(f"unknown bench method {method!r}")
@@ -513,14 +523,13 @@ def _bench_cells(name, ns, ks, penalty, methods, delta, alpha_scale,
         A, b = prob.A, prob.b
         alpha = alpha_scale * estimate_spectral_norm(A, seed=base_seed) ** 2
         L = make_penalty(penalty, A.shape[1])
-        bundle = None if penalty == "none" else smoothing.weighted_pinv(A, L)
         for k in ks:
             cfg = RsvdConfig(k=k, p=p, q=q, seed=base_seed + 777_000)
             for method in methods:
                 row = {"example": name, "n": n, "k": k, "method": method,
                        "penalty": penalty, "alpha": alpha}
                 cells.append((row, functools.partial(
-                    _bench_call, method, A, L, bundle, b, alpha, cfg)))
+                    _bench_call, method, A, L, b, alpha, cfg)))
     return cells
 
 

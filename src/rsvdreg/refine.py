@@ -61,8 +61,8 @@ def dual_solve(A, bundle, approx_B, b, alpha):
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     t0 = time.perf_counter()
-    xi = dual_maximizer(approx_B, b, alpha)
-    # alpha^-1 B_k.T xi collapses to sigma_i/(sigma_i^2+alpha) (u_i, b).
+    # alpha^-1 B_k.T xi at the dual maximizer xi collapses to
+    # sigma_i/(sigma_i^2+alpha) (u_i, b).
     coeff = approx_B.sigma * (approx_B.U.T @ b) / (approx_B.sigma**2 + alpha)
     x = bundle.sharp_apply(approx_B.V @ coeff)
     return SolverResult(x, "dual", alpha, approx_B.k, time.perf_counter() - t0)

@@ -8,11 +8,12 @@ is resolved exactly through ``W (A W)^+ b`` while the smooth component
 travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, estimate_spectral_norm, pinv, svd_full
+from .linalg import as_matrix, pinv, svd_full
 
 KINDS = ("identity", "first_difference", "second_difference", "custom")
 
@@ -127,11 +128,27 @@ class SmoothingOperator:
             X = self._dense_pinv() @ Y
         return X[:, 0] if squeeze else X
 
-    def pinv_matrix(self):
-        """Materialize ``L^+`` (m-by-ell)."""
-        if self.kind == "custom":
-            return self._dense_pinv()
-        return self.pinv_apply(np.eye(self.ell))
+    def pinv_t_apply(self, x):
+        """Compute ``(L^+).T @ x``, the adjoint of :meth:`pinv_apply`.
+
+        For the difference kinds ``L^+ = P C``, with ``C`` the cumulative
+        sum (once per difference order) padded by leading zero rows and
+        ``P`` the projector out of the null space, so
+        ``(L^+).T x = C.T P x``: project, drop the padded rows and take a
+        reversed cumulative sum per order.  O(m) per column; custom kinds
+        use the dense pseudoinverse.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.m:
+            raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
+        if self.kind == "identity":
+            return x.copy()
+        if self.kind == "first_difference":
+            return _suffix_sum(x[1:] - x.mean(axis=0))
+        if self.kind == "second_difference":
+            W = self.null_basis()
+            return _suffix_sum(_suffix_sum(x[2:] - _outer_t(W.T @ x, W[2:])))
+        return self._dense_pinv().T @ x
 
     def _dense_pinv(self):
         if not hasattr(self, "_pinv_cache"):
@@ -164,6 +181,21 @@ class SmoothingOperator:
         return full_V[:, rank:]
 
 
+def _suffix_sum(Z):
+    """Overwrite ``Z`` with ``Z[j] <- sum_{i >= j} Z[i]`` along the leading
+    axis and return it."""
+    np.cumsum(Z[::-1], axis=0, out=Z[::-1])
+    return Z
+
+
+def _outer_t(v, F):
+    """``F @ v`` for a thin ``F`` (rows-by-d), formed as ``(v.T @ F.T).T``
+    so that it comes out column-major, the layout of the transposed blocks
+    (``A.T``, ``(X @ A).T``) it is subtracted from: mixed layouts make the
+    subtraction several times slower."""
+    return (v.T @ F.T).T
+
+
 def identity(m):
     return SmoothingOperator("identity", m)
 
@@ -193,7 +225,14 @@ def l_pinv_apply(L, y):
 
 @dataclass(frozen=True)
 class WeightedPinvBundle:
-    """Precomputed standard-form reduction data for a pair ``(A, L)``.
+    """Standard-form reduction data for a pair ``(A, L)``.
+
+    Holds only O((n + m) d) numbers, ``d`` the null-space dimension of
+    ``L``, and applies the A-weighted pseudoinverse
+    ``L_sharp = (I - W E) L^+`` with ``E = (A W)^+ A`` through the
+    structured ``L^+`` of the penalty: each of :meth:`sharp_apply`,
+    :meth:`sharp_t_apply` and :meth:`gamma_apply` costs O(m k d) on an
+    m-by-k (or ell-by-k) block for the difference kinds.
 
     Attributes
     ----------
@@ -202,28 +241,41 @@ class WeightedPinvBundle:
         Orthonormal null-space basis of ``L``.
     AW_pinv : ndarray, shape (d, n)
         Pseudoinverse of ``A @ W``.
-    L_sharp : ndarray, shape (m, ell)
-        The A-weighted pseudoinverse ``(I - W (A W)^+ A) L^+``.
+    E : ndarray, shape (d, m)
+        ``AW_pinv @ A``, the oblique part of ``L_sharp``.
     """
 
     L: SmoothingOperator
     W: np.ndarray
     AW_pinv: np.ndarray
-    L_sharp: np.ndarray
+    E: np.ndarray
 
     @property
     def null_dim(self):
         return self.W.shape[1]
 
+    @functools.cached_property
+    def L_sharp(self):
+        """Dense ``L_sharp`` (m-by-ell), formed on first access.  The
+        solvers never read it; they use the structured applies."""
+        return self.sharp_apply(np.eye(self.L.ell))
+
     def sharp_apply(self, y):
-        return self.L_sharp @ y
+        """``L_sharp @ y = L^+ y - W (E L^+ y)``."""
+        x = self.L.pinv_apply(y)
+        if self.null_dim:
+            x -= self.W @ (self.E @ x)
+        return x
 
     def sharp_t_apply(self, x):
-        return self.L_sharp.T @ x
+        """``L_sharp.T @ x = (L^+).T (x - E.T (W.T x))``."""
+        if self.null_dim:
+            x = x - _outer_t(self.W.T @ x, self.E.T)
+        return self.L.pinv_t_apply(x)
 
     def gamma_apply(self, x):
         """Apply ``Gamma = L_sharp @ L_sharp.T`` (symmetric smoother)."""
-        return self.L_sharp @ (self.L_sharp.T @ x)
+        return self.sharp_apply(self.sharp_t_apply(x))
 
     def w_term(self, b):
         """Null-space component ``W (A W)^+ b`` of the solution."""
@@ -232,12 +284,19 @@ class WeightedPinvBundle:
         return self.W @ (self.AW_pinv @ b)
 
 
-def weighted_pinv(A, L, norm_estimate=None):
+def weighted_pinv(A, L):
     """Build the standard-form reduction bundle for ``(A, L)``.
 
+    Costs O(n m d) for a null space of dimension ``d``: the products
+    ``A @ W`` and ``E = (A W)^+ A``.  ``A`` is never multiplied by an
+    m-by-ell matrix; ``L_sharp`` is applied through its factors (see
+    :class:`WeightedPinvBundle`).
+
     Requires the null spaces of ``A`` and ``L`` to intersect trivially,
-    checked as ``sigma_min(A @ W) > 1e-10 * ||A||``; otherwise the penalized
-    problem has no unique minimizer and a ``ValueError`` is raised.
+    checked as ``sigma_min(A @ W) > 1e-10 * ||A||_F``; otherwise the
+    penalized problem has no unique minimizer and a ``ValueError`` is
+    raised.  The Frobenius norm bounds the spectral norm from above, so
+    the check is at least as strict as one scaled by ``||A||_2``.
 
     When ``L`` has a trivial null space the bundle degenerates to
     ``L_sharp = L^+``.
@@ -247,49 +306,50 @@ def weighted_pinv(A, L, norm_estimate=None):
     if m != L.m:
         raise ValueError(f"A has {m} columns but L expects {L.m}")
     W = L.null_basis()
-    L_pinv = L.pinv_matrix()
     if W.shape[1] == 0:
-        return WeightedPinvBundle(L, W, np.zeros((0, n)), L_pinv)
+        return WeightedPinvBundle(L, W, np.zeros((0, n)), np.zeros((0, m)))
     AW = A @ W
     sv = np.linalg.svd(AW, compute_uv=False)
-    scale = norm_estimate if norm_estimate is not None else estimate_spectral_norm(A)
+    scale = np.linalg.norm(A, "fro")
     if sv.size == 0 or sv[-1] <= 1e-10 * scale:
         raise ValueError(
             "uniqueness assumption violated: N(A) and N(L) intersect "
             f"nontrivially (sigma_min(A @ W) = {0.0 if sv.size == 0 else sv[-1]:.3e} "
-            f"<= 1e-10 * ||A|| = {1e-10 * scale:.3e})"
+            f"<= 1e-10 * ||A||_F = {1e-10 * scale:.3e})"
         )
     AW_pinv = pinv(AW)
-    AL_pinv = A @ L_pinv
-    L_sharp = L_pinv - W @ (AW_pinv @ AL_pinv)
-    return WeightedPinvBundle(L, W, AW_pinv, L_sharp)
+    return WeightedPinvBundle(L, W, AW_pinv, AW_pinv @ A)
 
 
 class ProductOperator:
-    """Lazy product ``A @ M`` exposing just enough of the ndarray protocol
-    (``shape``, ``@`` on either side, ``.T``) for the randomized SVD
-    pipeline."""
+    """Lazy ``B = A @ L_sharp`` exposing just enough of the ndarray
+    protocol (``shape``, ``@`` on either side, ``.T``) for the randomized
+    SVD pipeline.  Every product is one product with ``A`` plus the
+    bundle's structured applies, never a product with a dense
+    ``L_sharp``."""
 
     # makes ``ndarray @ operator`` defer to __rmatmul__
     __array_ufunc__ = None
 
-    def __init__(self, A, M):
+    def __init__(self, A, bundle):
         self.A = A
-        self.M = M
-        self.shape = (A.shape[0], M.shape[1])
+        self.bundle = bundle
+        self.shape = (A.shape[0], bundle.L.ell)
 
     def __matmul__(self, X):
-        return self.A @ (self.M @ X)
+        return self.A @ self.bundle.sharp_apply(X)
 
     def __rmatmul__(self, X):
-        return (X @ self.A) @ self.M
+        # X @ A @ L_sharp = (L_sharp.T @ (X @ A).T).T
+        return self.bundle.sharp_t_apply((X @ self.A).T).T
 
     @property
     def T(self):
         return _TransposedProductOperator(self)
 
     def toarray(self):
-        return self.A @ self.M
+        """Dense ``B``, formed as ``(L_sharp.T @ A.T).T`` in O(n m d)."""
+        return self.bundle.sharp_t_apply(self.A.T).T
 
 
 class _TransposedProductOperator:
@@ -300,10 +360,11 @@ class _TransposedProductOperator:
         self.shape = (parent.shape[1], parent.shape[0])
 
     def __matmul__(self, Y):
-        return self.parent.M.T @ (self.parent.A.T @ Y)
+        return self.parent.bundle.sharp_t_apply(self.parent.A.T @ Y)
 
     def __rmatmul__(self, X):
-        return (X @ self.parent.M.T) @ self.parent.A.T
+        # X @ L_sharp.T @ A.T = (L_sharp @ X.T).T @ A.T
+        return self.parent.bundle.sharp_apply(X.T).T @ self.parent.A.T
 
     @property
     def T(self):
@@ -317,9 +378,9 @@ def form_B(A, bundle):
     """Operator handle for ``B = A @ L_sharp``.
 
     Returns ``A`` itself for the identity penalty; otherwise a lazy
-    product operator that never materializes ``A @ L_sharp`` (call
-    ``.toarray()`` if a dense copy is genuinely needed).
+    :class:`ProductOperator` whose products cost one product with ``A``
+    plus O(m k d).  ``.toarray()`` forms the dense ``B`` in O(n m d).
     """
     if bundle.L.kind == "identity":
         return A
-    return ProductOperator(A, bundle.L_sharp)
+    return ProductOperator(A, bundle)

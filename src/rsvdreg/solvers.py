@@ -119,8 +119,8 @@ def trsvd_solve_range(A, approx, b):
 
 def _gram(A, bundle):
     if bundle is not None:
-        B = A @ bundle.L_sharp
-        return B @ B.T
+        Bt = bundle.sharp_t_apply(A.T)  # B.T = L_sharp.T @ A.T, O(n m d)
+        return Bt.T @ Bt
     n, m = A.shape
     return A @ A.T if n <= m else A.T @ A
 
@@ -129,7 +129,10 @@ def direct_gram(A, bundle=None):
     """The unshifted Gram matrix a direct Tikhonov solve factors.
 
     ``A @ A.T`` when rows <= cols and ``A.T @ A`` otherwise; given the
-    ``bundle`` of a general penalty, ``B @ B.T`` with ``B = A @ L_sharp``.
+    ``bundle`` of a general penalty, ``B @ B.T`` with ``B = A @ L_sharp``
+    formed in O(n m d) through the bundle's structured ``L_sharp.T``
+    (see :meth:`rsvdreg.smoothing.ProductOperator.toarray`), so the
+    product ``B @ B.T`` is the only O(n^3) step.
     Forming it is the part of a direct solve that depends neither on
     ``alpha`` nor on the data, so runs that solve one matrix many times
     form it once and pass it to :func:`tikhonov_solve_direct` or
@@ -237,7 +240,9 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
     exactly.  Agrees with a dense solve of the regularized normal
     equations ``(A.T A + alpha L.T L) x = A.T b``.  ``gram`` is
     ``direct_gram(A, bundle)``, formed here when not given (it is left
-    unchanged).
+    unchanged).  ``Gamma`` is applied through the bundle's structured
+    factors, so besides the bundle's O(n m d) set-up the only O(n^3) work
+    is forming and factoring the Gram matrix.
     """
     A = as_matrix(A)
     b = as_vector(b)

@@ -98,6 +98,28 @@ class TestBench:
         for row, make in cells:
             assert make()().x.shape == (row["n"],)
 
+    @pytest.mark.parametrize("penalty", ["d1", "d2"])
+    def test_penalized_calls_time_their_setup(self, monkeypatch, penalty):
+        # the standard-form reduction is part of what a penalized direct or
+        # range solve costs, so it is built inside the timed call
+        calls = []
+        real = harness.smoothing.weighted_pinv
+
+        def counting(A, L):
+            calls.append(A.shape)
+            return real(A, L)
+
+        monkeypatch.setattr(harness.smoothing, "weighted_pinv", counting)
+        cells = harness._bench_cells("deriv2", (16,), (4,), penalty,
+                                     ("direct", "range"), 0.01, 1e-3, 0, 5, 0)
+        assert calls == []
+        for _, make in cells:
+            fn = make()
+            assert calls == []
+            assert fn().x.shape == (16,)
+            assert calls == [(16, 16)]
+            calls.clear()
+
     def test_rows_record_blas_threads(self):
         rows = harness.bench_run(ns=(32, 64), ks=(4,), repeats=1,
                                  methods=("direct",))

@@ -3,6 +3,7 @@ import pytest
 
 from rsvdreg.linalg import pinv
 from rsvdreg.smoothing import (
+    KINDS,
     ProductOperator,
     SmoothingOperator,
     custom,
@@ -164,3 +165,76 @@ class TestFormB:
         X, Y = rng.standard_normal((3, 7)), rng.standard_normal((3, 5))
         assert np.allclose(X @ B, X @ B.toarray(), atol=1e-12)
         assert np.allclose(Y @ B.T, Y @ B.toarray().T, atol=1e-12)
+
+
+def _penalty(kind, m, rng):
+    if kind == "custom":
+        # a generic penalty with a two-dimensional null space
+        return custom(rng.standard_normal((m - 2, m)))
+    return SmoothingOperator(kind, m)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestStructuredSharp:
+    """The structured applies against the dense formula
+    ``L_sharp = L^+ - W (A W)^+ A L^+``."""
+
+    n, m = 50, 40
+
+    @pytest.fixture(params=KINDS)
+    def case(self, request, rng):
+        A = rng.standard_normal((self.n, self.m))
+        L = _penalty(request.param, self.m, rng)
+        L_pinv = pinv(L.matrix())
+        W = L.null_basis()
+        dense = L_pinv - W @ (pinv(A @ W) @ (A @ L_pinv)) if W.shape[1] else L_pinv
+        return A, L, L_pinv, dense, weighted_pinv(A, L)
+
+    def test_pinv_t_apply(self, case, rng):
+        _, L, L_pinv, _, _ = case
+        X = rng.standard_normal((self.m, 3))
+        assert _rel(L.pinv_t_apply(X), L_pinv.T @ X) <= 1e-12
+        assert _rel(L.pinv_t_apply(X[:, 0]), L_pinv.T @ X[:, 0]) <= 1e-12
+
+    def test_sharp_applies(self, case, rng):
+        _, L, _, dense, bundle = case
+        Y = rng.standard_normal((L.ell, 3))
+        X = rng.standard_normal((self.m, 3))
+        assert _rel(bundle.sharp_apply(Y), dense @ Y) <= 1e-12
+        assert _rel(bundle.sharp_t_apply(X), dense.T @ X) <= 1e-12
+        assert _rel(bundle.gamma_apply(X), dense @ (dense.T @ X)) <= 1e-12
+        assert _rel(bundle.gamma_apply(X[:, 0]), dense @ (dense.T @ X[:, 0])) <= 1e-12
+        assert _rel(bundle.L_sharp, dense) <= 1e-12
+
+    def test_form_B(self, case, rng):
+        A, L, _, dense, bundle = case
+        B = form_B(A, bundle)
+        if L.kind == "identity":
+            assert B is A
+            return
+        Bd = A @ dense
+        assert _rel(B.toarray(), Bd) <= 1e-12
+        assert _rel(B.T.toarray(), Bd.T) <= 1e-12
+        Y, X = rng.standard_normal((L.ell, 3)), rng.standard_normal((3, self.n))
+        assert _rel(B @ Y, Bd @ Y) <= 1e-12
+        assert _rel(X @ B, X @ Bd) <= 1e-12
+        assert _rel(B.T @ X.T, Bd.T @ X.T) <= 1e-12
+        assert _rel(Y.T @ B.T, Y.T @ Bd.T) <= 1e-12
+
+    @pytest.mark.parametrize("make", [first_difference, second_difference])
+    def test_bundle_holds_no_m_by_ell_array(self, rng, make):
+        n, m = 30, 20
+        A = rng.standard_normal((n, m))
+        bundle = weighted_pinv(A, make(m))
+        d = bundle.null_dim
+        sizes = [bundle.W.size, bundle.AW_pinv.size, bundle.E.size]
+        assert sizes == [m * d, d * n, d * m]
+        assert "L_sharp" not in vars(bundle)
+        form_B(A, bundle).toarray()
+        bundle.gamma_apply(rng.standard_normal(m))
+        assert "L_sharp" not in vars(bundle)
+        assert bundle.L_sharp.shape == (m, m - d)
+        assert "L_sharp" in vars(bundle)
