@@ -266,7 +266,8 @@ def cmd_sweep_alpha(args):
     else:
         bundle = smoothing.weighted_pinv(A, harness.make_penalty(args.penalty, A.shape[1]))
         approx = rsvd_auto(smoothing.form_B(A, bundle), cfg)
-    solver = solvers.range_tikhonov_path(A, approx, b, bundle)
+    solver = solvers.range_tikhonov_path(
+        solvers.range_tikhonov_basis(A, approx, bundle), approx, b, bundle)
     if args.alpha_grid:
         lo, hi, count = args.alpha_grid.split(",")
         grid = (float(lo), float(hi), int(count))

@@ -16,7 +16,6 @@ from .linalg import pinv, svd_full
 from .problems import make_sourcewise, with_noise, NoiseSpec, generate
 from .rsvd import (
     RsvdConfig,
-    from_exact_svd,
     range_basis,
     rsvd_auto,
     theorem_spectral_bounds,
@@ -499,11 +498,6 @@ def run_bound_trial(check_id, seed, n=VERIFY_DEFAULT_N):
         approx_B = rsvd_auto(B, cfg)
         alpha = max(problem.noise_norm, 1e-12)
         return [check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed)]
-    if check_id == "exact_factor":
-        # Sanity protocol: with exact factors the randomized checks reduce
-        # to identities (used by smoke tests, not the acceptance gate).
-        approx = from_exact_svd(A, k)
-        return [check_adjoint_pinv_product(A, approx, svd, seed)]
     raise ValueError(f"unknown check id {check_id!r}; see VERIFY_CHECKS")
 
 

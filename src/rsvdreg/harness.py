@@ -45,10 +45,16 @@ class RunRecord:
     Gram matrix depends only on the problem, so a table forms it once per
     problem, but every cell is charged its full time: the direct column
     costs what a lone direct solve would.  ``t_proj`` and ``t_range``
-    include their randomized factorization.
+    include their randomized factorization in the same way: it depends
+    only on the problem and the repeat, so a table computes it once for
+    all noise levels of a repeat and charges its full time to every cell
+    that uses it.
 
     ``note`` is empty on success and carries the failure diagnostic when a
     solver aborted the cell (the numeric fields are then NaN).
+    ``alpha_at_lower`` and ``alpha_at_upper`` are set when the selected
+    ``alpha_star`` is the first or the last point of its grid, so the
+    optimum may lie outside it.
     """
 
     example: str
@@ -73,29 +79,29 @@ class RunRecord:
     t_proj: float
     t_range: float
     note: str = ""
+    alpha_at_lower: bool = False
+    alpha_at_upper: bool = False
 
     def as_dict(self):
         return asdict(self)
 
 
 def _cell_seeds(base_seed, repeat):
-    """(noise, selection, factorization) seeds of one table cell."""
+    """(noise, selection, factorization) seeds of one table cell; they do
+    not depend on the noise level."""
     return base_seed + repeat, base_seed + repeat + 555_000, base_seed + repeat + 777_000
 
 
 @dataclass(frozen=True)
-class _TableProblem:
-    """What the cells of one problem share: the noise-free problem, the
-    penalty reduction (``bundle`` is None for the identity), the matrix the
-    randomized solvers factor, and the direct solver's Gram matrix with the
-    time it took to form."""
+class _SharedProblem:
+    """What every run on one problem shares: the noise-free problem, the
+    penalty reduction (``bundle`` is None for the identity) and the matrix
+    the randomized solvers factor."""
 
     base: problems.InverseProblem
     L: smoothing.SmoothingOperator
     bundle: smoothing.WeightedPinvBundle | None
     target: object
-    gram: np.ndarray
-    t_gram: float
 
     @classmethod
     def build(cls, name, n, penalty):
@@ -104,52 +110,74 @@ class _TableProblem:
         L = make_penalty(penalty, A.shape[1])
         bundle = None if penalty == "none" else smoothing.weighted_pinv(A, L)
         target = A if bundle is None else smoothing.form_B(A, bundle)
-        t0 = time.perf_counter()
-        gram = solvers.direct_gram(A, bundle)
-        return cls(base, L, bundle, target, gram, time.perf_counter() - t0)
+        return cls(base, L, bundle, target)
 
 
-def _table_cell(shared, delta, penalty, k, p, q, repeat, base_seed,
-                k_select, grid_count):
+def _timed_rsvd(A, cfg):
+    t0 = time.perf_counter()
+    approx = rsvd_auto(A, cfg)
+    return approx, time.perf_counter() - t0
+
+
+def _table_repeat(shared, gram, t_gram, deltas, penalty, k, p, q, repeat,
+                  base_seed, k_select, grid_count):
+    """The cells of one repeat, one per noise level.  The factorizations
+    do not depend on the noise level, so they are computed once here:
+    the high-rank selection factorization with its range basis, and the
+    rank-``k`` factorizations of ``A`` and, for a penalty, of ``B``."""
     noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, repeat)
-    prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
-    A, b, L, bundle = prob.A, prob.b, shared.L, shared.bundle
+    A, L, bundle = shared.base.A, shared.L, shared.bundle
     # the selection factorization wants a generous rank; clamp at small sizes
     cfg_sel = RsvdConfig(k=min(k_select, min(A.shape) - p), p=p, q=q,
                          seed=select_seed)
     cfg_k = RsvdConfig(k=k, p=p, q=q, seed=rsvd_seed)
 
     approx_sel = rsvd_auto(shared.target, cfg_sel)
+    basis = solvers.range_tikhonov_basis(A, approx_sel, bundle)
     grid = default_alpha_grid(approx_sel.sigma[0], grid_count)
-    alpha_star, _ = select_alpha(
-        prob, solvers.range_tikhonov_path(A, approx_sel, b, bundle), grid)
-
-    t0 = time.perf_counter()
-    approx_A = rsvd_auto(A, cfg_k)
-    t_factor_A = time.perf_counter() - t0
+    approx_A, t_factor_A = _timed_rsvd(A, cfg_k)
     if bundle is None:
-        direct = solvers.tikhonov_solve_direct(A, b, alpha_star, gram=shared.gram)
-        hat = solvers.rsvd_tikhonov_projected(approx_A, b, alpha_star)
-        tilde = solvers.rsvd_tikhonov_range(A, approx_A, b, alpha_star)
-        t_factor_B = t_factor_A
+        approx_B, t_factor_B = approx_A, t_factor_A
     else:
-        direct = solvers.gen_tikhonov_direct(A, L, b, alpha_star, bundle,
-                                             gram=shared.gram)
-        hat = solvers.rsvd_gen_tikhonov_projected(approx_A, L, b, alpha_star)
-        t0 = time.perf_counter()
-        approx_B = rsvd_auto(shared.target, cfg_k)
-        t_factor_B = time.perf_counter() - t0
-        tilde = solvers.rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha_star, bundle)
+        approx_B, t_factor_B = _timed_rsvd(shared.target, cfg_k)
 
-    rep = error_report(hat.x, tilde.x, direct.x, prob.x_true)
-    return RunRecord(
-        example=prob.name, n=A.shape[0], delta=delta, penalty=penalty, k=k, p=p,
-        q=q, repeat=repeat, noise_seed=noise_seed, select_seed=select_seed,
-        rsvd_seed=rsvd_seed, alpha_star=alpha_star, noise_norm=prob.noise_norm,
-        t_direct=shared.t_gram + direct.wall_time,
-        t_proj=t_factor_A + hat.wall_time, t_range=t_factor_B + tilde.wall_time,
-        **rep.as_dict(),
-    )
+    def cell(delta):
+        prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
+        b = prob.b
+        alpha_star, curve = select_alpha(
+            prob, solvers.range_tikhonov_path(basis, approx_sel, b, bundle), grid)
+        if bundle is None:
+            direct = solvers.tikhonov_solve_direct(A, b, alpha_star, gram=gram)
+            hat = solvers.rsvd_tikhonov_projected(approx_A, b, alpha_star)
+            tilde = solvers.rsvd_tikhonov_range(A, approx_B, b, alpha_star)
+        else:
+            direct = solvers.gen_tikhonov_direct(A, L, b, alpha_star, bundle,
+                                                 gram=gram)
+            hat = solvers.rsvd_gen_tikhonov_projected(approx_A, L, b, alpha_star)
+            tilde = solvers.rsvd_gen_tikhonov_range(A, L, approx_B, b,
+                                                    alpha_star, bundle)
+        rep = error_report(hat.x, tilde.x, direct.x, prob.x_true)
+        return RunRecord(
+            example=prob.name, n=A.shape[0], delta=delta, penalty=penalty, k=k,
+            p=p, q=q, repeat=repeat, noise_seed=noise_seed,
+            select_seed=select_seed, rsvd_seed=rsvd_seed, alpha_star=alpha_star,
+            noise_norm=prob.noise_norm, t_direct=t_gram + direct.wall_time,
+            t_proj=t_factor_A + hat.wall_time,
+            t_range=t_factor_B + tilde.wall_time,
+            alpha_at_lower=curve.at_lower_boundary,
+            alpha_at_upper=curve.at_upper_boundary, **rep.as_dict(),
+        )
+
+    records = []
+    for delta in deltas:
+        # a failed cell must not take down the rest of the table; it is
+        # reported in its row
+        try:
+            records.append(cell(delta))
+        except Exception as exc:  # noqa: BLE001
+            records.append(_failed_record(shared.base.name, A.shape[0], delta,
+                                          penalty, k, p, q, repeat, base_seed, exc))
+    return records
 
 
 def _failed_record(name, n, delta, penalty, k, p, q, repeat, base_seed, exc):
@@ -171,32 +199,40 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
     The regularization parameter is selected per cell by minimizing the
     reconstruction error of a high-rank (``k_select``) range-preserving
     solve over a logarithmic grid; the reported solutions then use rank
-    ``k``.  Problems run one after another, each generated once with its
-    penalty reduction and direct Gram matrix shared by its cells; the cells
-    of a problem run on ``workers`` threads.
-    """
-    cells = [(delta, rep) for delta in deltas for rep in range(repeats)]
+    ``k``.
 
+    Work is shared at two levels.  Problems run one after another; each is
+    generated once, with its penalty reduction and the direct solver's Gram
+    matrix, and those serve all of its cells.  Within a problem, each
+    repeat computes its factorizations once (the selection factorization
+    and its range basis ``A.T @ U``, and the rank-``k`` factorizations of
+    ``A`` and, for a penalty, of ``B``), since their seeds do not depend on
+    the noise level; its cells then only add noise, select alpha and
+    solve.  The repeats of a problem run on ``workers`` threads.
+    """
     def failed(name, delta, rep, exc):
         return _failed_record(name, n, delta, penalty, k, p, q, rep, base_seed, exc)
 
     def problem_records(name, mapper):
-        # a failed cell (or problem) must not take down the rest of the
-        # table; it is reported in its row
+        # a failed problem (or repeat) must not take down the rest of the
+        # table; it is reported in the rows of its cells
         try:
-            shared = _TableProblem.build(name, n, penalty)
+            shared = _SharedProblem.build(name, n, penalty)
+            t0 = time.perf_counter()
+            gram = solvers.direct_gram(shared.base.A, shared.bundle)
+            t_gram = time.perf_counter() - t0
         except Exception as exc:  # noqa: BLE001
-            return [failed(name, delta, rep, exc) for delta, rep in cells]
+            return [failed(name, delta, rep, exc)
+                    for delta in deltas for rep in range(repeats)]
 
-        def run(cell):
-            delta, rep = cell
+        def run(rep):
             try:
-                return _table_cell(shared, delta, penalty, k, p, q, rep,
-                                   base_seed, k_select, grid_count)
+                return _table_repeat(shared, gram, t_gram, deltas, penalty, k,
+                                     p, q, rep, base_seed, k_select, grid_count)
             except Exception as exc:  # noqa: BLE001
-                return failed(name, delta, rep, exc)
+                return [failed(name, delta, rep, exc) for delta in deltas]
 
-        return list(mapper(run, cells))
+        return [r for chunk in mapper(run, range(repeats)) for r in chunk]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -239,46 +275,47 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
                repeats=3, base_seed=0, p=5, q=0, k_select=100, grid_count=100,
                workers=1):
     """Reconstruction error of the range-preserving solver as a function of
-    the factorization rank, at the selected parameter and scalings of it."""
+    the factorization rank, at the selected parameter and scalings of it.
+
+    The problem, its penalty reduction and the matrix the factorizations
+    act on are built once per call and shared by every repeat; each repeat
+    realizes its own noise and selects its own alpha.  At each rank, the
+    solutions of all ``policies`` come from one product with ``A.T`` (see
+    :func:`rsvdreg.solvers.range_tikhonov_block`).  The repeats run on
+    ``workers`` threads.
+    """
     for pol in policies:
         if pol not in ALPHA_POLICIES:
             raise ValueError(f"unknown alpha policy {pol!r}")
+    shared = _SharedProblem.build(name, n, penalty)
+    A, bundle, target = shared.base.A, shared.bundle, shared.target
+    scales = np.array([ALPHA_POLICIES[pol] for pol in policies])
 
     def run_rep(rep):
         noise_seed = base_seed + rep
         select_seed = base_seed + rep + 555_000
-        prob = problems.make_problem(name, n, problems.NoiseSpec(delta, noise_seed))
-        A, b = prob.A, prob.b
-        m = A.shape[1]
-        if penalty == "none":
-            L = bundle = None
-            target = A
-        else:
-            L = make_penalty(penalty, m)
-            bundle = smoothing.weighted_pinv(A, L)
-            target = smoothing.form_B(A, bundle)
+        prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
+        b = prob.b
         cfg_sel = RsvdConfig(k=min(k_select, min(target.shape) - p), p=p, q=q,
                              seed=select_seed)
         approx_sel = rsvd_auto(target, cfg_sel)
         grid = default_alpha_grid(approx_sel.sigma[0], grid_count)
+        basis = solvers.range_tikhonov_basis(A, approx_sel, bundle)
         alpha_star, _ = select_alpha(
-            prob, solvers.range_tikhonov_path(A, approx_sel, b, bundle), grid)
+            prob, solvers.range_tikhonov_path(basis, approx_sel, b, bundle), grid)
+        alphas = alpha_star * scales
         rows = []
         for k in ks:
             rsvd_seed = base_seed + rep + 777_000 + 1000 * k
             approx_k = rsvd_auto(target, RsvdConfig(k=k, p=p, q=q, seed=rsvd_seed))
-            for pol in policies:
-                alpha = alpha_star * ALPHA_POLICIES[pol]
-                if penalty == "none":
-                    x = solvers.rsvd_tikhonov_range(A, approx_k, b, alpha).x
-                else:
-                    x = solvers.rsvd_gen_tikhonov_range(
-                        A, L, approx_k, b, alpha, bundle).x
+            X = solvers.range_tikhonov_block(A, approx_k, b, alphas, bundle)
+            for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,
-                    "k": k, "policy": pol, "alpha": alpha, "repeat": rep,
-                    "noise_seed": noise_seed, "rsvd_seed": rsvd_seed,
-                    "e_ij": float(np.linalg.norm(x - prob.x_true)),
+                    "k": k, "policy": pol, "alpha": float(alphas[j]),
+                    "repeat": rep, "noise_seed": noise_seed,
+                    "rsvd_seed": rsvd_seed,
+                    "e_ij": float(np.linalg.norm(X[:, j] - prob.x_true)),
                 })
         return rows
 

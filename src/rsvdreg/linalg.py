@@ -38,10 +38,6 @@ class SvdTriple:
     def __iter__(self):
         return iter((self.U, self.sigma, self.V))
 
-    def truncate(self, k):
-        """Return the leading-``k`` factors as a new triple."""
-        return SvdTriple(self.U[:, :k], self.sigma[:k], self.V[:, :k])
-
 
 def as_matrix(A, name="A"):
     """Validate and return ``A`` as a 2-d float64 array with finite entries."""

@@ -6,8 +6,6 @@ single-column matrices.  Output is deterministic byte-for-byte for
 identical inputs.
 """
 
-import io
-
 import numpy as np
 import scipy.io
 
@@ -38,13 +36,6 @@ def read_vector(path):
     if A.shape[1] != 1:
         raise ValueError(f"expected a single-column matrix in {path}, got {A.shape}")
     return A[:, 0]
-
-
-def matrix_to_string(A):
-    """Render a matrix to the Matrix Market text format in memory."""
-    buf = io.BytesIO()
-    scipy.io.mmwrite(buf, as_matrix(A), field="real", symmetry="general")
-    return buf.getvalue().decode("ascii")
 
 
 def save_problem(problem, dirpath):

@@ -95,8 +95,19 @@ def _shaw(n):
     t = -math.pi / 2 + (np.arange(n) + 0.5) * h
     co = np.cos(t)
     si = np.pi * np.sin(t)
-    ssum = si[:, None] + si[None, :]
-    A = h * ((co[:, None] + co[None, :]) * np.sinc(ssum / np.pi)) ** 2
+    # h * ((co_i + co_j) * np.sinc((si_i + si_j) / pi)) ** 2, evaluated in
+    # place through np.sinc's own steps so that the result is bit-identical
+    # with two n-by-n arrays instead of about six
+    y = si[:, None] + si[None, :]
+    y /= np.pi
+    y *= np.pi
+    y[y == 0] = np.finfo(float).eps
+    A = np.sin(y)
+    A /= y
+    np.add(co[:, None], co[None, :], out=y)
+    A *= y
+    np.square(A, out=A)
+    A *= h
     x = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
     return A, x
 

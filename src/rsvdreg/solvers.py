@@ -197,30 +197,61 @@ def rsvd_tikhonov_range(A, approx, b, alpha):
     return _result(x, "tikh_range", alpha, approx.k, t0)
 
 
-def range_tikhonov_path(A, approx, b, bundle=None):
+def range_tikhonov_basis(A, approx, bundle=None):
+    """``A.T @ U`` of a factorization ``approx`` of ``A`` or, given the
+    ``bundle`` of a general penalty (``approx`` then factors ``B``),
+    ``Gamma A.T @ U``.
+
+    This is the part of :func:`range_tikhonov_path` that depends neither
+    on the data nor on ``alpha``: one O(n m k) product, formed once and
+    shared by the paths of every data vector solved with ``approx``.
+    """
+    AtU = (approx.U.T @ A).T  # A.T @ U; OpenBLAS is faster this way round
+    return AtU if bundle is None else bundle.gamma_apply(AtU)
+
+
+def range_tikhonov_path(basis, approx, b, bundle=None):
     """Range-preserving Tikhonov solutions for one factorization and one
     data vector, as a function ``alpha -> x``.
 
-    Agrees to rounding with :func:`rsvd_tikhonov_range` or, given the
-    ``bundle`` of a general penalty (``approx`` then factors ``B``), with
-    :func:`rsvd_gen_tikhonov_range`.  ``A.T @ U`` (mapped through
-    ``Gamma`` for a penalty) is formed once, so each ``alpha`` costs O(mk)
-    instead of a product with ``A.T``: the shape of a parameter sweep.
+    ``basis`` is :func:`range_tikhonov_basis` of the same ``approx`` and
+    ``bundle``.  Agrees to rounding with :func:`rsvd_tikhonov_range` or,
+    given the ``bundle`` of a general penalty, with
+    :func:`rsvd_gen_tikhonov_range`.  Each ``alpha`` costs O(mk) instead of
+    a product with ``A.T``: the shape of a parameter sweep.
     """
     b = as_vector(b)
-    AtU = (approx.U.T @ A).T  # A.T @ U; OpenBLAS is faster this way round
-    x0 = 0.0
-    if bundle is not None:
-        AtU = bundle.gamma_apply(AtU)
-        x0 = bundle.w_term(b)
+    x0 = 0.0 if bundle is None else bundle.w_term(b)
     Utb = approx.U.T @ b
 
     def solve(alpha):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        return AtU @ shifted_gram_coeffs(Utb, approx.sigma, alpha) + x0
+        return basis @ shifted_gram_coeffs(Utb, approx.sigma, alpha) + x0
 
     return solve
+
+
+def range_tikhonov_block(A, approx, b, alphas, bundle=None):
+    """Range-preserving Tikhonov solutions of one data vector for several
+    ``alphas`` at once, as the columns of an m-by-len(alphas) array.
+
+    Agrees to rounding, column by column, with :func:`rsvd_tikhonov_range`
+    or, given the ``bundle`` of a general penalty (``approx`` then factors
+    ``B``), with :func:`rsvd_gen_tikhonov_range`, but makes one product of
+    ``A.T`` with an n-by-len(alphas) block instead of one matrix-vector
+    product per ``alpha``.
+    """
+    b = as_vector(b)
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas <= 0):
+        raise ValueError(f"alpha must be positive, got {alphas}")
+    coeffs = shifted_gram_coeffs((approx.U.T @ b)[:, None],
+                                 approx.sigma[:, None], alphas)
+    X = ((approx.U @ coeffs).T @ A).T  # A.T @ Y, faster this way round
+    if bundle is None:
+        return X
+    return bundle.gamma_apply(X) + bundle.w_term(b)[:, None]
 
 
 def _ensure_bundle(A, L, bundle):

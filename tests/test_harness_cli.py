@@ -6,8 +6,9 @@ import types
 import numpy as np
 import pytest
 
-from rsvdreg import harness, problems
+from rsvdreg import harness, problems, smoothing, solvers
 from rsvdreg.cli import main
+from rsvdreg.rsvd import RsvdConfig, rsvd_auto
 
 
 class TestTableRun:
@@ -45,6 +46,46 @@ class TestTableRun:
         assert sorted(calls) == ["deriv2", "shaw"]
         assert len(recs) == 8 and not any(r.note for r in recs)
 
+    @pytest.mark.parametrize("penalty", ["none", "d1"])
+    def test_deltas_do_not_interact(self, penalty):
+        # the work shared by the noise levels of a repeat changes no result:
+        # a two-delta table equals two one-delta tables
+        kw = dict(penalty=penalty, n=32, k=4, repeats=2, k_select=8, grid_count=20)
+        names = ["shaw", "deriv2"]
+        both = harness.table_run(names, (0.01, 0.05), **kw)
+        apart = harness.table_run(names, (0.01,), **kw) + \
+            harness.table_run(names, (0.05,), **kw)
+        apart.sort(key=lambda r: (r.example, r.delta, r.repeat))
+        assert len(both) == len(apart) == 8
+        for a, b in zip(both, apart):
+            for field, value in a.as_dict().items():
+                if not field.startswith("t_"):
+                    assert value == getattr(b, field), field
+
+    @pytest.mark.parametrize("penalty, per_repeat", [("none", 2), ("d1", 3)])
+    @pytest.mark.parametrize("deltas", [(0.01,), (0.01, 0.02, 0.05)])
+    def test_one_factorization_set_per_repeat(self, monkeypatch, penalty,
+                                              per_repeat, deltas):
+        # selection, rank-k of A and (with a penalty) rank-k of B, once per
+        # (problem, repeat) whatever the number of noise levels
+        calls = []
+        real = harness.rsvd_auto
+        monkeypatch.setattr(harness, "rsvd_auto",
+                            lambda A, cfg: calls.append(cfg) or real(A, cfg))
+        recs = harness.table_run(["shaw", "deriv2"], deltas, penalty=penalty,
+                                 n=32, k=4, repeats=2, k_select=8, grid_count=20)
+        assert not any(r.note for r in recs)
+        assert len(calls) == 2 * 2 * per_repeat
+
+    def test_alpha_grid_edge_is_recorded(self):
+        # a two-point grid holds only its edges, so alpha* sits on one
+        recs = harness.table_run(["shaw", "deriv2"], [0.01], n=32, k=4,
+                                 repeats=1, k_select=8, grid_count=2)
+        assert all(r.alpha_at_lower != r.alpha_at_upper for r in recs)
+        recs = harness.table_run(["deriv2"], [0.01], n=64, k=4, repeats=1,
+                                 k_select=20, grid_count=50)
+        assert not recs[0].alpha_at_lower and not recs[0].alpha_at_upper
+
     def test_failed_cell_carries_diagnostic(self):
         # phillips needs n divisible by 4: the cell fails but the run and
         # the remaining rows survive, with the reason in the note column
@@ -65,6 +106,42 @@ class TestSweepHelpers:
         ks, errs = harness.median_curve(rows, "alpha_star")
         assert list(ks) == [2, 4]
         assert np.all(np.isfinite(errs))
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_problem_generated_once(self, monkeypatch, repeats):
+        calls = []
+        generate = problems.generate
+        monkeypatch.setattr(problems, "generate",
+                            lambda name, n: calls.append(name) or generate(name, n))
+        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=repeats,
+                                  k_select=8, grid_count=20)
+        assert calls == ["shaw"] and len(rows) == 2 * 3 * repeats
+
+    @pytest.mark.parametrize("penalty", ["none", "d1"])
+    def test_rows_match_single_alpha_solves(self, penalty):
+        # every policy of a rank comes from one block product; each row
+        # agrees with a lone range-preserving solve at its alpha
+        n = 64
+        rows = harness.rank_sweep("deriv2", 0.01, [4, 10], n=n, penalty=penalty,
+                                  repeats=2, base_seed=3, k_select=20,
+                                  grid_count=30)
+        A, x_true, b_exact = problems.generate("deriv2", n)
+        L = harness.make_penalty(penalty, n)
+        bundle = None if penalty == "none" else smoothing.weighted_pinv(A, L)
+        target = A if bundle is None else smoothing.form_B(A, bundle)
+        assert len(rows) == 2 * 3 * 2
+        for row in rows:
+            b, _ = problems.add_noise(b_exact,
+                                      problems.NoiseSpec(0.01, row["noise_seed"]))
+            approx = rsvd_auto(target, RsvdConfig(k=row["k"], p=5, q=0,
+                                                  seed=row["rsvd_seed"]))
+            if bundle is None:
+                x = solvers.rsvd_tikhonov_range(A, approx, b, row["alpha"]).x
+            else:
+                x = solvers.rsvd_gen_tikhonov_range(A, L, approx, b, row["alpha"],
+                                                    bundle).x
+            e = np.linalg.norm(x - x_true)
+            assert abs(row["e_ij"] - e) <= 1e-12 * e
 
     def test_plateau_detector(self):
         assert harness.nonincreasing_to_plateau([5.0, 3.0, 1.1, 1.0, 1.05, 1.0])
@@ -247,6 +324,15 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0].rstrip("\r") == ",".join(harness.TABLE_COLUMNS)
         assert len(lines) == 2
+
+    def test_table_detail_shows_grid_edge_flags(self, tmp_path):
+        out = tmp_path / "table.csv"
+        rc = main(["table", "--problems", "shaw", "--n", "32", "--deltas",
+                   "0.01", "--k", "4", "--repeats", "1", "--detail",
+                   "--out", str(out)])
+        assert rc == 0
+        header = out.read_text().splitlines()[0].rstrip("\r").split(",")
+        assert header[-3:] == ["note", "alpha_at_lower", "alpha_at_upper"]
 
     def test_sweep_alpha_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

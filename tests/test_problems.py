@@ -129,6 +129,19 @@ def test_matrix_matches_scalar_oracle(name):
     assert np.max(np.abs(A - O)) <= 1e-12 * np.max(np.abs(O))
 
 
+@pytest.mark.parametrize("n", [8, 10, 32, 100, 256])
+def test_shaw_matches_sinc_expression_bitwise(n):
+    # the in-place build repeats np.sinc's steps, zeros of its argument
+    # (on the anti-diagonal) included, so it must agree to the last bit
+    h = math.pi / n
+    t = -math.pi / 2 + (np.arange(n) + 0.5) * h
+    co = np.cos(t)
+    ssum = np.pi * np.sin(t)[:, None] + np.pi * np.sin(t)[None, :]
+    ref = h * ((co[:, None] + co[None, :]) * np.sinc(ssum / np.pi)) ** 2
+    assert np.any(ssum == 0)
+    assert np.array_equal(problems._shaw(n)[0], ref)
+
+
 def test_phillips_matches_quadrature_oracle():
     n = 16
     A, _, _ = generate("phillips", n)

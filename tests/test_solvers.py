@@ -8,6 +8,8 @@ from rsvdreg.smoothing import custom, first_difference, form_B, identity, weight
 from rsvdreg.solvers import (
     direct_gram,
     gen_tikhonov_direct,
+    range_tikhonov_basis,
+    range_tikhonov_block,
     range_tikhonov_path,
     rsvd_gen_tikhonov_projected,
     rsvd_gen_tikhonov_range,
@@ -328,8 +330,9 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        path = range_tikhonov_path(A, ap, b)
-        gen_path = range_tikhonov_path(A, apB, b, bundle)
+        path = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, b)
+        gen_path = range_tikhonov_path(range_tikhonov_basis(A, apB, bundle),
+                                       apB, b, bundle)
         for alpha in (1e-6, 1e-2, 1.0):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
             assert np.linalg.norm(path(alpha) - x) <= 1e-12 * np.linalg.norm(x)
@@ -338,6 +341,26 @@ class TestRangePath:
 
     def test_rejects_nonpositive_alpha(self, rng):
         A = rng.standard_normal((6, 6))
-        path = range_tikhonov_path(A, from_exact_svd(A, 3), np.ones(6))
+        ap = from_exact_svd(A, 3)
+        path = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, np.ones(6))
         with pytest.raises(ValueError, match="alpha"):
             path(0.0)
+
+    def test_block_matches_single_alpha_solvers(self, rng):
+        A = random_decaying(rng, 14, 12)
+        b = rng.standard_normal(14)
+        alphas = (1e-6, 1e-2, 1.0)
+        ap = rsvd_auto(A, RsvdConfig(k=5, p=3, seed=2))
+        L = first_difference(12)
+        bundle = weighted_pinv(A, L)
+        apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
+        X = range_tikhonov_block(A, ap, b, alphas)
+        gen_X = range_tikhonov_block(A, apB, b, alphas, bundle)
+        assert X.shape == gen_X.shape == (12, 3)
+        for j, alpha in enumerate(alphas):
+            x = rsvd_tikhonov_range(A, ap, b, alpha).x
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+            x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
+            assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+        with pytest.raises(ValueError, match="alpha"):
+            range_tikhonov_block(A, ap, b, (1.0, 0.0))
