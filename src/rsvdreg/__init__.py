@@ -28,6 +28,7 @@ from .rsvd import (
     refine_singular_values,
     rsvd_auto,
     rsvd_error,
+    rsvd_nested,
     rsvd_tall,
     rsvd_wide,
     theorem_spectral_bounds,

@@ -25,7 +25,7 @@ import numpy as np
 from . import diagnostics, problems, smoothing, solvers
 from .diagnostics import default_alpha_grid, error_report, select_alpha
 from .linalg import estimate_spectral_norm
-from .rsvd import RsvdConfig, rsvd_auto
+from .rsvd import RsvdConfig, rsvd_auto, rsvd_nested
 
 PENALTIES = {"none": "identity", "d1": "first_difference", "d2": "second_difference"}
 
@@ -87,8 +87,9 @@ class RunRecord:
 
 
 def _cell_seeds(base_seed, repeat):
-    """(noise, selection, factorization) seeds of one table cell; they do
-    not depend on the noise level."""
+    """(noise, selection, factorization) seeds of one table cell or one
+    rank-sweep repeat; they depend neither on the noise level nor on the
+    rank."""
     return base_seed + repeat, base_seed + repeat + 555_000, base_seed + repeat + 777_000
 
 
@@ -279,10 +280,16 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
 
     The problem, its penalty reduction and the matrix the factorizations
     act on are built once per call and shared by every repeat; each repeat
-    realizes its own noise and selects its own alpha.  At each rank, the
-    solutions of all ``policies`` come from one product with ``A.T`` (see
-    :func:`rsvdreg.solvers.range_tikhonov_block`).  The repeats run on
-    ``workers`` threads.
+    realizes its own noise and selects its own alpha.  A repeat takes its
+    noise, selection and factorization seeds from :func:`_cell_seeds`, as
+    a table cell does, and factors once for all ranks
+    (:func:`rsvdreg.rsvd.rsvd_nested`): the ranks of one repeat share one
+    probe, so their subspaces are nested.  A row is reproduced to rounding
+    by a lone ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))``.
+    Each row records ``probe_rank``, the numerical rank of its (k+p)-row
+    sketch.  At each rank, the solutions of all ``policies`` come from one
+    product with ``A.T`` (see :func:`rsvdreg.solvers.range_tikhonov_block`).
+    The repeats run on ``workers`` threads.
     """
     for pol in policies:
         if pol not in ALPHA_POLICIES:
@@ -292,8 +299,7 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     scales = np.array([ALPHA_POLICIES[pol] for pol in policies])
 
     def run_rep(rep):
-        noise_seed = base_seed + rep
-        select_seed = base_seed + rep + 555_000
+        noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, rep)
         prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
         b = prob.b
         cfg_sel = RsvdConfig(k=min(k_select, min(target.shape) - p), p=p, q=q,
@@ -305,17 +311,16 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
             prob, solvers.range_tikhonov_path(basis, approx_sel, b, bundle), grid)
         alphas = alpha_star * scales
         rows = []
-        for k in ks:
-            rsvd_seed = base_seed + rep + 777_000 + 1000 * k
-            approx_k = rsvd_auto(target, RsvdConfig(k=k, p=p, q=q, seed=rsvd_seed))
+        for approx_k in rsvd_nested(target, ks, p=p, q=q, seed=rsvd_seed):
             X = solvers.range_tikhonov_block(A, approx_k, b, alphas, bundle)
             for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,
-                    "k": k, "policy": pol, "alpha": float(alphas[j]),
+                    "k": approx_k.k, "policy": pol, "alpha": float(alphas[j]),
                     "repeat": rep, "noise_seed": noise_seed,
                     "rsvd_seed": rsvd_seed,
                     "e_ij": float(np.linalg.norm(X[:, j] - prob.x_true)),
+                    "probe_rank": approx_k.probe_rank,
                 })
         return rows
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import qr_thin, svd_full
+from .linalg import default_pinv_rtol, qr_thin, svd_full
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,18 @@ class RankKApprox:
     On the tall path the factors satisfy the projection identity
     ``U @ diag(sigma) @ V.T == (U @ U.T) @ A`` to rounding; on the wide
     path the analogous right-projection identity holds.
+
+    ``probe_rank`` is the numerical rank of the (k+p)-row sketch the factors
+    were cut from: its singular values above ``default_pinv_rtol`` times
+    the largest.  Below k+p, the probe captured fewer directions than it
+    had columns.  None for factors not taken from a probe.
     """
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
     config: RsvdConfig = field(repr=False)
+    probe_rank: int | None = None
 
     @property
     def k(self):
@@ -127,12 +133,51 @@ def range_basis(A, k, p, seed, q=0):
     return qr_thin(Y)
 
 
+def _rsvd_tall_nested(A, cfgs):
+    """Rank-``k`` factors of a tall ``A`` for every config in ``cfgs`` (one
+    seed, ``p`` and ``q``), all from one probe of the widest rank.
+
+    The probe is filled column-major, column j of the sample depends only
+    on the leading j+1 probe columns (on column j alone when ``q <= 2``) and
+    the leading l columns of a Householder basis span the leading l columns
+    of the sample, so the basis of the width-(k+p) probe is the leading
+    k+p columns of the widest basis.  Each rank therefore takes the SVD of
+    the leading k+p rows of the one sketch ``Q.T @ A``; its factors agree to
+    rounding with a lone factorization of that rank.  With ``q`` of 1 or 2
+    the sample is not re-orthonormalized, and on a fast-decaying spectrum
+    its rounding errors are amplified alike in both computations.
+    """
+    n, m = A.shape
+    widest = max(cfgs, key=lambda c: c.k)
+    widest.validate_shape((n, m))
+    Q = range_basis(A, widest.k, widest.p, widest.seed, widest.q)
+    B = Q.T @ A
+    out = {}
+    for cfg in cfgs:
+        if cfg.k in out:
+            continue
+        ell = cfg.k + cfg.p
+        # LAPACK factors the wide sketch faster through its tall transpose
+        Z, s, Wt = np.linalg.svd(B[:ell].T, full_matrices=False)
+        rank = int(np.sum(s > default_pinv_rtol((ell, m)) * s[0]))
+        U = Q[:, :ell] @ Wt[:cfg.k].T
+        out[cfg.k] = RankKApprox(U, s[:cfg.k].copy(), Z[:, :cfg.k].copy(), cfg,
+                                 rank)
+    return [out[cfg.k] for cfg in cfgs]
+
+
+def _swapped(approx):
+    return RankKApprox(approx.V, approx.sigma, approx.U, approx.config,
+                       approx.probe_rank)
+
+
 def rsvd_tall(A, cfg):
     """Randomized rank-k SVD for ``A`` with rows >= cols.
 
     Pipeline: Gaussian probe, optional power iterations, thin QR of the
-    sample, exact SVD of the small projected matrix ``Q.T @ A``, truncation
-    of the oversampled factors from k+p down to k.
+    sample (:func:`range_basis`), exact SVD of the small projected matrix
+    ``Q.T @ A``, truncation of the oversampled factors from k+p down to k.
+    This is the one-rank case of :func:`rsvd_nested`.
 
     ``A`` may be any object supporting ``shape``, ``.T`` and products with
     arrays on either side (dense ndarray or a lazy product operator).
@@ -140,16 +185,7 @@ def rsvd_tall(A, cfg):
     n, m = A.shape
     if n < m:
         raise ValueError(f"rsvd_tall needs rows >= cols, got shape {A.shape}")
-    cfg.validate_shape((n, m))
-    omega = _gaussian_probe_tall(m, cfg.k + cfg.p, cfg.seed)
-    Y = _powered_sample(A, omega, cfg.q)
-    Q = qr_thin(Y)
-    B = Q.T @ A
-    # LAPACK factors the wide sketch faster through its tall transpose
-    Z, s, Wt = np.linalg.svd(B.T, full_matrices=False)
-    k = cfg.k
-    U = Q @ Wt[:k].T
-    return RankKApprox(U, s[:k].copy(), Z[:, :k].copy(), cfg)
+    return _rsvd_tall_nested(A, [cfg])[0]
 
 
 def rsvd_wide(A, cfg):
@@ -161,8 +197,7 @@ def rsvd_wide(A, cfg):
     n, m = A.shape
     if n >= m:
         raise ValueError(f"rsvd_wide needs rows < cols, got shape {A.shape}")
-    out = rsvd_tall(A.T, cfg)
-    return RankKApprox(out.V, out.sigma, out.U, cfg)
+    return _swapped(rsvd_tall(A.T, cfg))
 
 
 def rsvd_auto(A, cfg):
@@ -171,6 +206,27 @@ def rsvd_auto(A, cfg):
     if n >= m:
         return rsvd_tall(A, cfg)
     return rsvd_wide(A, cfg)
+
+
+def rsvd_nested(A, ks, p=5, q=0, seed=0):
+    """Randomized rank-k SVDs of ``A`` for every rank in ``ks`` from one
+    factorization: one probe of ``max(ks) + p`` columns, one sample, one
+    QR and one product ``Q.T @ A``.
+
+    The rank-k factors come from the leading k+p columns of that basis, so
+    the ranks' subspaces are nested, and each agrees to rounding with the
+    lone ``rsvd_auto(A, RsvdConfig(k, p, q, seed))``.  Returns one
+    :class:`RankKApprox` per entry of ``ks``, in input order (duplicates
+    included).  Raises ``ValueError`` for an empty ``ks`` and, like the lone
+    call, when ``max(ks) + p`` exceeds ``min(A.shape)``.
+    """
+    cfgs = [RsvdConfig(k=k, p=p, q=q, seed=seed) for k in ks]
+    if not cfgs:
+        raise ValueError("rsvd_nested needs at least one rank")
+    n, m = A.shape
+    if n >= m:
+        return _rsvd_tall_nested(A, cfgs)
+    return [_swapped(a) for a in _rsvd_tall_nested(A.T, cfgs)]
 
 
 def refine_singular_values(A, approx):

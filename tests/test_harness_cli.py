@@ -117,6 +117,32 @@ class TestSweepHelpers:
                                   k_select=8, grid_count=20)
         assert calls == ["shaw"] and len(rows) == 2 * 3 * repeats
 
+    @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
+    def test_two_factorizations_per_repeat(self, monkeypatch, ks):
+        # the selection factorization and one nested factorization for all
+        # ranks, whatever the number of ranks
+        calls = []
+        auto, nested = harness.rsvd_auto, harness.rsvd_nested
+        monkeypatch.setattr(harness, "rsvd_auto",
+                            lambda A, cfg: calls.append(cfg.seed) or auto(A, cfg))
+        monkeypatch.setattr(harness, "rsvd_nested",
+                            lambda A, ks, **kw: calls.append(kw["seed"])
+                            or nested(A, ks, **kw))
+        rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
+                                  base_seed=5, k_select=8, grid_count=20)
+        assert len(rows) == len(ks) * 3 * 2
+        assert sorted(calls) == sorted(
+            s for rep in range(2) for s in harness._cell_seeds(5, rep)[1:])
+
+    def test_rows_record_probe_rank(self):
+        # shaw's spectrum falls below the rank cutoff long before 45
+        # directions, while a 7-column probe captures all of its columns
+        rows = harness.rank_sweep("shaw", 0.01, [2, 40], n=200, repeats=1,
+                                  k_select=60, grid_count=20)
+        rank = {r["k"]: r["probe_rank"] for r in rows}
+        assert rank[2] == 2 + 5
+        assert rank[40] < 40 + 5
+
     @pytest.mark.parametrize("penalty", ["none", "d1"])
     def test_rows_match_single_alpha_solves(self, penalty):
         # every policy of a rank comes from one block product; each row
@@ -351,6 +377,7 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + ks x policies
+        assert lines[0].split(",")[-1] == "probe_rank"
 
     def test_verify_json_and_exit_code(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_decaying
+
 from rsvdreg.linalg import svd_full
 from rsvdreg.rsvd import (
     RankKApprox,
@@ -13,10 +15,12 @@ from rsvdreg.rsvd import (
     refine_singular_values,
     rsvd_auto,
     rsvd_error,
+    rsvd_nested,
     rsvd_tall,
     rsvd_wide,
     theorem_spectral_bounds,
 )
+from rsvdreg.smoothing import SmoothingOperator, form_B, weighted_pinv
 
 
 def embedded_diag(values, n):
@@ -144,6 +148,73 @@ class TestAutoDispatch:
         ref = rsvd_tall(A, cfg) if shape[0] >= shape[1] else rsvd_wide(A, cfg)
         assert np.array_equal(auto.U, ref.U)
         assert np.array_equal(auto.sigma, ref.sigma)
+
+
+def rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestNested:
+    KS = [12, 3, 7, 3]  # unsorted, with a duplicate
+
+    @staticmethod
+    def target(kind):
+        # a moderate decay keeps a powered sample well conditioned, so two
+        # factorizations that differ only in rounding agree closely
+        A = random_decaying(np.random.default_rng(11), 60, 40, decay=0.9)
+        if kind == "wide":
+            return A.T
+        if kind == "form_B":
+            return form_B(A, weighted_pinv(A, SmoothingOperator("first_difference", 40)))
+        return A
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "form_B"])
+    def test_each_rank_matches_lone_call(self, kind, q):
+        M = self.target(kind)
+        out = rsvd_nested(M, self.KS, p=5, q=q, seed=4)
+        assert [a.k for a in out] == self.KS
+        for k, approx in zip(self.KS, out):
+            lone = rsvd_auto(M, RsvdConfig(k=k, p=5, q=q, seed=4))
+            assert approx.config == lone.config
+            assert approx.U.shape == lone.U.shape and approx.V.shape == lone.V.shape
+            assert rel(approx.sigma, lone.sigma) <= 1e-12
+            assert rel(approx.matrix(), lone.matrix()) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["tall", "wide"])
+    def test_widest_rank_is_the_lone_call(self, kind):
+        # same probe, same basis, same sketch: bit for bit
+        M = self.target(kind)
+        widest = rsvd_nested(M, self.KS, p=5, q=1, seed=4)[0]
+        lone = rsvd_auto(M, RsvdConfig(k=12, p=5, q=1, seed=4))
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(widest, name), getattr(lone, name))
+        assert widest.probe_rank == lone.probe_rank == 17
+
+    def test_duplicates_and_order(self):
+        out = rsvd_nested(self.target("tall"), [5, 2, 5], p=2, seed=1)
+        assert [a.k for a in out] == [5, 2, 5]
+        assert np.array_equal(out[0].U, out[2].U)
+
+    @pytest.mark.parametrize("shape", [(10, 6), (6, 10)])
+    def test_too_wide_raises_like_lone_call(self, rng, shape):
+        M = rng.standard_normal(shape)
+        with pytest.raises(ValueError) as lone:
+            rsvd_auto(M, RsvdConfig(k=3, p=4, seed=0))
+        with pytest.raises(ValueError) as nested:
+            rsvd_nested(M, [1, 3], p=4, seed=0)
+        assert str(nested.value) == str(lone.value)
+
+    def test_empty_ranks_rejected(self, rng):
+        with pytest.raises(ValueError, match="at least one rank"):
+            rsvd_nested(rng.standard_normal((8, 5)), [])
+
+    def test_probe_rank_counts_captured_directions(self, rng):
+        # exact rank 4: a sketch of 6 or more rows holds only 4 directions
+        A = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
+        out = rsvd_nested(A, [1, 4, 8], p=2, seed=0)
+        assert [a.probe_rank for a in out] == [3, 4, 4]
+        assert from_exact_svd(A, 2).probe_rank is None
 
 
 class TestRefineSingularValues:
