@@ -17,8 +17,7 @@ import warnings
 
 import numpy as np
 
-from . import diagnostics, harness, mmio, problems, smoothing, solvers
-from .diagnostics import default_alpha_grid, select_alpha
+from . import diagnostics, harness, mmio, problems, solvers
 from .linalg import RankDeficiencyWarning, svd_full
 from .rsvd import RsvdConfig, rsvd_auto
 
@@ -42,6 +41,19 @@ def _int_list(text):
 
 def _float_list(text):
     return [float(v) for v in text.split(",") if v]
+
+
+def _alpha_grid(text):
+    """``--alpha-grid LO,HI,COUNT`` as ``(lo, hi, count)``, None when absent;
+    ``select_alpha`` checks the range."""
+    if not text:
+        return None
+    try:
+        lo, hi, count = text.split(",")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(f"--alpha-grid expects LO,HI,COUNT (two floats and "
+                         f"a point count), got {text!r}") from None
 
 
 def _problem_list(text):
@@ -157,62 +169,43 @@ def cmd_gen(args):
     return 0
 
 
-def _solve_one(args):
+#: each solve method on a Regularization, a rank-k config, the data and alpha
+_SOLVES = {
+    "tsvd": lambda reg, cfg, b, alpha: solvers.tsvd_solve(svd_full(reg.A), cfg.k, b),
+    "trsvd_proj": lambda reg, cfg, b, alpha: solvers.trsvd_solve_projected(
+        rsvd_auto(reg.A, cfg), b),
+    "trsvd_range": lambda reg, cfg, b, alpha: solvers.trsvd_solve_range(
+        reg.A, rsvd_auto(reg.A, cfg), b),
+    "tikh_direct": lambda reg, cfg, b, alpha: reg.direct(b, alpha),
+    "tikh_proj": lambda reg, cfg, b, alpha: reg.projected(
+        rsvd_auto(reg.A, cfg), b, alpha),
+    "tikh_range": lambda reg, cfg, b, alpha: reg.range(
+        rsvd_auto(reg.target, cfg), b, alpha),
+}
+#: the methods that take ``--penalty``: their tikh_* solve under that penalty
+_PENALIZED = ("gtikh_direct", "gtikh_proj", "gtikh_range")
+_SOLVES.update({m: _SOLVES[m[1:]] for m in _PENALIZED})
+_NO_ALPHA = ("tsvd", "trsvd_proj", "trsvd_range")
+
+
+def cmd_solve(args):
     prob = problems.make_problem(
         args.problem, args.n, problems.NoiseSpec(args.delta, args.seed)
     )
     A, b = prob.A, prob.b
-    cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=args.seed + 777_000)
     method = args.method
-    L = harness.make_penalty(args.penalty, A.shape[1])
-    bundle = None
-    if method.startswith("gtikh"):
-        bundle = smoothing.weighted_pinv(A, L)
-
-    def needs_alpha():
-        return method not in ("tsvd", "trsvd_proj", "trsvd_range")
-
+    reg = solvers.Regularization(A, harness.make_penalty(args.penalty, A.shape[1]))
+    if not (reg.identity or method in _PENALIZED):
+        raise ValueError(f"--method {method} solves the identity problem, so "
+                         f"--penalty {args.penalty} needs a gtikh_* method")
+    _, select_seed, rsvd_seed = harness._cell_seeds(args.seed, 0)
     alpha = args.alpha
-    if needs_alpha() and alpha is None:
-        sel_cfg = RsvdConfig(k=min(100, A.shape[1] - args.p), p=args.p, q=args.q,
-                             seed=args.seed + 555_000)
-        if method.startswith("gtikh"):
-            B = smoothing.form_B(A, bundle)
-            approx_sel = rsvd_auto(B, sel_cfg)
-            solver = lambda a: solvers.rsvd_gen_tikhonov_range(
-                A, L, approx_sel, b, a, bundle).x
-        else:
-            approx_sel = rsvd_auto(A, sel_cfg)
-            solver = lambda a: solvers.rsvd_tikhonov_range(A, approx_sel, b, a).x
-        if args.alpha_grid:
-            lo, hi, count = args.alpha_grid.split(",")
-            grid = (float(lo), float(hi), int(count))
-        else:
-            grid = default_alpha_grid(approx_sel.sigma[0])
-        alpha, _ = select_alpha(prob, solver, grid)
-
-    if method == "tsvd":
-        result = solvers.tsvd_solve(svd_full(A), args.k, b)
-    elif method == "trsvd_proj":
-        result = solvers.trsvd_solve_projected(rsvd_auto(A, cfg), b)
-    elif method == "trsvd_range":
-        result = solvers.trsvd_solve_range(A, rsvd_auto(A, cfg), b)
-    elif method == "tikh_direct":
-        result = solvers.tikhonov_solve_direct(A, b, alpha)
-    elif method == "tikh_proj":
-        result = solvers.rsvd_tikhonov_projected(rsvd_auto(A, cfg), b, alpha)
-    elif method == "tikh_range":
-        result = solvers.rsvd_tikhonov_range(A, rsvd_auto(A, cfg), b, alpha)
-    elif method == "gtikh_direct":
-        result = solvers.gen_tikhonov_direct(A, L, b, alpha, bundle)
-    elif method == "gtikh_proj":
-        result = solvers.rsvd_gen_tikhonov_projected(rsvd_auto(A, cfg), L, b, alpha)
-    elif method == "gtikh_range":
-        B = smoothing.form_B(A, bundle)
-        result = solvers.rsvd_gen_tikhonov_range(A, L, rsvd_auto(B, cfg), b,
-                                                 alpha, bundle)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if alpha is None and method not in _NO_ALPHA:
+        select = harness.alpha_selector(reg, 100, args.p, args.q, select_seed,
+                                        grid=_alpha_grid(args.alpha_grid))
+        alpha, _ = select(prob)
+    cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=rsvd_seed)
+    result = _SOLVES[method](reg, cfg, b, alpha)
     row = {
         "example": args.problem, "n": args.n, "delta": args.delta,
         "seed": args.seed, "method": method, "penalty": args.penalty,
@@ -223,11 +216,6 @@ def _solve_one(args):
         "residual": float(np.linalg.norm(A @ result.x - b)),
         "wall_time_seconds": result.wall_time,
     }
-    return row
-
-
-def cmd_solve(args):
-    row = _solve_one(args)
     if args.format == "json":
         harness.write_output(row, args.out, "json")
     else:
@@ -258,22 +246,11 @@ def cmd_sweep_alpha(args):
     prob = problems.make_problem(
         args.problem, args.n, problems.NoiseSpec(args.delta, args.seed)
     )
-    A, b = prob.A, prob.b
-    cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=args.seed + 555_000)
-    if args.penalty == "none":
-        bundle = None
-        approx = rsvd_auto(A, cfg)
-    else:
-        bundle = smoothing.weighted_pinv(A, harness.make_penalty(args.penalty, A.shape[1]))
-        approx = rsvd_auto(smoothing.form_B(A, bundle), cfg)
-    solver = solvers.range_tikhonov_path(
-        solvers.range_tikhonov_basis(A, approx, bundle), approx, b, bundle)
-    if args.alpha_grid:
-        lo, hi, count = args.alpha_grid.split(",")
-        grid = (float(lo), float(hi), int(count))
-    else:
-        grid = default_alpha_grid(approx.sigma[0])
-    alpha_star, curve = select_alpha(prob, solver, grid)
+    reg = solvers.Regularization(prob.A, harness.make_penalty(args.penalty, args.n))
+    select = harness.alpha_selector(reg, args.k, args.p, args.q,
+                                    harness._cell_seeds(args.seed, 0)[1],
+                                    grid=_alpha_grid(args.alpha_grid))
+    alpha_star, curve = select(prob)
     rows = [
         {"alpha": float(a), "error": float(e),
          "is_alpha_star": int(a == alpha_star),

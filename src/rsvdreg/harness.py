@@ -4,6 +4,8 @@ verification, with CSV/JSON serialization.
 Every record carries the seeds needed to reproduce it exactly.  Cells of a
 sweep are independent; when run concurrently the output ordering is still
 deterministic (records are sorted by their keys, not completion order).
+The drivers solve through one :class:`rsvdreg.solvers.Regularization` per
+problem and factor through this module's ``rsvd_auto`` and ``rsvd_nested``.
 """
 
 import contextlib
@@ -39,7 +41,8 @@ def make_penalty(code, m):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One benchmark cell: problem, method parameters, errors and times.
+    """One benchmark cell: problem, method parameters, errors and times,
+    from the solves of the problem's :class:`rsvdreg.solvers.Regularization`.
 
     ``t_direct`` is the direct solve plus the Gram matrix it factors.  The
     Gram matrix depends only on the problem, so a table forms it once per
@@ -93,70 +96,50 @@ def _cell_seeds(base_seed, repeat):
     return base_seed + repeat, base_seed + repeat + 555_000, base_seed + repeat + 777_000
 
 
-@dataclass(frozen=True)
-class _SharedProblem:
-    """What every run on one problem shares: the noise-free problem, the
-    penalty reduction (``bundle`` is None for the identity) and the matrix
-    the randomized solvers factor."""
-
-    base: problems.InverseProblem
-    L: smoothing.SmoothingOperator
-    bundle: smoothing.WeightedPinvBundle | None
-    target: object
-
-    @classmethod
-    def build(cls, name, n, penalty):
-        A, x_true, b_exact = problems.generate(name, n)
-        base = problems.InverseProblem(name, A, x_true, b_exact, b_exact, 0.0, 0)
-        L = make_penalty(penalty, A.shape[1])
-        bundle = None if penalty == "none" else smoothing.weighted_pinv(A, L)
-        target = A if bundle is None else smoothing.form_B(A, bundle)
-        return cls(base, L, bundle, target)
+def alpha_selector(reg, k, p, q, seed, grid=None, grid_count=100):
+    """``select(problem) -> (alpha_star, curve)``: the alpha minimizing the
+    error of ``reg``'s range-preserving solve over ``grid`` (by default
+    ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
+    from one factorization of ``reg.target`` at a generous rank ``k``
+    (clamped to ``min(shape) - p``) shared by every problem it is given."""
+    cfg = RsvdConfig(k=min(k, min(reg.target.shape) - p), p=p, q=q, seed=seed)
+    approx = rsvd_auto(reg.target, cfg)
+    basis = reg.basis(approx)
+    if grid is None:
+        grid = default_alpha_grid(approx.sigma[0], grid_count)
+    return lambda prob: select_alpha(prob, reg.path(basis, approx, prob.b), grid)
 
 
-def _timed_rsvd(A, cfg):
+def _timed(fn, *args):
     t0 = time.perf_counter()
-    approx = rsvd_auto(A, cfg)
-    return approx, time.perf_counter() - t0
+    result = fn(*args)
+    return result, time.perf_counter() - t0
 
 
-def _table_repeat(shared, gram, t_gram, deltas, penalty, k, p, q, repeat,
+def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
                   base_seed, k_select, grid_count):
     """The cells of one repeat, one per noise level.  The factorizations
     do not depend on the noise level, so they are computed once here:
     the high-rank selection factorization with its range basis, and the
     rank-``k`` factorizations of ``A`` and, for a penalty, of ``B``."""
     noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, repeat)
-    A, L, bundle = shared.base.A, shared.L, shared.bundle
-    # the selection factorization wants a generous rank; clamp at small sizes
-    cfg_sel = RsvdConfig(k=min(k_select, min(A.shape) - p), p=p, q=q,
-                         seed=select_seed)
+    A = reg.A
+    select = alpha_selector(reg, k_select, p, q, select_seed,
+                            grid_count=grid_count)
     cfg_k = RsvdConfig(k=k, p=p, q=q, seed=rsvd_seed)
-
-    approx_sel = rsvd_auto(shared.target, cfg_sel)
-    basis = solvers.range_tikhonov_basis(A, approx_sel, bundle)
-    grid = default_alpha_grid(approx_sel.sigma[0], grid_count)
-    approx_A, t_factor_A = _timed_rsvd(A, cfg_k)
-    if bundle is None:
+    approx_A, t_factor_A = _timed(rsvd_auto, A, cfg_k)
+    if reg.target is A:
         approx_B, t_factor_B = approx_A, t_factor_A
     else:
-        approx_B, t_factor_B = _timed_rsvd(shared.target, cfg_k)
+        approx_B, t_factor_B = _timed(rsvd_auto, reg.target, cfg_k)
 
     def cell(delta):
-        prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
+        prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
         b = prob.b
-        alpha_star, curve = select_alpha(
-            prob, solvers.range_tikhonov_path(basis, approx_sel, b, bundle), grid)
-        if bundle is None:
-            direct = solvers.tikhonov_solve_direct(A, b, alpha_star, gram=gram)
-            hat = solvers.rsvd_tikhonov_projected(approx_A, b, alpha_star)
-            tilde = solvers.rsvd_tikhonov_range(A, approx_B, b, alpha_star)
-        else:
-            direct = solvers.gen_tikhonov_direct(A, L, b, alpha_star, bundle,
-                                                 gram=gram)
-            hat = solvers.rsvd_gen_tikhonov_projected(approx_A, L, b, alpha_star)
-            tilde = solvers.rsvd_gen_tikhonov_range(A, L, approx_B, b,
-                                                    alpha_star, bundle)
+        alpha_star, curve = select(prob)
+        direct = reg.direct(b, alpha_star, gram=reg.gram)
+        hat = reg.projected(approx_A, b, alpha_star)
+        tilde = reg.range(approx_B, b, alpha_star)
         rep = error_report(hat.x, tilde.x, direct.x, prob.x_true)
         return RunRecord(
             example=prob.name, n=A.shape[0], delta=delta, penalty=penalty, k=k,
@@ -176,7 +159,7 @@ def _table_repeat(shared, gram, t_gram, deltas, penalty, k, p, q, repeat,
         try:
             records.append(cell(delta))
         except Exception as exc:  # noqa: BLE001
-            records.append(_failed_record(shared.base.name, A.shape[0], delta,
+            records.append(_failed_record(base.name, A.shape[0], delta,
                                           penalty, k, p, q, repeat, base_seed, exc))
     return records
 
@@ -218,18 +201,18 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
         # a failed problem (or repeat) must not take down the rest of the
         # table; it is reported in the rows of its cells
         try:
-            shared = _SharedProblem.build(name, n, penalty)
-            t0 = time.perf_counter()
-            gram = solvers.direct_gram(shared.base.A, shared.bundle)
-            t_gram = time.perf_counter() - t0
+            base = problems.make_problem(name, n)
+            reg = solvers.Regularization(base.A, make_penalty(penalty, n))
+            reg.target  # the penalty set-up is not part of t_direct
+            _, t_gram = _timed(lambda: reg.gram)
         except Exception as exc:  # noqa: BLE001
             return [failed(name, delta, rep, exc)
                     for delta in deltas for rep in range(repeats)]
 
         def run(rep):
             try:
-                return _table_repeat(shared, gram, t_gram, deltas, penalty, k,
-                                     p, q, rep, base_seed, k_select, grid_count)
+                return _table_repeat(base, reg, t_gram, deltas, penalty, k, p,
+                                     q, rep, base_seed, k_select, grid_count)
             except Exception as exc:  # noqa: BLE001
                 return [failed(name, delta, rep, exc) for delta in deltas]
 
@@ -294,25 +277,20 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     for pol in policies:
         if pol not in ALPHA_POLICIES:
             raise ValueError(f"unknown alpha policy {pol!r}")
-    shared = _SharedProblem.build(name, n, penalty)
-    A, bundle, target = shared.base.A, shared.bundle, shared.target
+    base = problems.make_problem(name, n)
+    reg = solvers.Regularization(base.A, make_penalty(penalty, n))
+    target = reg.target
     scales = np.array([ALPHA_POLICIES[pol] for pol in policies])
 
     def run_rep(rep):
         noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, rep)
-        prob = problems.with_noise(shared.base, problems.NoiseSpec(delta, noise_seed))
-        b = prob.b
-        cfg_sel = RsvdConfig(k=min(k_select, min(target.shape) - p), p=p, q=q,
-                             seed=select_seed)
-        approx_sel = rsvd_auto(target, cfg_sel)
-        grid = default_alpha_grid(approx_sel.sigma[0], grid_count)
-        basis = solvers.range_tikhonov_basis(A, approx_sel, bundle)
-        alpha_star, _ = select_alpha(
-            prob, solvers.range_tikhonov_path(basis, approx_sel, b, bundle), grid)
+        prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
+        alpha_star, _ = alpha_selector(reg, k_select, p, q, select_seed,
+                                       grid_count=grid_count)(prob)
         alphas = alpha_star * scales
         rows = []
         for approx_k in rsvd_nested(target, ks, p=p, q=q, seed=rsvd_seed):
-            X = solvers.range_tikhonov_block(A, approx_k, b, alphas, bundle)
+            X = reg.block(approx_k, prob.b, alphas)
             for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,
@@ -522,37 +500,19 @@ def bench_run(name="deriv2", ns=(250, 500, 1000, 2000), ks=(20,), penalty="none"
 
 
 def _bench_call(method, A, L, b, alpha, cfg):
-    """The timed call of one bench cell, on a fresh copy of ``A``.  A
-    penalized direct or range call builds its own standard-form reduction,
-    so its time includes the penalty set-up a lone solve pays."""
-    A = A.copy()
-    if L.kind == "identity":
-        calls = {
-            "direct": lambda: solvers.tikhonov_solve_direct(A, b, alpha),
-            "projected": lambda: solvers.rsvd_tikhonov_projected(
-                rsvd_auto(A, cfg), b, alpha),
-            "range": lambda: solvers.rsvd_tikhonov_range(
-                A, rsvd_auto(A, cfg), b, alpha),
-        }
-    else:
-        def direct():
-            bundle = smoothing.weighted_pinv(A, L)
-            return solvers.gen_tikhonov_direct(A, L, b, alpha, bundle)
-
-        def range_():
-            bundle = smoothing.weighted_pinv(A, L)
-            approx = rsvd_auto(smoothing.form_B(A, bundle), cfg)
-            return solvers.rsvd_gen_tikhonov_range(A, L, approx, b, alpha, bundle)
-
-        calls = {
-            "direct": direct,
-            "projected": lambda: solvers.rsvd_gen_tikhonov_projected(
-                rsvd_auto(A, cfg), L, b, alpha),
-            "range": range_,
-        }
+    """The timed call of one bench cell, on a fresh copy of ``A``.  Each
+    call builds its own :class:`rsvdreg.solvers.Regularization`, so a
+    penalized direct or range call pays the standard-form reduction, and a
+    direct call the Gram matrix, that a lone solve pays."""
+    calls = {
+        "direct": lambda reg: reg.direct(b, alpha),
+        "projected": lambda reg: reg.projected(rsvd_auto(reg.A, cfg), b, alpha),
+        "range": lambda reg: reg.range(rsvd_auto(reg.target, cfg), b, alpha),
+    }
     if method not in calls:
         raise ValueError(f"unknown bench method {method!r}")
-    return calls[method]
+    A, call = A.copy(), calls[method]
+    return lambda: call(solvers.Regularization(A, L))
 
 
 def _bench_cells(name, ns, ks, penalty, methods, delta, alpha_scale,
@@ -566,7 +526,7 @@ def _bench_cells(name, ns, ks, penalty, methods, delta, alpha_scale,
         alpha = alpha_scale * estimate_spectral_norm(A, seed=base_seed) ** 2
         L = make_penalty(penalty, A.shape[1])
         for k in ks:
-            cfg = RsvdConfig(k=k, p=p, q=q, seed=base_seed + 777_000)
+            cfg = RsvdConfig(k=k, p=p, q=q, seed=_cell_seeds(base_seed, 0)[2])
             for method in methods:
                 row = {"example": name, "n": n, "k": k, "method": method,
                        "penalty": penalty, "alpha": alpha}

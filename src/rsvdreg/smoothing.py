@@ -114,7 +114,7 @@ class SmoothingOperator:
         squeeze = y.ndim == 1
         Y = y.reshape(self.ell, -1)
         if self.kind == "identity":
-            X = Y.copy()
+            X = Y.copy(order="K")  # a transposed block stays column-major
         elif self.kind == "first_difference":
             X = np.vstack([np.zeros((1, Y.shape[1])), np.cumsum(Y, axis=0)])
             X -= X.mean(axis=0, keepdims=True)
@@ -142,7 +142,7 @@ class SmoothingOperator:
         if x.shape[0] != self.m:
             raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
         if self.kind == "identity":
-            return x.copy()
+            return x.copy(order="K")
         if self.kind == "first_difference":
             return _suffix_sum(x[1:] - x.mean(axis=0))
         if self.kind == "second_difference":

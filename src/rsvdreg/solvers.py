@@ -12,6 +12,9 @@ Three families, each in a direct flavor and randomized flavors:
   (``gen_tikhonov_direct``), projected (``rsvd_gen_tikhonov_projected``)
   and range-preserving (``rsvd_gen_tikhonov_range``).
 
+:class:`Regularization`, built from ``(A, L)``, is the one place that
+tells the identity from a penalty; the drivers solve through it.
+
 The range-preserving flavors keep the solution inside ``range(A.T)``
 (resp. ``range(Gamma A.T)``) by construction: they only consume the left
 factors ``(U, sigma)`` of the randomized SVD and touch the data space
@@ -22,12 +25,14 @@ amplified by ``1/alpha``, which is also what makes the ``alpha -> 0``
 limit recover the truncated solver.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from . import smoothing
 from .linalg import (
     as_matrix,
     as_vector,
@@ -36,7 +41,6 @@ from .linalg import (
     solve_shifted_gram,
     solve_spd,
 )
-from .smoothing import weighted_pinv
 
 METHODS = (
     "tsvd",
@@ -255,7 +259,7 @@ def range_tikhonov_block(A, approx, b, alphas, bundle=None):
 
 
 def _ensure_bundle(A, L, bundle):
-    return weighted_pinv(A, L) if bundle is None else bundle
+    return smoothing.weighted_pinv(A, L) if bundle is None else bundle
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
@@ -334,3 +338,60 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     v = solve_shifted_gram(approx_B.U, approx_B.sigma, alpha, b)
     x = bundle.gamma_apply(A.T @ v) + bundle.w_term(b)
     return _result(x, "gtikh_range", alpha, approx_B.k, t0)
+
+
+class Regularization:
+    """Tikhonov regularization of ``A`` with the penalty ``L``.
+
+    The identity is the degenerate penalty (``L_sharp = Gamma = I``, no
+    null-space term): for it the methods call the standard solvers, with no
+    :attr:`bundle`.  Otherwise they call the general solvers with the bundle
+    of :func:`rsvdreg.smoothing.weighted_pinv`, built on first use, so a
+    projected solve never pays for it.  Each method equals its public solver
+    bit for bit; ``projected`` factors ``A``, the others :attr:`target`.
+    """
+
+    def __init__(self, A, L):
+        self.A = A
+        self.L = L
+        self.identity = L.kind == "identity"
+
+    @functools.cached_property
+    def bundle(self):
+        return None if self.identity else smoothing.weighted_pinv(self.A, self.L)
+
+    @functools.cached_property
+    def target(self):
+        """``A`` for the identity, else ``B = A @ L_sharp``."""
+        return self.A if self.identity else smoothing.form_B(self.A, self.bundle)
+
+    @functools.cached_property
+    def gram(self):
+        """:func:`direct_gram` of ``(A, bundle)``, formed once."""
+        return direct_gram(self.A, self.bundle)
+
+    def direct(self, b, alpha, gram=None):
+        if self.identity:
+            return tikhonov_solve_direct(self.A, b, alpha, gram=gram)
+        return gen_tikhonov_direct(self.A, self.L, b, alpha, self.bundle,
+                                   gram=gram)
+
+    def projected(self, approx_A, b, alpha):
+        if self.identity:
+            return rsvd_tikhonov_projected(approx_A, b, alpha)
+        return rsvd_gen_tikhonov_projected(approx_A, self.L, b, alpha)
+
+    def range(self, approx, b, alpha):
+        if self.identity:
+            return rsvd_tikhonov_range(self.A, approx, b, alpha)
+        return rsvd_gen_tikhonov_range(self.A, self.L, approx, b, alpha,
+                                       self.bundle)
+
+    def basis(self, approx):
+        return range_tikhonov_basis(self.A, approx, self.bundle)
+
+    def path(self, basis, approx, b):
+        return range_tikhonov_path(basis, approx, b, self.bundle)
+
+    def block(self, approx, b, alphas):
+        return range_tikhonov_block(self.A, approx, b, alphas, self.bundle)

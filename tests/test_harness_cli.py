@@ -342,6 +342,33 @@ class TestCli:
         assert row["method"] == "tikh_range"
         assert row["error"] > 0 and row["wall_time_seconds"] > 0
 
+    @pytest.mark.parametrize("method", ["tsvd", "trsvd_range", "tikh_direct",
+                                        "tikh_proj", "tikh_range"])
+    def test_solve_penalty_needs_a_gtikh_method(self, capsys, method):
+        # these methods solve the identity problem; a row labelled with a
+        # penalty it did not use would be wrong
+        args = ["solve", "--problem", "deriv2", "--n", "32", "--delta", "0.01",
+                "--k", "4", "--alpha", "1e-4", "--format", "json"]
+        assert main(args + ["--method", method, "--penalty", "d1"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "--method" in err["error"] and "--penalty" in err["error"]
+        assert main(args + ["--method", method]) == 0
+        assert main(args + ["--method", "gtikh_range", "--penalty", "d1"]) == 0
+
+    @pytest.mark.parametrize("grid", ["1e-8,1.0", "1e-8,1.0,11,3", "lo,1.0,11",
+                                      "1e-8,1.0,eleven"])
+    @pytest.mark.parametrize("command", ["solve", "sweep-alpha"])
+    def test_malformed_alpha_grid_is_named(self, capsys, grid, command):
+        args = [command, "--problem", "shaw", "--n", "16", "--delta", "0.01",
+                "--k", "4", "--alpha-grid", grid]
+        if command == "solve":
+            args += ["--method", "tikh_range"]
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert "--alpha-grid" in err["error"] and "LO,HI,COUNT" in err["error"]
+
     def test_table_csv(self, tmp_path):
         out = tmp_path / "table.csv"
         rc = main(["table", "--problems", "shaw", "--n", "32", "--deltas",

@@ -71,6 +71,14 @@ class TestStructuredPinv:
         y = rng.standard_normal(5)
         assert np.allclose(l_pinv_apply(identity(5), y), y)
 
+    def test_identity_keeps_layout(self, rng):
+        # a transposed block (A.T, (U.T @ A).T) must come back column-major
+        # and unchanged, or the products it meets next round differently
+        Y = rng.standard_normal((3, 5)).T
+        for got in (identity(5).pinv_apply(Y), identity(5).pinv_t_apply(Y)):
+            assert got.flags.f_contiguous and np.array_equal(got, Y)
+            assert not np.shares_memory(got, Y)
+
     def test_right_inverse_first_difference(self, rng):
         L = first_difference(8)
         y = rng.standard_normal(7)

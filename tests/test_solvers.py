@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_decaying
+from rsvdreg import harness, problems, smoothing
+from rsvdreg.diagnostics import default_alpha_grid
 from rsvdreg.linalg import svd_full
 from rsvdreg.rsvd import RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto
 from rsvdreg.smoothing import custom, first_difference, form_B, identity, weighted_pinv
 from rsvdreg.solvers import (
+    Regularization,
     direct_gram,
     gen_tikhonov_direct,
     range_tikhonov_basis,
@@ -364,3 +367,86 @@ class TestRangePath:
             assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
         with pytest.raises(ValueError, match="alpha"):
             range_tikhonov_block(A, ap, b, (1.0, 0.0))
+
+
+class TestRegularization:
+    """Each method of the class is its public per-penalty solver, bit for
+    bit; the identity never builds a bundle and a projected solve never
+    builds one either."""
+
+    @pytest.fixture(params=[(name, pen) for name in ("deriv2", "shaw")
+                            for pen in ("none", "d1", "d2")],
+                    ids=lambda c: "-".join(c))
+    def case(self, request):
+        name, penalty = request.param
+        n = 40
+        prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 3))
+        L = harness.make_penalty(penalty, n)
+        bundle = None if penalty == "none" else weighted_pinv(prob.A, L)
+        target = prob.A if bundle is None else form_B(prob.A, bundle)
+        cfg = RsvdConfig(k=8, p=5, q=0, seed=4)
+        return (prob.A, prob.b, L, bundle, rsvd_auto(prob.A, cfg),
+                rsvd_auto(target, cfg))
+
+    def test_methods_equal_public_solvers(self, case):
+        A, b, L, bundle, ap, apT = case
+        reg = Regularization(A, L)
+        alphas = np.array([1e-6, 1e-3, 0.1])
+        if bundle is None:
+            direct = tikhonov_solve_direct(A, b, 1e-3).x
+            proj = rsvd_tikhonov_projected(ap, b, 1e-3).x
+            rng_ = rsvd_tikhonov_range(A, apT, b, 1e-3).x
+            gram = direct_gram(A)
+        else:
+            direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
+            proj = rsvd_gen_tikhonov_projected(ap, L, b, 1e-3).x
+            rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
+            gram = direct_gram(A, bundle)
+        basis = range_tikhonov_basis(A, apT, bundle)
+        path = range_tikhonov_path(basis, apT, b, bundle)
+        assert np.array_equal(reg.direct(b, 1e-3).x, direct)
+        assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
+        assert np.array_equal(reg.gram, gram)
+        assert np.array_equal(reg.projected(ap, b, 1e-3).x, proj)
+        assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
+        assert np.array_equal(reg.basis(apT), basis)
+        reg_path = reg.path(reg.basis(apT), apT, b)
+        for alpha in alphas:
+            assert np.array_equal(reg_path(alpha), path(alpha))
+        assert np.array_equal(reg.block(apT, b, alphas),
+                              range_tikhonov_block(A, apT, b, alphas, bundle))
+        if bundle is None:
+            assert reg.identity and reg.bundle is None and reg.target is A
+        else:
+            B = reg.target.toarray()
+            assert np.array_equal(B, form_B(A, bundle).toarray())
+
+    def test_projected_never_builds_the_bundle(self, case, monkeypatch):
+        A, b, L, _, ap, _ = case
+        built = []
+        real = smoothing.weighted_pinv
+        monkeypatch.setattr(smoothing, "weighted_pinv",
+                            lambda A, L: built.append(L.kind) or real(A, L))
+        reg = Regularization(A, L)
+        reg.projected(ap, b, 1e-3)
+        assert built == []
+        reg.range(rsvd_auto(reg.target, RsvdConfig(k=8, p=5, seed=4)), b, 1e-3)
+        reg.direct(b, 1e-3)
+        assert built == ([] if reg.identity else [L.kind])
+
+
+@pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+def test_identity_bundle_path_equals_bundleless_path(name):
+    # the identity's bundle degenerates to Gamma = I with no null-space
+    # term, and its path is the bundle-less one bit for bit
+    n = 64
+    prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 1))
+    A, b = prob.A, prob.b
+    bundle = weighted_pinv(A, identity(n))
+    ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
+    plain = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, b)
+    degenerate = range_tikhonov_path(range_tikhonov_basis(A, ap, bundle), ap,
+                                     b, bundle)
+    lo, hi, count = default_alpha_grid(ap.sigma[0])
+    for alpha in np.logspace(np.log10(lo), np.log10(hi), count):
+        assert np.array_equal(degenerate(alpha), plain(alpha))
