@@ -39,8 +39,6 @@ from .smoothing import (
     first_difference,
     form_B,
     identity,
-    l_pinv_apply,
-    null_basis,
     second_difference,
     weighted_pinv,
 )

@@ -8,7 +8,7 @@ are proven, a hypotheses-met failure indicates an implementation bug.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,13 +48,7 @@ class ErrorReport:
     e_ij: float        # ||x_tilde - x_true||
 
     def as_dict(self):
-        return {
-            "e_tilde_xz": self.e_tilde_xz,
-            "e_tilde_ij": self.e_tilde_ij,
-            "e": self.e,
-            "e_xz": self.e_xz,
-            "e_ij": self.e_ij,
-        }
+        return asdict(self)
 
 
 def error_report(x_hat, x_tilde, x_direct, x_true):

@@ -6,6 +6,7 @@ matrix handed to ``solve_spd``, so results are safe to share across threads.
 """
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +16,7 @@ class RankDeficiencyWarning(UserWarning):
     """Emitted when a factorization detects numerical rank deficiency."""
 
 
-class SvdTriple:
+class SvdTriple(NamedTuple):
     """Thin SVD ``A = U @ diag(sigma) @ V.T``.
 
     Attributes
@@ -28,15 +29,9 @@ class SvdTriple:
         Right singular vectors (orthonormal columns).
     """
 
-    __slots__ = ("U", "sigma", "V")
-
-    def __init__(self, U, sigma, V):
-        self.U = U
-        self.sigma = sigma
-        self.V = V
-
-    def __iter__(self):
-        return iter((self.U, self.sigma, self.V))
+    U: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
 
 
 def as_matrix(A, name="A"):

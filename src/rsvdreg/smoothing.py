@@ -1,11 +1,16 @@
 """Smoothness penalty operators and their structured (pseudo)inverses.
 
-Covers the identity, forward first/second difference matrices (no boundary
-rows, so they have a small analytic null space) and arbitrary custom
-penalties.  The weighted pseudoinverse machinery reduces a general-penalty
-least-squares problem to standard form: the penalty's null-space component
-is resolved exactly through ``W (A W)^+ b`` while the smooth component
-travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
+The structured penalties are forward differences of order ``d``, with no
+boundary rows: the identity (``d = 0``), the first difference (``d = 1``)
+and the second difference (``d = 2``).  Each is the ``(m - d)``-by-``m``
+matrix ``np.diff(np.eye(m), n=d, axis=0)``; its null space holds the
+polynomials of degree below ``d`` (nothing, constants, constants plus a
+ramp), and its pseudoinverse is ``d`` cumulative sums followed by a
+projection out of that null space, O(m d) per column.  Custom penalties
+are dense.  The weighted pseudoinverse machinery reduces a
+general-penalty least-squares problem to standard form: the penalty's
+null-space component is resolved exactly through ``W (A W)^+ b`` while
+the smooth component travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
 """
 
 import functools
@@ -13,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, pinv, svd_full
+from .linalg import as_matrix, default_pinv_rtol, pinv
 
-KINDS = ("identity", "first_difference", "second_difference", "custom")
+#: difference order of each penalty kind (``None``: a dense custom matrix)
+_ORDERS = {"identity": 0, "first_difference": 1, "second_difference": 2, "custom": None}
+KINDS = tuple(_ORDERS)
 
 
 class SmoothingOperator:
@@ -31,37 +38,34 @@ class SmoothingOperator:
     matrix : ndarray, optional
         Required for ``custom``; ignored otherwise (difference operators
         materialize on demand).
+
+    Attributes
+    ----------
+    order : int or None
+        Difference order ``d`` of a structured kind (0, 1 or 2), also the
+        dimension of its null space; ``None`` for ``custom``.
+    ell : int
+        Number of rows of ``L``: ``m - d``, or the custom matrix's.
     """
 
     def __init__(self, kind, m, matrix=None):
         if kind not in KINDS:
             raise ValueError(f"unknown penalty kind {kind!r}, expected one of {KINDS}")
-        if m < 3 and kind == "second_difference":
-            raise ValueError("second_difference needs m >= 3")
-        if m < 2 and kind == "first_difference":
-            raise ValueError("first_difference needs m >= 2")
         self.kind = kind
         self.m = int(m)
-        if kind == "custom":
-            matrix = as_matrix(matrix, "L")
-            if matrix.shape[1] != m:
+        self.order = d = _ORDERS[kind]
+        self._matrix = None
+        if d is None:
+            self._matrix = as_matrix(matrix, "L")
+            if self._matrix.shape[1] != m:
                 raise ValueError(
-                    f"custom penalty has {matrix.shape[1]} columns, expected {m}"
+                    f"custom penalty has {self._matrix.shape[1]} columns, expected {m}"
                 )
-            self._matrix = matrix
+            self.ell = self._matrix.shape[0]
+        elif m <= d:
+            raise ValueError(f"{kind} needs m >= {d + 1}")
         else:
-            self._matrix = None
-
-    @property
-    def ell(self):
-        """Number of rows of ``L``."""
-        if self.kind == "identity":
-            return self.m
-        if self.kind == "first_difference":
-            return self.m - 1
-        if self.kind == "second_difference":
-            return self.m - 2
-        return self._matrix.shape[0]
+            self.ell = self.m - d
 
     @property
     def shape(self):
@@ -69,86 +73,74 @@ class SmoothingOperator:
 
     def matrix(self):
         """Materialize ``L`` as a dense array."""
-        if self._matrix is not None:
+        if self.order is None:
             return self._matrix
-        m = self.m
-        if self.kind == "identity":
-            return np.eye(m)
-        if self.kind == "first_difference":
-            L = np.zeros((m - 1, m))
-            idx = np.arange(m - 1)
-            L[idx, idx] = -1.0
-            L[idx, idx + 1] = 1.0
-            return L
-        L = np.zeros((m - 2, m))
-        idx = np.arange(m - 2)
-        L[idx, idx] = 1.0
-        L[idx, idx + 1] = -2.0
-        L[idx, idx + 2] = 1.0
-        return L
+        return np.diff(np.eye(self.m), n=self.order, axis=0)
 
     def apply(self, x):
         """Compute ``L @ x`` (x may be a vector or a stack of columns)."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.m:
             raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
-        if self.kind == "identity":
-            return x.copy()
-        if self.kind == "first_difference":
-            return np.diff(x, axis=0)
-        if self.kind == "second_difference":
-            return np.diff(x, n=2, axis=0)
-        return self._matrix @ x
+        if self.order is None:
+            return self._matrix @ x
+        # np.diff hands back its input for d = 0; the copy keeps x private
+        return np.diff(x, n=self.order, axis=0) if self.order else x.copy()
 
     def pinv_apply(self, y):
         """Compute ``L^+ @ y`` (minimum-norm solution of ``L x = y``).
 
-        Difference kinds use a cumulative-sum particular solution followed
-        by projection out of the null space, which reproduces the SVD
-        pseudoinverse to rounding; custom kinds fall back to a dense
-        pseudoinverse.
+        Structured kinds take ``d`` cumulative sums under ``d`` zero rows
+        (a particular solution) and project the result out of the null
+        space, which reproduces the SVD pseudoinverse to rounding; custom
+        kinds fall back to a dense pseudoinverse.
         """
         y = np.asarray(y, dtype=float)
         if y.shape[0] != self.ell:
             raise ValueError(f"expected leading dimension {self.ell}, got {y.shape}")
-        squeeze = y.ndim == 1
         Y = y.reshape(self.ell, -1)
-        if self.kind == "identity":
-            X = Y.copy(order="K")  # a transposed block stays column-major
-        elif self.kind == "first_difference":
-            X = np.vstack([np.zeros((1, Y.shape[1])), np.cumsum(Y, axis=0)])
-            X -= X.mean(axis=0, keepdims=True)
-        elif self.kind == "second_difference":
-            X = np.vstack(
-                [np.zeros((2, Y.shape[1])), np.cumsum(np.cumsum(Y, axis=0), axis=0)]
-            )
-            W = self.null_basis()
-            X -= W @ (W.T @ X)
-        else:
+        d = self.order
+        if d is None:
             X = self._dense_pinv() @ Y
-        return X[:, 0] if squeeze else X
+        else:
+            # d <= 1 keeps Y's layout (a transposed block stays column-major)
+            # and d = 2 is row-major: later products round by layout, and
+            # this is the layout the seeded outputs were produced with
+            X = np.zeros_like(Y, shape=(self.m, Y.shape[1]), order="K" if d < 2 else "C")
+            X[d:] = Y
+            for _ in range(d):
+                np.cumsum(X[d:], axis=0, out=X[d:])
+            if d == 1:  # W W.T X for the constant W, as a column mean
+                X -= X.mean(axis=0, keepdims=True)
+            elif d:
+                W = self.null_basis()
+                X -= W @ (W.T @ X)
+        return X[:, 0] if y.ndim == 1 else X
 
     def pinv_t_apply(self, x):
         """Compute ``(L^+).T @ x``, the adjoint of :meth:`pinv_apply`.
 
-        For the difference kinds ``L^+ = P C``, with ``C`` the cumulative
-        sum (once per difference order) padded by leading zero rows and
-        ``P`` the projector out of the null space, so
-        ``(L^+).T x = C.T P x``: project, drop the padded rows and take a
-        reversed cumulative sum per order.  O(m) per column; custom kinds
-        use the dense pseudoinverse.
+        For the structured kinds ``L^+ = P C``, with ``C`` the ``d``-fold
+        cumulative sum padded by ``d`` leading zero rows and ``P`` the
+        projector out of the null space, so ``(L^+).T x = C.T P x``:
+        project, drop the ``d`` padded rows and take ``d`` reversed
+        cumulative sums.  O(m d) per column; custom kinds use the dense
+        pseudoinverse.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.m:
             raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
-        if self.kind == "identity":
-            return x.copy(order="K")
-        if self.kind == "first_difference":
-            return _suffix_sum(x[1:] - x.mean(axis=0))
-        if self.kind == "second_difference":
+        d = self.order
+        if d is None:
+            return self._dense_pinv().T @ x
+        if d == 1:  # W W.T x for the constant W, as a column mean
+            Z = x[1:] - x.mean(axis=0)
+        else:  # for d = 0 the subtracted block is empty: a copy in x's layout
             W = self.null_basis()
-            return _suffix_sum(_suffix_sum(x[2:] - _outer_t(W.T @ x, W[2:])))
-        return self._dense_pinv().T @ x
+            Z = x[d:] - _outer_t(W.T @ x, W[d:])
+        for _ in range(d):  # Z[j] <- sum_{i >= j} Z[i], in place
+            np.cumsum(Z[::-1], axis=0, out=Z[::-1])
+        return Z
 
     def _dense_pinv(self):
         if not hasattr(self, "_pinv_cache"):
@@ -158,34 +150,21 @@ class SmoothingOperator:
     def null_basis(self):
         """Orthonormal basis of the null space of ``L`` (m-by-d).
 
-        Analytic for the structured kinds: constants for the first
-        difference, constants plus a linear ramp for the second.  The
-        identity returns an empty basis; custom penalties fall back to the
-        SVD null space at the default rank cutoff.
+        Analytic for the structured kinds: the first ``d`` of the constants
+        and the centred linear ramp, as a C-contiguous array (empty for the
+        identity).  Custom penalties take the trailing right singular
+        vectors of one full SVD, past the default rank cutoff.
         """
-        m = self.m
-        if self.kind == "identity":
-            return np.zeros((m, 0))
-        if self.kind == "first_difference":
-            return np.full((m, 1), 1.0 / np.sqrt(m))
-        if self.kind == "second_difference":
-            ones = np.full(m, 1.0 / np.sqrt(m))
-            ramp = np.arange(m, dtype=float)
-            ramp -= ramp.mean()
-            ramp /= np.linalg.norm(ramp)
-            return np.column_stack([ones, ramp])
-        tri = svd_full(self._matrix)
-        cutoff = max(self._matrix.shape) * np.finfo(float).eps * tri.sigma[0]
-        rank = int(np.sum(tri.sigma > cutoff))
-        full_V = np.linalg.svd(self._matrix, full_matrices=True)[2].T
-        return full_V[:, rank:]
-
-
-def _suffix_sum(Z):
-    """Overwrite ``Z`` with ``Z[j] <- sum_{i >= j} Z[i]`` along the leading
-    axis and return it."""
-    np.cumsum(Z[::-1], axis=0, out=Z[::-1])
-    return Z
+        m, d = self.m, self.order
+        if d is None:
+            _, sigma, Vt = np.linalg.svd(self._matrix, full_matrices=True)
+            rank = int(np.sum(sigma > default_pinv_rtol(self._matrix.shape) * sigma[0]))
+            return Vt[rank:].T
+        ramp = np.arange(m, dtype=float)
+        ramp -= ramp.mean()
+        ramp /= np.linalg.norm(ramp) or 1.0  # m = 1 has no ramp to scale
+        basis = np.column_stack([np.full(m, 1.0 / np.sqrt(m)), ramp])
+        return np.ascontiguousarray(basis[:, :d])
 
 
 def _outer_t(v, F):
@@ -211,16 +190,6 @@ def second_difference(m):
 def custom(matrix):
     matrix = as_matrix(matrix, "L")
     return SmoothingOperator("custom", matrix.shape[1], matrix)
-
-
-def null_basis(L):
-    """Orthonormal basis for the null space of the penalty operator."""
-    return L.null_basis()
-
-
-def l_pinv_apply(L, y):
-    """Minimum-norm solve ``L^+ y`` through the structured path."""
-    return L.pinv_apply(y)
 
 
 @dataclass(frozen=True)
@@ -263,15 +232,12 @@ class WeightedPinvBundle:
     def sharp_apply(self, y):
         """``L_sharp @ y = L^+ y - W (E L^+ y)``."""
         x = self.L.pinv_apply(y)
-        if self.null_dim:
-            x -= self.W @ (self.E @ x)
+        x -= self.W @ (self.E @ x)
         return x
 
     def sharp_t_apply(self, x):
         """``L_sharp.T @ x = (L^+).T (x - E.T (W.T x))``."""
-        if self.null_dim:
-            x = x - _outer_t(self.W.T @ x, self.E.T)
-        return self.L.pinv_t_apply(x)
+        return self.L.pinv_t_apply(x - _outer_t(self.W.T @ x, self.E.T))
 
     def gamma_apply(self, x):
         """Apply ``Gamma = L_sharp @ L_sharp.T`` (symmetric smoother)."""
@@ -279,8 +245,6 @@ class WeightedPinvBundle:
 
     def w_term(self, b):
         """Null-space component ``W (A W)^+ b`` of the solution."""
-        if self.null_dim == 0:
-            return np.zeros(self.W.shape[0])
         return self.W @ (self.AW_pinv @ b)
 
 

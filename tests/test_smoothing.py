@@ -10,8 +10,6 @@ from rsvdreg.smoothing import (
     first_difference,
     form_B,
     identity,
-    l_pinv_apply,
-    null_basis,
     second_difference,
     weighted_pinv,
 )
@@ -33,7 +31,7 @@ class TestOperators:
         assert L.shape == (4, 6)
 
     def test_apply_matches_matrix(self, rng):
-        for L in (first_difference(9), second_difference(9)):
+        for L in (identity(9), first_difference(9), second_difference(9)):
             x = rng.standard_normal(9)
             assert np.allclose(L.apply(x), L.matrix() @ x)
 
@@ -44,24 +42,37 @@ class TestOperators:
 
 class TestNullBasis:
     def test_first_difference(self):
-        W = null_basis(first_difference(4))
+        W = first_difference(4).null_basis()
         assert np.allclose(W, np.full((4, 1), 0.5))
 
     def test_identity_empty(self):
-        assert null_basis(identity(3)).shape == (3, 0)
+        assert identity(3).null_basis().shape == (3, 0)
 
     def test_second_difference_vs_svd_oracle(self):
         L = second_difference(5)
-        W = null_basis(L)
+        W = L.null_basis()
         assert np.linalg.norm(L.matrix() @ W, 2) <= 1e-12
         assert np.allclose(W.T @ W, np.eye(2), atol=1e-12)
         # cross-check dimension against the SVD null space
         s = np.linalg.svd(L.matrix(), compute_uv=False)
         assert np.sum(s > 1e-10) == 3
 
+    @pytest.mark.parametrize("make", [identity, first_difference, second_difference])
+    def test_bases_are_c_contiguous(self, rng, make):
+        """``W`` and the products built from it are C-contiguous: a column
+        slice of a stacked basis is strided, and a strided ``W`` moves the
+        BLAS products it enters (the first-difference ``e`` of a seeded
+        table by 9e-11 relative), so the seeded outputs stop reproducing."""
+        A = rng.standard_normal((12, 10))
+        L = make(10)
+        bundle = weighted_pinv(A, L)
+        for arr in (L.null_basis(), bundle.W, bundle.AW_pinv, bundle.E):
+            assert arr.flags.c_contiguous
+        assert np.array_equal(bundle.W, L.null_basis())
+
     def test_custom_kernel_via_svd(self):
         M = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
-        W = null_basis(custom(M))
+        W = custom(M).null_basis()
         assert W.shape == (3, 2)
         assert np.linalg.norm(M @ W, 2) <= 1e-12
 
@@ -69,7 +80,7 @@ class TestNullBasis:
 class TestStructuredPinv:
     def test_identity(self, rng):
         y = rng.standard_normal(5)
-        assert np.allclose(l_pinv_apply(identity(5), y), y)
+        assert np.allclose(identity(5).pinv_apply(y), y)
 
     def test_identity_keeps_layout(self, rng):
         # a transposed block (A.T, (U.T @ A).T) must come back column-major
@@ -84,7 +95,7 @@ class TestStructuredPinv:
         y = rng.standard_normal(7)
         assert np.allclose(L.apply(L.pinv_apply(y)), y, atol=1e-12)
 
-    @pytest.mark.parametrize("make", [first_difference, second_difference])
+    @pytest.mark.parametrize("make", [identity, first_difference, second_difference])
     def test_matches_dense_pinv(self, rng, make):
         L = make(20)
         y = rng.standard_normal(L.ell)
