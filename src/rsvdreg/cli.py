@@ -156,7 +156,6 @@ def build_parser():
     s.add_argument("--n", type=int, default=diagnostics.VERIFY_DEFAULT_N)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
 
 
@@ -312,22 +311,14 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
-    if args.theorem == "all":
-        ids = list(VERIFY_NAMES.values())
-    else:
-        ids = []
-        for name in args.theorem.split(","):
-            if name not in VERIFY_NAMES:
-                raise ValueError(
-                    f"unknown theorem name {name!r}; valid: {sorted(VERIFY_NAMES)}"
-                )
-            ids.append(VERIFY_NAMES[name])
-    report = harness.verify_run(ids, seeds=args.seeds, n=args.n,
-                                base_seed=args.seed)
+    names = list(VERIFY_NAMES) if args.theorem == "all" else args.theorem.split(",")
+    for name in names:
+        if name not in VERIFY_NAMES:
+            raise ValueError(f"unknown theorem name {name!r}; valid: {sorted(VERIFY_NAMES)}")
+    report = harness.verify_run([VERIFY_NAMES[name] for name in names], seeds=args.seeds,
+                                n=args.n, base_seed=args.seed)
     harness.write_output(report, args.out, "json")
-    failures = [cid for cid, r in report.items()
-                if r["hypotheses_met"] and r["passed"] < r["hypotheses_met"]]
-    return 1 if failures else 0
+    return 1 if any(r["passed"] < r["hypotheses_met"] for r in report.values()) else 0
 
 
 COMMANDS = {

@@ -4,9 +4,12 @@ classification, and empirical verification of the solver error bounds.
 Every bound checker evaluates both sides of the corresponding inequality
 verbatim and records separately whether the inequality's hypotheses were
 satisfied; a verdict is only meaningful when they were.  Since the bounds
-are proven, a hypotheses-met failure indicates an implementation bug.
+are proven, a hypotheses-met failure indicates an implementation bug.  The
+checks of one seed share one :class:`BoundTrial`: one operator, its exact
+SVD, one set of randomized factors with their errors, one noisy problem.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -224,16 +227,17 @@ def check_range_capture(A, k, p, seed):
     )
 
 
-def _approx_gap(A, approx, svd):
-    """||A - A_k_tilde|| and the exact-vs-approximate factor gap."""
-    err = float(np.linalg.norm(A - approx.matrix(), 2))
-    k = approx.k
-    Ak = (svd.U[:, :k] * svd.sigma[:k]) @ svd.V[:, :k].T
-    gap = float(np.linalg.norm(Ak - approx.matrix(), 2))
-    return err, gap
+def _source_type(problem, representation):
+    """``problem`` if :func:`make_sourcewise` built it, else a ``ValueError``."""
+    if problem.w_norm is None:
+        raise ValueError(
+            f"bound requires a source-type problem: x_true = {representation} "
+            "(build it with make_sourcewise)"
+        )
+    return problem
 
 
-def check_trsvd_error(problem, approx, svd=None, seed=0):
+def check_trsvd_error(trial):
     """Source-condition error bound for the range-preserving truncated
     solver:
 
@@ -242,19 +246,12 @@ def check_trsvd_error(problem, approx, svd=None, seed=0):
 
     under ``x_true = A.T w`` and ``||A - A_k_tilde|| <= sigma_k / 2``.
     """
-    if problem.w_norm is None:
-        raise ValueError(
-            "bound requires a source-type problem: x_true = A.T w "
-            "(build it with make_sourcewise)"
-        )
-    A = problem.A
-    svd = svd or svd_full(A)
-    k = approx.k
-    err, gap = _approx_gap(A, approx, svd)
+    problem = _source_type(trial.problem, "A.T w")
+    svd, k, err, gap = trial.svd, trial.approx.k, trial.err, trial.gap
     sk = svd.sigma[k - 1]
     sk1 = svd.sigma[k] if k < svd.sigma.size else 0.0
     hyp = bool(k <= np.sum(svd.sigma > 0) and err <= sk / 2.0)
-    x = trsvd_solve_range(A, approx, problem.b).x
+    x = trsvd_solve_range(trial.A, trial.approx, problem.b).x
     lhs = float(np.linalg.norm(problem.x_true - x))
     rhs = (
         4.0 * problem.noise_norm / sk
@@ -262,11 +259,11 @@ def check_trsvd_error(problem, approx, svd=None, seed=0):
         + sk1 * problem.w_norm
     )
     return BoundCheck(
-        "trsvd", lhs, float(rhs), hyp, seed, {"approx_err": err, "factor_gap": gap}
+        "trsvd", lhs, float(rhs), hyp, trial.seed, {"approx_err": err, "factor_gap": gap}
     )
 
 
-def check_tsvd_relative_error(A, b, approx, svd=None, seed=0):
+def check_tsvd_relative_error(trial):
     """Relative distance between the truncated SVD solution and its
     randomized range-preserving counterpart:
 
@@ -275,20 +272,18 @@ def check_tsvd_relative_error(A, b, approx, svd=None, seed=0):
 
     for ``k < rank`` and ``||A - A_k_tilde|| < sigma_k / 2``.
     """
-    svd = svd or svd_full(A)
-    k = approx.k
-    err, gap = _approx_gap(A, approx, svd)
+    A, b, svd, k, gap = trial.A, trial.problem.b, trial.svd, trial.approx.k, trial.gap
     rank = int(np.sum(svd.sigma > svd.sigma[0] * max(A.shape) * np.finfo(float).eps))
-    hyp = bool(k < rank and err < svd.sigma[k - 1] / 2.0)
+    hyp = bool(k < rank and trial.err < svd.sigma[k - 1] / 2.0)
     xk = tsvd_solve(svd, k, b).x
-    xkt = trsvd_solve_range(A, approx, b).x
+    xkt = trsvd_solve_range(A, trial.approx, b).x
     lhs = float(np.linalg.norm(xk - xkt) / np.linalg.norm(xk))
     sk = svd.sigma[k - 1]
     rhs = 4.0 * (1.0 + svd.sigma[0] / sk) * gap / sk
-    return BoundCheck("tsvd_rel", lhs, float(rhs), hyp, seed, {"factor_gap": gap})
+    return BoundCheck("tsvd_rel", lhs, float(rhs), hyp, trial.seed, {"factor_gap": gap})
 
 
-def check_tikhonov_error(problem, approx, alpha, svd=None, seed=0):
+def check_tikhonov_error(trial, alpha):
     """Source-condition error bound for range-preserving randomized
     Tikhonov:
 
@@ -298,16 +293,9 @@ def check_tikhonov_error(problem, approx, alpha, svd=None, seed=0):
 
     under ``x_true = A.T w``.
     """
-    if problem.w_norm is None:
-        raise ValueError(
-            "bound requires a source-type problem: x_true = A.T w "
-            "(build it with make_sourcewise)"
-        )
-    A = problem.A
-    svd = svd or svd_full(A)
-    err, _ = _approx_gap(A, approx, svd)
-    nrm = svd.sigma[0]
-    x = rsvd_tikhonov_range(A, approx, problem.b, alpha).x
+    problem = _source_type(trial.problem, "A.T w")
+    err, nrm = trial.err, trial.svd.sigma[0]
+    x = rsvd_tikhonov_range(trial.A, trial.approx, problem.b, alpha).x
     lhs = float(np.linalg.norm(x - problem.x_true))
     rhs = (
         alpha**-1.5
@@ -316,7 +304,7 @@ def check_tikhonov_error(problem, approx, alpha, svd=None, seed=0):
         * (problem.noise_norm + (2.0 / alpha * nrm * err + 1.0) * alpha * problem.w_norm)
         + 0.5 * math.sqrt(alpha) * problem.w_norm
     )
-    return BoundCheck("tikh", lhs, float(rhs), True, seed, {"approx_err": err})
+    return BoundCheck("tikh", lhs, float(rhs), True, trial.seed, {"approx_err": err})
 
 
 def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
@@ -329,11 +317,7 @@ def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
 
     under ``x_true = Gamma A.T w`` with an invertible penalty.
     """
-    if problem.w_norm is None:
-        raise ValueError(
-            "bound requires a source-type problem: x_true = Gamma A.T w "
-            "(build it with make_sourcewise)"
-        )
+    _source_type(problem, "Gamma A.T w")
     if bundle.null_dim != 0:
         raise ValueError("bound requires a penalty with trivial null space")
     A = problem.A
@@ -353,33 +337,29 @@ def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
     return BoundCheck("gtikh", lhs, float(rhs), True, seed, {"approx_err": err})
 
 
-def check_adjoint_pinv_product(A, approx, svd=None, seed=0):
+def check_adjoint_pinv_product(trial):
     """``||A.T (A_k_tilde.T)^+|| <= 2`` whenever
     ``||A - A_k_tilde|| <= sigma_k / 2``."""
-    svd = svd or svd_full(A)
-    err, _ = _approx_gap(A, approx, svd)
-    hyp = bool(err <= svd.sigma[approx.k - 1] / 2.0)
+    approx, err = trial.approx, trial.err
+    hyp = bool(err <= trial.svd.sigma[approx.k - 1] / 2.0)
     # (A_k_tilde.T)^+ = U diag(1/sigma) V.T
-    M = (A.T @ approx.U) / approx.sigma
+    M = (trial.A.T @ approx.U) / approx.sigma
     lhs = float(np.linalg.norm(M @ approx.V.T, 2))
-    return BoundCheck("est_product", lhs, 2.0, hyp, seed, {"approx_err": err})
+    return BoundCheck("est_product", lhs, 2.0, hyp, trial.seed, {"approx_err": err})
 
 
-def check_lowrank_product_perturbation(A, approx, svd=None, seed=0):
+def check_lowrank_product_perturbation(trial):
     """``||A_k_tilde A_k_tilde.T (A_k.T)^+ - A_k|| <=
     (1 + sigma_1/sigma_k) ||A_k - A_k_tilde||`` (unconditional)."""
-    svd = svd or svd_full(A)
-    k = approx.k
-    _, gap = _approx_gap(A, approx, svd)
-    Ak = (svd.U[:, :k] * svd.sigma[:k]) @ svd.V[:, :k].T
+    svd, k, gap = trial.svd, trial.approx.k, trial.gap
     Ak_t_pinv = (svd.U[:, :k] / svd.sigma[:k]) @ svd.V[:, :k].T
-    At = approx.matrix()
-    lhs = float(np.linalg.norm(At @ At.T @ Ak_t_pinv - Ak, 2))
+    At = trial.approx_matrix
+    lhs = float(np.linalg.norm(At @ At.T @ Ak_t_pinv - trial.A_k, 2))
     rhs = (1.0 + svd.sigma[0] / svd.sigma[k - 1]) * gap
-    return BoundCheck("est_trsvd", lhs, float(rhs), True, seed, {"factor_gap": gap})
+    return BoundCheck("est_trsvd", lhs, float(rhs), True, trial.seed, {"factor_gap": gap})
 
 
-def check_resolvent_perturbation(A, approx, alpha, svd=None, seed=0):
+def check_resolvent_perturbation(trial, alpha):
     """The two shifted-resolvent perturbation estimates (unconditional):
 
     * ``||(A A.T + a I)(Ak Ak.T + a I)^-1 - I|| <= 2/a ||A|| ||A - Ak||``
@@ -388,12 +368,10 @@ def check_resolvent_perturbation(A, approx, alpha, svd=None, seed=0):
 
     with ``Ak`` the randomized rank-k factors.  Returns two records.
     """
-    svd = svd or svd_full(A)
-    err, _ = _approx_gap(A, approx, svd)
-    nrm = svd.sigma[0]
+    A, err, nrm = trial.A, trial.err, trial.svd.sigma[0]
     n = A.shape[0]
     AAt = A @ A.T
-    Mk = approx.matrix() @ approx.matrix().T
+    Mk = trial.approx_matrix @ trial.approx_matrix.T
     lhs_mat = np.linalg.solve((Mk + alpha * np.eye(n)).T, (AAt + alpha * np.eye(n)).T).T
     lhs_mat -= np.eye(n)
     lhs1 = float(np.linalg.norm(lhs_mat, 2))
@@ -401,8 +379,8 @@ def check_resolvent_perturbation(A, approx, alpha, svd=None, seed=0):
     lhs2 = float(np.linalg.norm(lhs_mat @ AAt, 2))
     rhs2 = 2.0 * nrm * (2.0 / alpha * nrm * err + 1.0) * err
     return (
-        BoundCheck("resolvent_1", lhs1, float(rhs1), True, seed),
-        BoundCheck("resolvent_2", lhs2, float(rhs2), True, seed),
+        BoundCheck("resolvent_1", lhs1, float(rhs1), True, trial.seed),
+        BoundCheck("resolvent_2", lhs2, float(rhs2), True, trial.seed),
     )
 
 
@@ -413,29 +391,71 @@ def check_resolvent_perturbation(A, approx, alpha, svd=None, seed=0):
 VERIFY_DEFAULT_N = 200
 
 
+class BoundTrial:
+    """The seeded ``shaw`` trial that every check of one verification seed
+    reads, with ``err = ||A - A_k_tilde||`` and ``gap = ||A_k - A_k_tilde||``
+    for the rank-10 factors ``approx``.  Each part is built on first use, at
+    most once; a test may set a part first, e.g. exact factors as ``approx``.
+    """
+
+    def __init__(self, seed, n=VERIFY_DEFAULT_N):
+        if n > 1000:
+            raise ValueError("bound protocols rely on full SVDs of the operator and are "
+                             f"desk-scale only (n <= 1000), got n={n}")
+        self.seed = seed
+        self.n = n
+        self.cfg = RsvdConfig(k=10, p=5, q=1, seed=seed)
+
+    @functools.cached_property
+    def A(self):
+        return generate("shaw", self.n)[0]
+
+    @functools.cached_property
+    def svd(self):
+        return svd_full(self.A)
+
+    @functools.cached_property
+    def approx(self):
+        return rsvd_auto(self.A, self.cfg)
+
+    @functools.cached_property
+    def approx_matrix(self):
+        return self.approx.matrix()
+
+    @functools.cached_property
+    def A_k(self):
+        k = self.approx.k
+        return (self.svd.U[:, :k] * self.svd.sigma[:k]) @ self.svd.V[:, :k].T
+
+    @functools.cached_property
+    def err(self):
+        return float(np.linalg.norm(self.A - self.approx_matrix, 2))
+
+    @functools.cached_property
+    def gap(self):
+        return float(np.linalg.norm(self.A_k - self.approx_matrix, 2))
+
+    @functools.cached_property
+    def problem(self):
+        problem = make_sourcewise(self.A, seed=self.seed)
+        return with_noise(problem, NoiseSpec(0.01, self.seed + 7919))
+
+
 def _invertible_first_difference(m):
     """Square bidiagonal gradient-with-anchor penalty (trivial null space)."""
-    L = np.eye(m)
-    idx = np.arange(1, m)
-    L[idx, idx - 1] = -1.0
-    return custom(L)
+    return custom(np.eye(m) - np.eye(m, k=-1))
 
 
-def run_bound_trial(check_id, seed, n=VERIFY_DEFAULT_N):
-    """Run one seeded trial of the named inequality check.
+def run_bound_trial(check_id, trial):
+    """Run the named inequality check on ``trial``, the :class:`BoundTrial`
+    that every check of its seed shares.
 
-    Protocols are deterministic in ``seed``; they build a source-type
-    problem on the ``shaw`` operator (or random matrices for the purely
-    algebraic inequalities), add 1% relative noise, and evaluate the
-    inequality at a rank/shift where its hypotheses hold.
-
+    Protocols are deterministic in the seed: the purely algebraic inequalities
+    draw random matrices from it, the others read the trial (``gtikh`` adds
+    its own penalty), each at a rank/shift where its hypotheses hold.
     Returns a list of :class:`BoundCheck`.
     """
-    if n > 1000:
-        raise ValueError(
-            "bound protocols rely on full SVDs of the operator and are "
-            f"desk-scale only (n <= 1000), got n={n}"
-        )
+    seed = trial.seed
     rng = np.random.default_rng(seed)
     if check_id == "weyl":
         A = rng.standard_normal((24, 17))
@@ -461,35 +481,27 @@ def run_bound_trial(check_id, seed, n=VERIFY_DEFAULT_N):
         j = np.arange(1, 41, dtype=float)
         A = np.diag(2.0 * j**-1.5)
         return [check_range_capture(A, k=10, p=5, seed=seed)]
-
-    A, _, _ = generate("shaw", n)
-    k = 10
-    cfg = RsvdConfig(k=k, p=5, q=1, seed=seed)
-    approx = rsvd_auto(A, cfg)
-    svd = svd_full(A)
     if check_id == "est_product":
-        return [check_adjoint_pinv_product(A, approx, svd, seed)]
+        return [check_adjoint_pinv_product(trial)]
     if check_id == "est_trsvd":
-        return [check_lowrank_product_perturbation(A, approx, svd, seed)]
+        return [check_lowrank_product_perturbation(trial)]
     if check_id == "resolvent":
-        alpha = 1e-4 * svd.sigma[0] ** 2
-        return list(check_resolvent_perturbation(A, approx, alpha, svd, seed))
-    if check_id in ("trsvd", "tsvd_rel", "tikh"):
-        problem = make_sourcewise(A, seed=seed)
-        problem = with_noise(problem, NoiseSpec(0.01, seed + 7919))
-        if check_id == "trsvd":
-            return [check_trsvd_error(problem, approx, svd, seed)]
-        if check_id == "tsvd_rel":
-            return [check_tsvd_relative_error(A, problem.b, approx, svd, seed)]
-        alpha = max(problem.noise_norm, 1e-10 * svd.sigma[0] ** 2)
-        return [check_tikhonov_error(problem, approx, alpha, svd, seed)]
+        alpha = 1e-4 * trial.svd.sigma[0] ** 2
+        return list(check_resolvent_perturbation(trial, alpha))
+    if check_id == "trsvd":
+        return [check_trsvd_error(trial)]
+    if check_id == "tsvd_rel":
+        return [check_tsvd_relative_error(trial)]
+    if check_id == "tikh":
+        alpha = max(trial.problem.noise_norm, 1e-10 * trial.svd.sigma[0] ** 2)
+        return [check_tikhonov_error(trial, alpha)]
     if check_id == "gtikh":
-        L = _invertible_first_difference(n)
-        bundle = weighted_pinv(A, L)
-        problem = make_sourcewise(A, bundle=bundle, seed=seed)
+        L = _invertible_first_difference(trial.n)
+        bundle = weighted_pinv(trial.A, L)
+        problem = make_sourcewise(trial.A, bundle=bundle, seed=seed)
         problem = with_noise(problem, NoiseSpec(0.01, seed + 7919))
-        B = form_B(A, bundle)
-        approx_B = rsvd_auto(B, cfg)
+        B = form_B(trial.A, bundle)
+        approx_B = rsvd_auto(B, trial.cfg)
         alpha = max(problem.noise_norm, 1e-12)
         return [check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed)]
     raise ValueError(f"unknown check id {check_id!r}; see VERIFY_CHECKS")

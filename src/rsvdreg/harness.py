@@ -552,35 +552,31 @@ def loglog_slope(rows, method, k=None):
 def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0):
     """Run the seeded verification protocols.
 
-    Returns a report keyed by check id with pass counts among
+    Each seed builds one :class:`~rsvdreg.diagnostics.BoundTrial`, which
+    every requested check of that seed reads; it is dropped before the next
+    seed.  Returns a report keyed by check id with pass counts among
     hypotheses-met trials (hypotheses-not-met trials are tallied
     separately, never as failures) and the worst relative slack observed.
     """
+    records = {cid: [] for cid in check_ids}
+    for s in range(seeds):
+        trial = diagnostics.BoundTrial(base_seed + s, n)
+        for cid, checks in records.items():
+            checks.extend(diagnostics.run_bound_trial(cid, trial))
     report = {}
-    for cid in check_ids:
-        met = unmet = passed = 0
-        worst = -math.inf
-        failures = []
-        for s in range(seeds):
-            for chk in diagnostics.run_bound_trial(cid, base_seed + s, n=n):
-                if not chk.hypotheses_met:
-                    unmet += 1
-                    continue
-                met += 1
-                slack = (chk.lhs - chk.rhs) / (1.0 + chk.rhs)
-                worst = max(worst, slack)
-                if chk.passed:
-                    passed += 1
-                else:
-                    failures.append({"seed": chk.seed, "lhs": chk.lhs, "rhs": chk.rhs})
+    for cid, checks in records.items():
+        met = [chk for chk in checks if chk.hypotheses_met]
+        passed = sum(chk.passed for chk in met)
+        slack = [(chk.lhs - chk.rhs) / (1.0 + chk.rhs) for chk in met]
         report[cid] = {
             "trials": seeds,
-            "hypotheses_met": met,
-            "hypotheses_not_met": unmet,
+            "hypotheses_met": len(met),
+            "hypotheses_not_met": len(checks) - len(met),
             "passed": passed,
-            "pass_rate": (passed / met) if met else None,
-            "worst_slack": worst if met else None,
-            "failures": failures,
+            "pass_rate": (passed / len(met)) if met else None,
+            "worst_slack": max(slack) if met else None,
+            "failures": [{"seed": chk.seed, "lhs": chk.lhs, "rhs": chk.rhs}
+                         for chk in met if not chk.passed],
         }
     return report
 

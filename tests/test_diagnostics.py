@@ -7,6 +7,7 @@ from conftest import random_decaying
 from rsvdreg import diagnostics
 from rsvdreg.diagnostics import (
     BoundCheck,
+    BoundTrial,
     check_adjoint_pinv_product,
     check_range_capture,
     check_trsvd_error,
@@ -153,14 +154,18 @@ class TestBoundChecks:
         prob = make_sourcewise(A, seed=1)
         svd = svd_full(A)
         k = 4
-        chk = check_trsvd_error(prob, from_exact_svd(A, k), svd, seed=1)
+        trial = BoundTrial(seed=1)
+        trial.A, trial.svd, trial.approx, trial.problem = A, svd, from_exact_svd(A, k), prob
+        chk = check_trsvd_error(trial)
         assert chk.hypotheses_met and chk.passed
         assert chk.rhs == pytest.approx(svd.sigma[k] * prob.w_norm, rel=1e-10)
         assert chk.lhs <= chk.rhs
 
     def test_adjoint_product_exact_factors(self, rng):
         A = random_decaying(rng, 12, 10, decay=0.5)
-        chk = check_adjoint_pinv_product(A, from_exact_svd(A, 4), seed=0)
+        trial = BoundTrial(seed=0)
+        trial.A, trial.approx = A, from_exact_svd(A, 4)
+        chk = check_adjoint_pinv_product(trial)
         assert chk.hypotheses_met and chk.passed
         assert chk.lhs == pytest.approx(1.0, abs=1e-8)
 
@@ -168,8 +173,10 @@ class TestBoundChecks:
         A = random_decaying(rng, 8, 6)
         prob = InverseProblem("plain", A, np.ones(6), A @ np.ones(6),
                               A @ np.ones(6), 0.0, 0)
+        trial = BoundTrial(seed=0)
+        trial.A, trial.approx, trial.problem = A, from_exact_svd(A, 2), prob
         with pytest.raises(ValueError, match="source-type"):
-            check_trsvd_error(prob, from_exact_svd(A, 2))
+            check_trsvd_error(trial)
 
     def test_capture_requires_oversampling(self, rng):
         with pytest.raises(ValueError, match="p >= 4"):
@@ -177,10 +184,28 @@ class TestBoundChecks:
 
     @pytest.mark.parametrize("cid", diagnostics.VERIFY_CHECKS)
     def test_protocol_trials_pass(self, cid):
-        for chk in run_bound_trial(cid, seed=0, n=48):
+        for chk in run_bound_trial(cid, BoundTrial(seed=0, n=48)):
             if chk.hypotheses_met:
                 assert chk.passed, (cid, chk)
 
+    def test_shared_trial_leaks_no_state(self):
+        # A check gives the same records on a trial shared with the other
+        # nine, whichever ran before it, as on a trial of its own.
+        def run(trial, cids):
+            return {cid: run_bound_trial(cid, trial) for cid in cids}
+
+        shared = BoundTrial(seed=3)
+        forward = run(shared, diagnostics.VERIFY_CHECKS)
+        backward = run(BoundTrial(seed=3), reversed(diagnostics.VERIFY_CHECKS))
+        alone = {cid: run_bound_trial(cid, BoundTrial(seed=3))
+                 for cid in diagnostics.VERIFY_CHECKS}
+        assert forward == backward == alone
+        assert run(shared, diagnostics.VERIFY_CHECKS) == alone
+
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown check id"):
-            run_bound_trial("nosuch", 0)
+            run_bound_trial("nosuch", BoundTrial(seed=0))
+
+    def test_trial_rejects_large_n(self):
+        with pytest.raises(ValueError, match="desk-scale"):
+            BoundTrial(seed=0, n=1001)

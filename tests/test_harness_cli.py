@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from rsvdreg import harness, problems, smoothing, solvers
+from rsvdreg import diagnostics, harness, problems, smoothing, solvers
 from rsvdreg.cli import main
 from rsvdreg.rsvd import RsvdConfig, rsvd_auto
 
@@ -293,6 +293,21 @@ class TestVerifyRun:
         assert r["passed"] == 3 and r["pass_rate"] == 1.0
         assert r["worst_slack"] < 0
 
+    def test_one_trial_per_seed(self, monkeypatch):
+        # one shaw build and one exact SVD per seed, and one factorization
+        # each of A and B; the checks that never touch shaw build nothing
+        calls = []
+        for name in ("generate", "svd_full", "rsvd_auto"):
+            fn = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name, lambda *a, name=name, fn=fn:
+                                calls.append(name) or fn(*a))
+        harness.verify_run(diagnostics.VERIFY_CHECKS, seeds=2)
+        assert sorted(calls) == ["generate"] * 2 + ["rsvd_auto"] * 4 + ["svd_full"] * 2
+        calls.clear()
+        harness.verify_run(["rsvd_capture"], seeds=2)
+        harness.verify_run(["weyl"], seeds=2)
+        assert calls == []
+
 
 class TestCsv:
     def test_rfc4180_and_six_significant_digits(self):
@@ -413,6 +428,12 @@ class TestCli:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["weyl"]["passed"] == 3
+
+    def test_verify_has_no_format_option(self):
+        # verification reports are always JSON
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "weyl", "--seeds", "1", "--format", "csv"])
+        assert exc.value.code == 2
 
     def test_error_is_machine_readable(self, capsys):
         rc = main(["verify", "--theorem", "nosuch", "--seeds", "1"])
