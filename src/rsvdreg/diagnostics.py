@@ -7,6 +7,10 @@ satisfied; a verdict is only meaningful when they were.  Since the bounds
 are proven, a hypotheses-met failure indicates an implementation bug.  The
 checks of one seed share one :class:`BoundTrial`: one operator, its exact
 SVD, one set of randomized factors with their errors, one noisy problem.
+Matrix 2-norms come from :func:`~rsvdreg.linalg.spectral_norm`; the factor
+gap ``||A_k - A_k_tilde||`` comes from thin QR factors of the 2k-column
+blocks ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``, never from the dense
+difference.
 """
 
 import functools
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import pinv, svd_full
+from .linalg import pinv, spectral_norm, svd_full
 from .problems import make_sourcewise, with_noise, NoiseSpec, generate
 from .rsvd import (
     RsvdConfig,
@@ -197,7 +201,7 @@ def check_singular_value_stability(A, B, seed=0):
     sa = np.linalg.svd(A, compute_uv=False)
     sab = np.linalg.svd(A + B, compute_uv=False)
     lhs = float(np.max(np.abs(sab - sa)))
-    rhs = float(np.linalg.norm(B, 2))
+    rhs = spectral_norm(B)
     return BoundCheck("weyl", lhs, rhs, True, seed)
 
 
@@ -205,10 +209,8 @@ def check_pinv_perturbation(A, B, seed=0):
     """``||A^+ - B^+|| <= ||A^+|| ||B^+|| ||B - A||`` for symmetric
     positive semidefinite pairs sharing a null space."""
     Ap, Bp = pinv(A), pinv(B)
-    lhs = float(np.linalg.norm(Ap - Bp, 2))
-    rhs = float(
-        np.linalg.norm(Ap, 2) * np.linalg.norm(Bp, 2) * np.linalg.norm(B - A, 2)
-    )
+    lhs = spectral_norm(Ap - Bp)
+    rhs = spectral_norm(Ap) * spectral_norm(Bp) * spectral_norm(B - A)
     sym = np.allclose(A, A.T) and np.allclose(B, B.T)
     return BoundCheck("pinv_perturbation", lhs, rhs, bool(sym), seed)
 
@@ -219,7 +221,7 @@ def check_range_capture(A, k, p, seed):
     if p < 4:
         raise ValueError(f"the probabilistic bound needs p >= 4, got p={p}")
     Q = range_basis(A, k, p, seed, q=0)
-    lhs = float(np.linalg.norm(A - Q @ (Q.T @ A), 2))
+    lhs = spectral_norm(A - Q @ (Q.T @ A))
     sigma = np.linalg.svd(A, compute_uv=False)
     rhs, rhs2 = theorem_spectral_bounds(sigma, k, p)
     return BoundCheck(
@@ -251,8 +253,7 @@ def check_trsvd_error(trial):
     sk = svd.sigma[k - 1]
     sk1 = svd.sigma[k] if k < svd.sigma.size else 0.0
     hyp = bool(k <= np.sum(svd.sigma > 0) and err <= sk / 2.0)
-    x = trsvd_solve_range(trial.A, trial.approx, problem.b).x
-    lhs = float(np.linalg.norm(problem.x_true - x))
+    lhs = float(np.linalg.norm(problem.x_true - trial.x_trsvd))
     rhs = (
         4.0 * problem.noise_norm / sk
         + 8.0 * svd.sigma[0] / sk * gap * problem.w_norm
@@ -276,8 +277,7 @@ def check_tsvd_relative_error(trial):
     rank = int(np.sum(svd.sigma > svd.sigma[0] * max(A.shape) * np.finfo(float).eps))
     hyp = bool(k < rank and trial.err < svd.sigma[k - 1] / 2.0)
     xk = tsvd_solve(svd, k, b).x
-    xkt = trsvd_solve_range(A, trial.approx, b).x
-    lhs = float(np.linalg.norm(xk - xkt) / np.linalg.norm(xk))
+    lhs = float(np.linalg.norm(xk - trial.x_trsvd) / np.linalg.norm(xk))
     sk = svd.sigma[k - 1]
     rhs = 4.0 * (1.0 + svd.sigma[0] / sk) * gap / sk
     return BoundCheck("tsvd_rel", lhs, float(rhs), hyp, trial.seed, {"factor_gap": gap})
@@ -323,15 +323,15 @@ def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
     A = problem.A
     B = form_B(A, bundle)
     Bmat = B if isinstance(B, np.ndarray) else B.toarray()
-    sB = np.linalg.svd(Bmat, compute_uv=False)
-    err = float(np.linalg.norm(Bmat - approx_B.matrix(), 2))
+    nrm = spectral_norm(Bmat)
+    err = spectral_norm(Bmat - approx_B.matrix())
     x = rsvd_gen_tikhonov_range(A, L, approx_B, problem.b, alpha, bundle).x
     lhs = float(np.linalg.norm(L.apply(problem.x_true - x)))
     rhs = (
         alpha**-1.5
-        * sB[0]
+        * nrm
         * err
-        * (problem.noise_norm + (2.0 / alpha * sB[0] * err + 1.0) * alpha * problem.w_norm)
+        * (problem.noise_norm + (2.0 / alpha * nrm * err + 1.0) * alpha * problem.w_norm)
         + 0.5 * math.sqrt(alpha) * problem.w_norm
     )
     return BoundCheck("gtikh", lhs, float(rhs), True, seed, {"approx_err": err})
@@ -342,9 +342,9 @@ def check_adjoint_pinv_product(trial):
     ``||A - A_k_tilde|| <= sigma_k / 2``."""
     approx, err = trial.approx, trial.err
     hyp = bool(err <= trial.svd.sigma[approx.k - 1] / 2.0)
-    # (A_k_tilde.T)^+ = U diag(1/sigma) V.T
-    M = (trial.A.T @ approx.U) / approx.sigma
-    lhs = float(np.linalg.norm(M @ approx.V.T, 2))
+    # (A_k_tilde.T)^+ = U diag(1/sigma) V.T, and the trailing V.T (orthonormal
+    # rows) leaves the 2-norm unchanged
+    lhs = spectral_norm((trial.A.T @ approx.U) / approx.sigma)
     return BoundCheck("est_product", lhs, 2.0, hyp, trial.seed, {"approx_err": err})
 
 
@@ -354,7 +354,7 @@ def check_lowrank_product_perturbation(trial):
     svd, k, gap = trial.svd, trial.approx.k, trial.gap
     Ak_t_pinv = (svd.U[:, :k] / svd.sigma[:k]) @ svd.V[:, :k].T
     At = trial.approx_matrix
-    lhs = float(np.linalg.norm(At @ At.T @ Ak_t_pinv - trial.A_k, 2))
+    lhs = spectral_norm(At @ At.T @ Ak_t_pinv - trial.A_k)
     rhs = (1.0 + svd.sigma[0] / svd.sigma[k - 1]) * gap
     return BoundCheck("est_trsvd", lhs, float(rhs), True, trial.seed, {"factor_gap": gap})
 
@@ -374,9 +374,9 @@ def check_resolvent_perturbation(trial, alpha):
     Mk = trial.approx_matrix @ trial.approx_matrix.T
     lhs_mat = np.linalg.solve((Mk + alpha * np.eye(n)).T, (AAt + alpha * np.eye(n)).T).T
     lhs_mat -= np.eye(n)
-    lhs1 = float(np.linalg.norm(lhs_mat, 2))
+    lhs1 = spectral_norm(lhs_mat)
     rhs1 = 2.0 / alpha * nrm * err
-    lhs2 = float(np.linalg.norm(lhs_mat @ AAt, 2))
+    lhs2 = spectral_norm(lhs_mat @ AAt)
     rhs2 = 2.0 * nrm * (2.0 / alpha * nrm * err + 1.0) * err
     return (
         BoundCheck("resolvent_1", lhs1, float(rhs1), True, trial.seed),
@@ -394,8 +394,12 @@ VERIFY_DEFAULT_N = 200
 class BoundTrial:
     """The seeded ``shaw`` trial that every check of one verification seed
     reads, with ``err = ||A - A_k_tilde||`` and ``gap = ||A_k - A_k_tilde||``
-    for the rank-10 factors ``approx``.  Each part is built on first use, at
-    most once; a test may set a part first, e.g. exact factors as ``approx``.
+    for the rank-10 factors ``approx``, and the range-preserving TSVD
+    solution ``x_trsvd`` of ``problem``.  ``err`` is the 2-norm of the dense
+    difference; ``gap`` is the 2-norm of a 2k-by-2k core built from thin QR
+    factors of ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``.  Each part is built
+    on first use, at most once; a test may set a part first, e.g. exact
+    factors as ``approx``.
     """
 
     def __init__(self, seed, n=VERIFY_DEFAULT_N):
@@ -429,16 +433,26 @@ class BoundTrial:
 
     @functools.cached_property
     def err(self):
-        return float(np.linalg.norm(self.A - self.approx_matrix, 2))
+        return spectral_norm(self.A - self.approx_matrix)
 
     @functools.cached_property
     def gap(self):
-        return float(np.linalg.norm(self.A_k - self.approx_matrix, 2))
+        # A_k - A_k_tilde = [U_k, U~] diag(sigma_k, -sigma~) [V_k, V~].T, so with
+        # thin QR factors of the two 2k-column blocks its 2-norm is the core's
+        k, svd, approx = self.approx.k, self.svd, self.approx
+        Ru = np.linalg.qr(np.hstack([svd.U[:, :k], approx.U]), mode="r")
+        Rv = np.linalg.qr(np.hstack([svd.V[:, :k], approx.V]), mode="r")
+        return spectral_norm((Ru * np.concatenate([svd.sigma[:k], -approx.sigma])) @ Rv.T)
 
     @functools.cached_property
     def problem(self):
         problem = make_sourcewise(self.A, seed=self.seed)
         return with_noise(problem, NoiseSpec(0.01, self.seed + 7919))
+
+    @functools.cached_property
+    def x_trsvd(self):
+        """Range-preserving truncated SVD solution of ``problem`` from ``approx``."""
+        return trsvd_solve_range(self.A, self.approx, self.problem.b).x
 
 
 def _invertible_first_difference(m):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import default_pinv_rtol, qr_thin, svd_full
+from .linalg import default_pinv_rtol, qr_thin, spectral_norm, svd_full
 
 
 @dataclass(frozen=True)
@@ -326,13 +326,13 @@ def rsvd_error(A, approx):
             f"factors of shape {approx.U.shape}/{approx.V.shape} do not "
             f"match matrix shape {A.shape}"
         )
-    err_rank_k = float(np.linalg.norm(A - approx.matrix(), 2))
+    err_rank_k = spectral_norm(A - approx.matrix())
     if n >= m:
         Q = range_basis(A, cfg.k, cfg.p, cfg.seed, cfg.q)
-        err_range = float(np.linalg.norm(A - Q @ (Q.T @ A), 2))
+        err_range = spectral_norm(A - Q @ (Q.T @ A))
     else:
         Q = range_basis(A.T, cfg.k, cfg.p, cfg.seed, cfg.q)
-        err_range = float(np.linalg.norm(A - (A @ Q) @ Q.T, 2))
+        err_range = spectral_norm(A - (A @ Q) @ Q.T)
     sigma = np.linalg.svd(np.asarray(A), compute_uv=False)
     first, second = theorem_spectral_bounds(sigma, cfg.k, cfg.p)
     applicable = cfg.q == 0 and cfg.p >= 4

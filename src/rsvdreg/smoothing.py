@@ -7,7 +7,8 @@ matrix ``np.diff(np.eye(m), n=d, axis=0)``; its null space holds the
 polynomials of degree below ``d`` (nothing, constants, constants plus a
 ramp), and its pseudoinverse is ``d`` cumulative sums followed by a
 projection out of that null space, O(m d) per column.  Custom penalties
-are dense.  The weighted pseudoinverse machinery reduces a
+are dense and factored once: one full SVD gives both their null space and
+their pseudoinverse.  The weighted pseudoinverse machinery reduces a
 general-penalty least-squares problem to standard form: the penalty's
 null-space component is resolved exactly through ``W (A W)^+ b`` while
 the smooth component travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
@@ -101,7 +102,7 @@ class SmoothingOperator:
         Y = y.reshape(self.ell, -1)
         d = self.order
         if d is None:
-            X = self._dense_pinv() @ Y
+            X = self._dense_pinv @ Y
         else:
             # d <= 1 keeps Y's layout (a transposed block stays column-major)
             # and d = 2 is row-major: later products round by layout, and
@@ -132,7 +133,7 @@ class SmoothingOperator:
             raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
         d = self.order
         if d is None:
-            return self._dense_pinv().T @ x
+            return self._dense_pinv.T @ x
         if d == 1:  # W W.T x for the constant W, as a column mean
             Z = x[1:] - x.mean(axis=0)
         else:  # for d = 0 the subtracted block is empty: a copy in x's layout
@@ -142,10 +143,25 @@ class SmoothingOperator:
             np.cumsum(Z[::-1], axis=0, out=Z[::-1])
         return Z
 
+    @functools.cached_property
+    def _svd(self):
+        """``(U, sigma, Vt, rank)`` of a custom penalty: its one full SVD and
+        its numerical rank under the default cutoff, which ``null_basis``
+        and the dense pseudoinverse share."""
+        U, sigma, Vt = np.linalg.svd(self._matrix, full_matrices=True)
+        rank = int(np.sum(sigma > default_pinv_rtol(self._matrix.shape) * sigma[0]))
+        return U, sigma, Vt, rank
+
+    @functools.cached_property
     def _dense_pinv(self):
-        if not hasattr(self, "_pinv_cache"):
-            self._pinv_cache = pinv(self._matrix)
-        return self._pinv_cache
+        """Dense ``L^+`` of a custom penalty from the shared SVD, with the
+        cutoff and product order of ``np.linalg.pinv`` (``linalg.pinv``),
+        so that a square penalty gets the same bits."""
+        U, sigma, Vt, rank = self._svd
+        p = sigma.size
+        inv = np.zeros_like(sigma)
+        inv[:rank] = 1.0 / sigma[:rank]
+        return Vt[:p].T @ (inv[:, None] * U[:, :p].T)
 
     def null_basis(self):
         """Orthonormal basis of the null space of ``L`` (m-by-d).
@@ -153,12 +169,11 @@ class SmoothingOperator:
         Analytic for the structured kinds: the first ``d`` of the constants
         and the centred linear ramp, as a C-contiguous array (empty for the
         identity).  Custom penalties take the trailing right singular
-        vectors of one full SVD, past the default rank cutoff.
+        vectors of their one full SVD, past the default rank cutoff.
         """
         m, d = self.m, self.order
         if d is None:
-            _, sigma, Vt = np.linalg.svd(self._matrix, full_matrices=True)
-            rank = int(np.sum(sigma > default_pinv_rtol(self._matrix.shape) * sigma[0]))
+            _, _, Vt, rank = self._svd
             return Vt[rank:].T
         ramp = np.arange(m, dtype=float)
         ramp -= ramp.mean()

@@ -209,3 +209,36 @@ class TestBoundChecks:
     def test_trial_rejects_large_n(self):
         with pytest.raises(ValueError, match="desk-scale"):
             BoundTrial(seed=0, n=1001)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gap_matches_dense_difference(self, seed):
+        trial = BoundTrial(seed=seed)
+        dense = np.linalg.norm(trial.A_k - trial.approx_matrix, 2)
+        assert trial.gap == pytest.approx(dense, rel=1e-9)
+
+    def test_gap_of_exact_factors_vanishes(self):
+        trial = BoundTrial(seed=0)
+        trial.approx = from_exact_svd(trial.A, 10)
+        assert trial.gap <= 1e-14 * trial.svd.sigma[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adjoint_product_matches_dense_norm(self, seed):
+        trial = BoundTrial(seed=seed)
+        approx = trial.approx
+        M = (trial.A.T @ approx.U) / approx.sigma
+        dense = np.linalg.norm(M @ approx.V.T, 2)
+        assert check_adjoint_pinv_product(trial).lhs == pytest.approx(dense, rel=1e-12)
+
+    def test_range_solution_solved_once_per_trial(self, monkeypatch):
+        calls = []
+        solve = diagnostics.trsvd_solve_range
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(diagnostics, "trsvd_solve_range", counting)
+        trial = BoundTrial(seed=2)
+        run_bound_trial("trsvd", trial)
+        run_bound_trial("tsvd_rel", trial)
+        assert len(calls) == 1

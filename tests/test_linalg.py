@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,17 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((3, 2))) == 0.0
         A = rng.standard_normal((10, 10))
         assert spectral_norm(A) == pytest.approx(svd_full(A).sigma[0], rel=1e-10)
+        # tall and wide take the two Gram matrices
+        for X in (
+            rng.standard_normal((60, 7)),
+            rng.standard_normal((7, 60)),
+            rng.standard_normal((30, 3)) @ rng.standard_normal((3, 25)),
+            1e-6 * rng.standard_normal((25, 20)),
+        ):
+            assert spectral_norm(X) == pytest.approx(np.linalg.norm(X, 2), rel=1e-13)
+        for shape in ((1, 1), (4, 9), (9, 4), (12, 12)):
+            got = spectral_norm(np.zeros(shape))
+            assert got == 0.0 and not math.isnan(got)
 
 
 class TestSolveShiftedGram:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,65 @@ class TestStructuredPinv:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="leading dimension"):
             first_difference(5).pinv_apply(np.ones(5))
+
+
+class TestCustomPenalty:
+    @staticmethod
+    def _count_svds(monkeypatch):
+        # np.linalg.pinv reaches svd through its defining module, so both
+        # bindings are counted
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return svd(a, *args, **kwargs)
+
+        for module in {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}:
+            monkeypatch.setattr(module, "svd", counting)
+        return calls
+
+    def test_one_svd_per_operator(self, rng, monkeypatch):
+        # an invertible penalty: weighted_pinv takes no SVD of A @ W
+        M = np.eye(30) - np.eye(30, k=-1)
+        A = rng.standard_normal((35, 30))
+        calls = self._count_svds(monkeypatch)
+        L = custom(M)
+        L.null_basis()
+        weighted_pinv(A, L)
+        L.pinv_apply(rng.standard_normal(30))
+        L.pinv_t_apply(rng.standard_normal((30, 3)))
+        L.null_basis()
+        assert len(calls) == 1
+
+    def test_one_svd_of_the_penalty_with_null_space(self, rng, monkeypatch):
+        L = custom(np.diff(np.eye(30), axis=0))
+        A = rng.standard_normal((35, 30))
+        calls = self._count_svds(monkeypatch)
+        bundle = weighted_pinv(A, L)
+        bundle.sharp_apply(rng.standard_normal((29, 2)))
+        bundle.sharp_t_apply(rng.standard_normal((30, 2)))
+        L.null_basis()
+        assert sum(a.shape == L.shape for a in calls) == 1
+
+    @pytest.mark.parametrize("m", [5, 40, 200])
+    def test_square_pinv_equals_linalg_pinv(self, rng, m):
+        for M in (np.eye(m) - np.eye(m, k=-1), rng.standard_normal((m, m))):
+            L = custom(M)
+            Y = rng.standard_normal((m, 3))
+            assert np.array_equal(L.pinv_apply(Y), pinv(M) @ Y)
+            assert np.array_equal(L.pinv_t_apply(Y), pinv(M).T @ Y)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: np.diff(np.eye(200), axis=0),
+        lambda rng: rng.standard_normal((30, 50)),
+        lambda rng: rng.standard_normal((60, 40)),
+    ], ids=["d1_199x200", "wide", "tall"])
+    def test_rectangular_pinv_matches_linalg_pinv(self, rng, make):
+        M = make(rng)
+        dense = custom(M).pinv_apply(np.eye(M.shape[0]))
+        ref = pinv(M)
+        assert np.linalg.norm(dense - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
 class TestWeightedPinv:
