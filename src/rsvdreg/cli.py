@@ -21,18 +21,8 @@ from . import diagnostics, harness, mmio, problems, solvers
 from .linalg import RankDeficiencyWarning, svd_full
 from .rsvd import RsvdConfig, rsvd_auto
 
-VERIFY_NAMES = {
-    "weyl": "weyl",
-    "pinv-perturb": "pinv_perturbation",
-    "rsvd-prob": "rsvd_capture",
-    "trsvd": "trsvd",
-    "tsvd-rel": "tsvd_rel",
-    "tikh": "tikh",
-    "gtikh": "gtikh",
-    "est-product": "est_product",
-    "est-trsvd": "est_trsvd",
-    "resolvent": "resolvent",
-}
+#: ``verify --theorem`` name -> check id, in report order
+VERIFY_NAMES = {name: cid for cid, (name, _) in diagnostics.CHECKS.items()}
 
 
 def _int_list(text):

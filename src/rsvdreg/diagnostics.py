@@ -11,6 +11,14 @@ Matrix 2-norms come from :func:`~rsvdreg.linalg.spectral_norm`; the factor
 gap ``||A_k - A_k_tilde||`` comes from thin QR factors of the 2k-column
 blocks ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``, never from the dense
 difference.
+
+:data:`CHECKS` is the one list of checks, mapping each check id to its
+``rsvdreg verify --theorem`` name and its check ``check_*(trial) ->
+list[BoundCheck]``.  A check holds its own protocol: it reads the trial or
+draws its own matrices from ``trial.seed``, at a rank, shift or penalty where
+its hypotheses hold.  To add a check, write that function and add its line to
+:data:`CHECKS`; :data:`VERIFY_CHECKS`, :func:`run_bound_trial` and the CLI
+follow.
 """
 
 import functools
@@ -19,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import pinv, spectral_norm, svd_full
+from .linalg import default_pinv_rtol, pinv, spectral_norm, svd_full
 from .problems import make_sourcewise, with_noise, NoiseSpec, generate
 from .rsvd import (
     RsvdConfig,
@@ -196,37 +204,56 @@ class BoundCheck:
         return self.lhs <= self.rhs + BOUND_SLACK * (1.0 + self.rhs)
 
 
-def check_singular_value_stability(A, B, seed=0):
-    """``|sigma_i(A+B) - sigma_i(A)| <= ||B||`` for every i."""
+def check_singular_value_stability(trial):
+    """``|sigma_i(A+B) - sigma_i(A)| <= ||B||`` for every i, on a seeded
+    Gaussian 24x17 pair whose ``B`` is scaled by a factor in [0.01, 2]."""
+    rng = np.random.default_rng(trial.seed)
+    A = rng.standard_normal((24, 17))
+    B = rng.standard_normal((24, 17)) * rng.uniform(0.01, 2.0)
     sa = np.linalg.svd(A, compute_uv=False)
     sab = np.linalg.svd(A + B, compute_uv=False)
     lhs = float(np.max(np.abs(sab - sa)))
-    rhs = spectral_norm(B)
-    return BoundCheck("weyl", lhs, rhs, True, seed)
+    return [BoundCheck("weyl", lhs, spectral_norm(B), True, trial.seed)]
 
 
-def check_pinv_perturbation(A, B, seed=0):
+def check_pinv_perturbation(trial):
     """``||A^+ - B^+|| <= ||A^+|| ||B^+|| ||B - A||`` for symmetric
-    positive semidefinite pairs sharing a null space."""
+    positive semidefinite pairs sharing a null space, on a seeded 12x12
+    pair: positive definite for odd seeds, of rank 5 for even ones."""
+    rng, m = np.random.default_rng(trial.seed), 12
+    if trial.seed % 2:
+        F = rng.standard_normal((m, m))
+        G = rng.standard_normal((m, m))
+        A = F @ F.T + 0.05 * np.eye(m)
+        B = G @ G.T + 0.05 * np.eye(m)
+    else:
+        # Rank-deficient pair sharing the null space.
+        r = 5
+        U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        S1 = rng.standard_normal((r, r))
+        S2 = rng.standard_normal((r, r))
+        A = U @ (S1 @ S1.T) @ U.T
+        B = U @ (S2 @ S2.T) @ U.T
     Ap, Bp = pinv(A), pinv(B)
     lhs = spectral_norm(Ap - Bp)
     rhs = spectral_norm(Ap) * spectral_norm(Bp) * spectral_norm(B - A)
     sym = np.allclose(A, A.T) and np.allclose(B, B.T)
-    return BoundCheck("pinv_perturbation", lhs, rhs, bool(sym), seed)
+    return [BoundCheck("pinv_perturbation", lhs, rhs, bool(sym), trial.seed)]
 
 
-def check_range_capture(A, k, p, seed):
+def check_range_capture(trial):
     """Single-trial probabilistic range-capture bound with q = 0:
-    ``||A - Q Q.T A||`` against the first spectral right-hand side."""
-    if p < 4:
-        raise ValueError(f"the probabilistic bound needs p >= 4, got p={p}")
-    Q = range_basis(A, k, p, seed, q=0)
+    ``||A - Q Q.T A||`` against the first spectral right-hand side, for
+    ``A = diag(2 j^-1.5)``, j = 1..40, at k = 10 and p = 5."""
+    j = np.arange(1, 41, dtype=float)
+    A = np.diag(2.0 * j**-1.5)
+    k, p = 10, 5
+    Q = range_basis(A, k, p, trial.seed, q=0)
     lhs = spectral_norm(A - Q @ (Q.T @ A))
     sigma = np.linalg.svd(A, compute_uv=False)
     rhs, rhs2 = theorem_spectral_bounds(sigma, k, p)
-    return BoundCheck(
-        "rsvd_capture", lhs, float(rhs), True, seed, {"rhs_second": float(rhs2)}
-    )
+    return [BoundCheck("rsvd_capture", lhs, float(rhs), True, trial.seed,
+                       {"rhs_second": float(rhs2)})]
 
 
 def _source_type(problem, representation):
@@ -237,6 +264,13 @@ def _source_type(problem, representation):
             "(build it with make_sourcewise)"
         )
     return problem
+
+
+def _source_problem(A, seed, bundle=None):
+    """Seeded source-type problem on ``A`` (under the penalty of ``bundle``
+    when given) with 1% noise."""
+    problem = make_sourcewise(A, bundle=bundle, seed=seed)
+    return with_noise(problem, NoiseSpec(0.01, seed + 7919))
 
 
 def check_trsvd_error(trial):
@@ -259,9 +293,8 @@ def check_trsvd_error(trial):
         + 8.0 * svd.sigma[0] / sk * gap * problem.w_norm
         + sk1 * problem.w_norm
     )
-    return BoundCheck(
-        "trsvd", lhs, float(rhs), hyp, trial.seed, {"approx_err": err, "factor_gap": gap}
-    )
+    return [BoundCheck("trsvd", lhs, float(rhs), hyp, trial.seed,
+                       {"approx_err": err, "factor_gap": gap})]
 
 
 def check_tsvd_relative_error(trial):
@@ -271,19 +304,28 @@ def check_tsvd_relative_error(trial):
     ``||x_k - x_k_tilde|| / ||x_k|| <=
     4 (1 + sigma_1/sigma_k) ||A_k - A_k_tilde|| / sigma_k``
 
-    for ``k < rank`` and ``||A - A_k_tilde|| < sigma_k / 2``.
+    for ``k < rank`` and ``||A - A_k_tilde|| < sigma_k / 2``, with the rank
+    counted by the cutoff that :func:`~rsvdreg.solvers.tsvd_solve` enforces.
     """
     A, b, svd, k, gap = trial.A, trial.problem.b, trial.svd, trial.approx.k, trial.gap
-    rank = int(np.sum(svd.sigma > svd.sigma[0] * max(A.shape) * np.finfo(float).eps))
+    rank = int(np.sum(svd.sigma > default_pinv_rtol(A.shape) * svd.sigma[0]))
     hyp = bool(k < rank and trial.err < svd.sigma[k - 1] / 2.0)
     xk = tsvd_solve(svd, k, b).x
     lhs = float(np.linalg.norm(xk - trial.x_trsvd) / np.linalg.norm(xk))
     sk = svd.sigma[k - 1]
     rhs = 4.0 * (1.0 + svd.sigma[0] / sk) * gap / sk
-    return BoundCheck("tsvd_rel", lhs, float(rhs), hyp, trial.seed, {"factor_gap": gap})
+    return [BoundCheck("tsvd_rel", lhs, float(rhs), hyp, trial.seed, {"factor_gap": gap})]
 
 
-def check_tikhonov_error(trial, alpha):
+def _tikhonov_rhs(alpha, nrm, err, problem):
+    """Right-hand side of both Tikhonov bounds, for an operator of 2-norm
+    ``nrm`` whose rank-k factors are ``err`` away from it in the 2-norm."""
+    return (alpha**-1.5 * nrm * err
+            * (problem.noise_norm + (2.0 / alpha * nrm * err + 1.0) * alpha * problem.w_norm)
+            + 0.5 * math.sqrt(alpha) * problem.w_norm)
+
+
+def check_tikhonov_error(trial):
     """Source-condition error bound for range-preserving randomized
     Tikhonov:
 
@@ -291,23 +333,18 @@ def check_tikhonov_error(trial, alpha):
     (delta + (2 alpha^-1 ||A|| ||A - A_k_tilde|| + 1) alpha ||w||)
     + 0.5 sqrt(alpha) ||w||``
 
-    under ``x_true = A.T w``.
+    under ``x_true = A.T w``, at ``alpha = max(delta, 1e-10 sigma_1^2)``.
     """
     problem = _source_type(trial.problem, "A.T w")
     err, nrm = trial.err, trial.svd.sigma[0]
+    alpha = max(problem.noise_norm, 1e-10 * nrm**2)
     x = rsvd_tikhonov_range(trial.A, trial.approx, problem.b, alpha).x
     lhs = float(np.linalg.norm(x - problem.x_true))
-    rhs = (
-        alpha**-1.5
-        * nrm
-        * err
-        * (problem.noise_norm + (2.0 / alpha * nrm * err + 1.0) * alpha * problem.w_norm)
-        + 0.5 * math.sqrt(alpha) * problem.w_norm
-    )
-    return BoundCheck("tikh", lhs, float(rhs), True, trial.seed, {"approx_err": err})
+    rhs = _tikhonov_rhs(alpha, nrm, err, problem)
+    return [BoundCheck("tikh", lhs, float(rhs), True, trial.seed, {"approx_err": err})]
 
 
-def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
+def check_gen_tikhonov_error(trial):
     """Source-condition error bound for the general-penalty variant,
     measured in the penalty seminorm:
 
@@ -315,26 +352,25 @@ def check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed=0):
     (delta + (2 alpha^-1 ||B|| ||B - B_k_tilde|| + 1) alpha ||w||)
     + 0.5 sqrt(alpha) ||w||``
 
-    under ``x_true = Gamma A.T w`` with an invertible penalty.
+    under ``x_true = Gamma A.T w`` with an invertible penalty: here the
+    square bidiagonal gradient-with-anchor ``L`` on the trial's operator,
+    its own source-type problem, rank-10 factors of ``B = A L_sharp`` and
+    ``alpha = max(delta, 1e-12)``.
     """
-    _source_type(problem, "Gamma A.T w")
-    if bundle.null_dim != 0:
-        raise ValueError("bound requires a penalty with trivial null space")
-    A = problem.A
+    A, m = trial.A, trial.n
+    L = custom(np.eye(m) - np.eye(m, k=-1))
+    bundle = weighted_pinv(A, L)
+    problem = _source_problem(A, trial.seed, bundle)
     B = form_B(A, bundle)
-    Bmat = B if isinstance(B, np.ndarray) else B.toarray()
+    approx_B = rsvd_auto(B, trial.cfg)
+    alpha = max(problem.noise_norm, 1e-12)
+    Bmat = B.toarray()
     nrm = spectral_norm(Bmat)
     err = spectral_norm(Bmat - approx_B.matrix())
     x = rsvd_gen_tikhonov_range(A, L, approx_B, problem.b, alpha, bundle).x
     lhs = float(np.linalg.norm(L.apply(problem.x_true - x)))
-    rhs = (
-        alpha**-1.5
-        * nrm
-        * err
-        * (problem.noise_norm + (2.0 / alpha * nrm * err + 1.0) * alpha * problem.w_norm)
-        + 0.5 * math.sqrt(alpha) * problem.w_norm
-    )
-    return BoundCheck("gtikh", lhs, float(rhs), True, seed, {"approx_err": err})
+    rhs = _tikhonov_rhs(alpha, nrm, err, problem)
+    return [BoundCheck("gtikh", lhs, float(rhs), True, trial.seed, {"approx_err": err})]
 
 
 def check_adjoint_pinv_product(trial):
@@ -345,7 +381,7 @@ def check_adjoint_pinv_product(trial):
     # (A_k_tilde.T)^+ = U diag(1/sigma) V.T, and the trailing V.T (orthonormal
     # rows) leaves the 2-norm unchanged
     lhs = spectral_norm((trial.A.T @ approx.U) / approx.sigma)
-    return BoundCheck("est_product", lhs, 2.0, hyp, trial.seed, {"approx_err": err})
+    return [BoundCheck("est_product", lhs, 2.0, hyp, trial.seed, {"approx_err": err})]
 
 
 def check_lowrank_product_perturbation(trial):
@@ -356,19 +392,21 @@ def check_lowrank_product_perturbation(trial):
     At = trial.approx_matrix
     lhs = spectral_norm(At @ At.T @ Ak_t_pinv - trial.A_k)
     rhs = (1.0 + svd.sigma[0] / svd.sigma[k - 1]) * gap
-    return BoundCheck("est_trsvd", lhs, float(rhs), True, trial.seed, {"factor_gap": gap})
+    return [BoundCheck("est_trsvd", lhs, float(rhs), True, trial.seed, {"factor_gap": gap})]
 
 
-def check_resolvent_perturbation(trial, alpha):
+def check_resolvent_perturbation(trial):
     """The two shifted-resolvent perturbation estimates (unconditional):
 
     * ``||(A A.T + a I)(Ak Ak.T + a I)^-1 - I|| <= 2/a ||A|| ||A - Ak||``
     * ``||[(A A.T + a I)(Ak Ak.T + a I)^-1 - I] A A.T|| <=
       2 ||A|| (2/a ||A|| ||A - Ak|| + 1) ||A - Ak||``
 
-    with ``Ak`` the randomized rank-k factors.  Returns two records.
+    with ``Ak`` the randomized rank-k factors and ``a = 1e-4 sigma_1^2``.
+    Returns two records.
     """
     A, err, nrm = trial.A, trial.err, trial.svd.sigma[0]
+    alpha = 1e-4 * nrm**2
     n = A.shape[0]
     AAt = A @ A.T
     Mk = trial.approx_matrix @ trial.approx_matrix.T
@@ -378,10 +416,10 @@ def check_resolvent_perturbation(trial, alpha):
     rhs1 = 2.0 / alpha * nrm * err
     lhs2 = spectral_norm(lhs_mat @ AAt)
     rhs2 = 2.0 * nrm * (2.0 / alpha * nrm * err + 1.0) * err
-    return (
+    return [
         BoundCheck("resolvent_1", lhs1, float(rhs1), True, trial.seed),
         BoundCheck("resolvent_2", lhs2, float(rhs2), True, trial.seed),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +484,7 @@ class BoundTrial:
 
     @functools.cached_property
     def problem(self):
-        problem = make_sourcewise(self.A, seed=self.seed)
-        return with_noise(problem, NoiseSpec(0.01, self.seed + 7919))
+        return _source_problem(self.A, self.seed)
 
     @functools.cached_property
     def x_trsvd(self):
@@ -455,81 +492,29 @@ class BoundTrial:
         return trsvd_solve_range(self.A, self.approx, self.problem.b).x
 
 
-def _invertible_first_difference(m):
-    """Square bidiagonal gradient-with-anchor penalty (trivial null space)."""
-    return custom(np.eye(m) - np.eye(m, k=-1))
+#: The one list of checks, in report order: check id -> (``--theorem`` name,
+#: check).  Each check maps a :class:`BoundTrial` to a list of
+#: :class:`BoundCheck`.
+CHECKS = {
+    "weyl": ("weyl", check_singular_value_stability),
+    "pinv_perturbation": ("pinv-perturb", check_pinv_perturbation),
+    "rsvd_capture": ("rsvd-prob", check_range_capture),
+    "trsvd": ("trsvd", check_trsvd_error),
+    "tsvd_rel": ("tsvd-rel", check_tsvd_relative_error),
+    "tikh": ("tikh", check_tikhonov_error),
+    "gtikh": ("gtikh", check_gen_tikhonov_error),
+    "est_product": ("est-product", check_adjoint_pinv_product),
+    "est_trsvd": ("est-trsvd", check_lowrank_product_perturbation),
+    "resolvent": ("resolvent", check_resolvent_perturbation),
+}
+
+VERIFY_CHECKS = tuple(CHECKS)
 
 
 def run_bound_trial(check_id, trial):
-    """Run the named inequality check on ``trial``, the :class:`BoundTrial`
-    that every check of its seed shares.
-
-    Protocols are deterministic in the seed: the purely algebraic inequalities
-    draw random matrices from it, the others read the trial (``gtikh`` adds
-    its own penalty), each at a rank/shift where its hypotheses hold.
-    Returns a list of :class:`BoundCheck`.
-    """
-    seed = trial.seed
-    rng = np.random.default_rng(seed)
-    if check_id == "weyl":
-        A = rng.standard_normal((24, 17))
-        B = rng.standard_normal((24, 17)) * rng.uniform(0.01, 2.0)
-        return [check_singular_value_stability(A, B, seed)]
-    if check_id == "pinv_perturbation":
-        m = 12
-        if seed % 2:
-            F = rng.standard_normal((m, m))
-            G = rng.standard_normal((m, m))
-            A = F @ F.T + 0.05 * np.eye(m)
-            B = G @ G.T + 0.05 * np.eye(m)
-        else:
-            # Rank-deficient pair sharing the null space.
-            r = 5
-            U = np.linalg.qr(rng.standard_normal((m, r)))[0]
-            S1 = rng.standard_normal((r, r))
-            S2 = rng.standard_normal((r, r))
-            A = U @ (S1 @ S1.T) @ U.T
-            B = U @ (S2 @ S2.T) @ U.T
-        return [check_pinv_perturbation(A, B, seed)]
-    if check_id == "rsvd_capture":
-        j = np.arange(1, 41, dtype=float)
-        A = np.diag(2.0 * j**-1.5)
-        return [check_range_capture(A, k=10, p=5, seed=seed)]
-    if check_id == "est_product":
-        return [check_adjoint_pinv_product(trial)]
-    if check_id == "est_trsvd":
-        return [check_lowrank_product_perturbation(trial)]
-    if check_id == "resolvent":
-        alpha = 1e-4 * trial.svd.sigma[0] ** 2
-        return list(check_resolvent_perturbation(trial, alpha))
-    if check_id == "trsvd":
-        return [check_trsvd_error(trial)]
-    if check_id == "tsvd_rel":
-        return [check_tsvd_relative_error(trial)]
-    if check_id == "tikh":
-        alpha = max(trial.problem.noise_norm, 1e-10 * trial.svd.sigma[0] ** 2)
-        return [check_tikhonov_error(trial, alpha)]
-    if check_id == "gtikh":
-        L = _invertible_first_difference(trial.n)
-        bundle = weighted_pinv(trial.A, L)
-        problem = make_sourcewise(trial.A, bundle=bundle, seed=seed)
-        problem = with_noise(problem, NoiseSpec(0.01, seed + 7919))
-        B = form_B(trial.A, bundle)
-        approx_B = rsvd_auto(B, trial.cfg)
-        alpha = max(problem.noise_norm, 1e-12)
-        return [check_gen_tikhonov_error(problem, L, bundle, approx_B, alpha, seed)]
-    raise ValueError(f"unknown check id {check_id!r}; see VERIFY_CHECKS")
-
-
-VERIFY_CHECKS = (
-    "weyl",
-    "pinv_perturbation",
-    "rsvd_capture",
-    "trsvd",
-    "tsvd_rel",
-    "tikh",
-    "gtikh",
-    "est_product",
-    "est_trsvd",
-    "resolvent",
-)
+    """Run the check ``check_id`` of :data:`CHECKS` on ``trial``, the
+    :class:`BoundTrial` that every check of its seed shares; returns a list
+    of :class:`BoundCheck`."""
+    if check_id not in CHECKS:
+        raise ValueError(f"unknown check id {check_id!r}; see VERIFY_CHECKS")
+    return CHECKS[check_id][1](trial)

@@ -374,6 +374,8 @@ def optimal_rank(ks, errors):
 #: repetitions so the best-of floor is the arithmetic cost, not jitter.
 BENCH_TIME_BUDGET = 0.5
 BENCH_ROUNDS = 10
+#: Bench shift as a multiple of the squared top singular value estimate.
+BENCH_ALPHA_SCALE = 1e-3
 
 
 def _interleaved_best_of(makers, repeats):
@@ -478,22 +480,22 @@ def _single_thread_blas():
 
 def bench_run(name="deriv2", ns=(250, 500, 1000, 2000), ks=(20,), penalty="none",
               methods=("direct", "projected", "range"), delta=0.01,
-              alpha_scale=1e-3, repeats=3, base_seed=0, p=5, q=0):
+              repeats=3, base_seed=0, p=5, q=0):
     """Best-of wall times per (n, method, k) cell.
 
     Randomized cells include the factorization time, and direct cells the
     Gram matrix they factor; with a penalty, the direct and range cells
     also include its standard-form reduction (``weighted_pinv``).  The
-    shift is pinned to ``alpha_scale`` times the squared top singular value
-    estimate so all methods solve the same problem.  The cells are timed
+    shift is pinned to ``BENCH_ALPHA_SCALE`` times the squared top singular
+    value estimate so all methods solve the same problem.  The cells are timed
     in interleaved rounds (at least ``repeats``, see
     :func:`_interleaved_best_of`) with BLAS pinned to a single thread, so
-    small and large sizes run at comparable arithmetic rates.  Each row records ``blas_threads``, the thread count read back
-    from the pin (None when it could not be confirmed).
+    small and large sizes run at comparable arithmetic rates.  Each row
+    records ``blas_threads``, the thread count read back from the pin
+    (None when it could not be confirmed).
     """
     with _single_thread_blas() as blas_threads:
-        cells = _bench_cells(name, ns, ks, penalty, methods, delta,
-                             alpha_scale, base_seed, p, q)
+        cells = _bench_cells(name, ns, ks, penalty, methods, delta, base_seed, p, q)
         times = _interleaved_best_of([make for _, make in cells], repeats)
     return [dict(row, seconds=t, blas_threads=blas_threads)
             for (row, _), t in zip(cells, times)]
@@ -515,15 +517,14 @@ def _bench_call(method, A, L, b, alpha, cfg):
     return lambda: call(solvers.Regularization(A, L))
 
 
-def _bench_cells(name, ns, ks, penalty, methods, delta, alpha_scale,
-                 base_seed, p, q):
+def _bench_cells(name, ns, ks, penalty, methods, delta, base_seed, p, q):
     """(row, maker of the timed call) of every cell, in (n, k, method)
     order; each maker binds its own cell's matrix, data and configuration."""
     cells = []
     for n in ns:
         prob = problems.make_problem(name, n, problems.NoiseSpec(delta, base_seed))
         A, b = prob.A, prob.b
-        alpha = alpha_scale * estimate_spectral_norm(A, seed=base_seed) ** 2
+        alpha = BENCH_ALPHA_SCALE * estimate_spectral_norm(A, seed=base_seed) ** 2
         L = make_penalty(penalty, A.shape[1])
         for k in ks:
             cfg = RsvdConfig(k=k, p=p, q=q, seed=_cell_seeds(base_seed, 0)[2])
@@ -556,7 +557,8 @@ def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0)
     every requested check of that seed reads; it is dropped before the next
     seed.  Returns a report keyed by check id with pass counts among
     hypotheses-met trials (hypotheses-not-met trials are tallied
-    separately, never as failures) and the worst relative slack observed.
+    separately, never as failures), the worst relative slack observed and,
+    per failure, its seed, both sides and the check's details.
     """
     records = {cid: [] for cid in check_ids}
     for s in range(seeds):
@@ -575,7 +577,7 @@ def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0)
             "passed": passed,
             "pass_rate": (passed / len(met)) if met else None,
             "worst_slack": max(slack) if met else None,
-            "failures": [{"seed": chk.seed, "lhs": chk.lhs, "rhs": chk.rhs}
+            "failures": [{"seed": chk.seed, "lhs": chk.lhs, "rhs": chk.rhs, **chk.details}
                          for chk in met if not chk.passed],
         }
     return report

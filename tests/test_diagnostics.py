@@ -9,7 +9,6 @@ from rsvdreg.diagnostics import (
     BoundCheck,
     BoundTrial,
     check_adjoint_pinv_product,
-    check_range_capture,
     check_trsvd_error,
     decay_fit,
     error_report,
@@ -156,7 +155,7 @@ class TestBoundChecks:
         k = 4
         trial = BoundTrial(seed=1)
         trial.A, trial.svd, trial.approx, trial.problem = A, svd, from_exact_svd(A, k), prob
-        chk = check_trsvd_error(trial)
+        [chk] = check_trsvd_error(trial)
         assert chk.hypotheses_met and chk.passed
         assert chk.rhs == pytest.approx(svd.sigma[k] * prob.w_norm, rel=1e-10)
         assert chk.lhs <= chk.rhs
@@ -165,7 +164,7 @@ class TestBoundChecks:
         A = random_decaying(rng, 12, 10, decay=0.5)
         trial = BoundTrial(seed=0)
         trial.A, trial.approx = A, from_exact_svd(A, 4)
-        chk = check_adjoint_pinv_product(trial)
+        [chk] = check_adjoint_pinv_product(trial)
         assert chk.hypotheses_met and chk.passed
         assert chk.lhs == pytest.approx(1.0, abs=1e-8)
 
@@ -177,10 +176,6 @@ class TestBoundChecks:
         trial.A, trial.approx, trial.problem = A, from_exact_svd(A, 2), prob
         with pytest.raises(ValueError, match="source-type"):
             check_trsvd_error(trial)
-
-    def test_capture_requires_oversampling(self, rng):
-        with pytest.raises(ValueError, match="p >= 4"):
-            check_range_capture(np.eye(6), k=2, p=2, seed=0)
 
     @pytest.mark.parametrize("cid", diagnostics.VERIFY_CHECKS)
     def test_protocol_trials_pass(self, cid):
@@ -227,7 +222,8 @@ class TestBoundChecks:
         approx = trial.approx
         M = (trial.A.T @ approx.U) / approx.sigma
         dense = np.linalg.norm(M @ approx.V.T, 2)
-        assert check_adjoint_pinv_product(trial).lhs == pytest.approx(dense, rel=1e-12)
+        [chk] = check_adjoint_pinv_product(trial)
+        assert chk.lhs == pytest.approx(dense, rel=1e-12)
 
     def test_range_solution_solved_once_per_trial(self, monkeypatch):
         calls = []

@@ -195,8 +195,7 @@ class TestBench:
         # the timed calls are built after all cells are set up, so each must
         # hold on to its own matrix rather than the last one built
         cells = harness._bench_cells("deriv2", (16, 32), (4,), "none",
-                                     ("direct", "projected", "range"), 0.01,
-                                     1e-3, 0, 5, 0)
+                                     ("direct", "projected", "range"), 0.01, 0, 5, 0)
         assert [row["n"] for row, _ in cells] == [16] * 3 + [32] * 3
         for row, make in cells:
             assert make()().x.shape == (row["n"],)
@@ -214,7 +213,7 @@ class TestBench:
 
         monkeypatch.setattr(harness.smoothing, "weighted_pinv", counting)
         cells = harness._bench_cells("deriv2", (16,), (4,), penalty,
-                                     ("direct", "range"), 0.01, 1e-3, 0, 5, 0)
+                                     ("direct", "range"), 0.01, 0, 5, 0)
         assert calls == []
         for _, make in cells:
             fn = make()
@@ -291,7 +290,20 @@ class TestVerifyRun:
         r = rep["weyl"]
         assert r["trials"] == 3 and r["hypotheses_met"] == 3
         assert r["passed"] == 3 and r["pass_rate"] == 1.0
-        assert r["worst_slack"] < 0
+        assert r["worst_slack"] < 0 and r["failures"] == []
+
+    def test_failure_carries_details(self, monkeypatch):
+        def failing(trial):
+            return [diagnostics.BoundCheck("stub", 2.0, 1.0, True, trial.seed,
+                                           {"approx_err": 0.5, "factor_gap": 0.25})]
+
+        monkeypatch.setitem(diagnostics.CHECKS, "stub", ("stub", failing))
+        r = harness.verify_run(["stub"], seeds=2)["stub"]
+        assert r["passed"] == 0
+        assert r["failures"] == [
+            {"seed": s, "lhs": 2.0, "rhs": 1.0, "approx_err": 0.5, "factor_gap": 0.25}
+            for s in (0, 1)
+        ]
 
     def test_one_trial_per_seed(self, monkeypatch):
         # one shaw build and one exact SVD per seed, and one factorization
@@ -428,6 +440,20 @@ class TestCli:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["weyl"]["passed"] == 3
+
+    @pytest.mark.parametrize("name,cid", [
+        ("weyl", "weyl"), ("pinv-perturb", "pinv_perturbation"),
+        ("rsvd-prob", "rsvd_capture"), ("trsvd", "trsvd"), ("tsvd-rel", "tsvd_rel"),
+        ("tikh", "tikh"), ("gtikh", "gtikh"), ("est-product", "est_product"),
+        ("est-trsvd", "est_trsvd"), ("resolvent", "resolvent"),
+    ])
+    def test_verify_each_theorem(self, tmp_path, name, cid):
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--theorem", name, "--seeds", "1", "--n", "40",
+                   "--out", str(out)])
+        assert rc == 0
+        rep = json.loads(out.read_text())
+        assert list(rep) == [cid] and rep[cid]["trials"] == 1
 
     def test_verify_has_no_format_option(self):
         # verification reports are always JSON
