@@ -11,7 +11,6 @@ solver error bounds, and a benchmark command line (``rsvdreg``).
 from .linalg import (
     RankDeficiencyWarning,
     SvdTriple,
-    jacobi_svd,
     pinv,
     qr_thin,
     solve_shifted_gram,

@@ -267,11 +267,14 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     noise, selection and factorization seeds from :func:`_cell_seeds`, as
     a table cell does, and factors once for all ranks
     (:func:`rsvdreg.rsvd.rsvd_nested`): the ranks of one repeat share one
-    probe, so their subspaces are nested.  A row is reproduced to rounding
-    by a lone ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))``.
-    Each row records ``probe_rank``, the numerical rank of its (k+p)-row
-    sketch.  At each rank, the solutions of all ``policies`` come from one
-    product with ``A.T`` (see :func:`rsvdreg.solvers.range_tikhonov_block`).
+    probe and one SVD of the widest sketch, so their subspaces are nested.
+    A row is reproduced to rounding by a lone
+    ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))``.  Each row
+    records ``probe_rank``, the numerical rank of its (k+p)-row sketch.
+    The solutions of all ranks and ``policies`` of a repeat come from one
+    product with ``A.T`` (see :func:`rsvdreg.solvers.range_tikhonov_block`),
+    so besides its selection a repeat touches ``A`` in two products for the
+    factorization and one for the solves, whatever the number of ranks.
     The repeats run on ``workers`` threads.
     """
     for pol in policies:
@@ -289,8 +292,8 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
                                        grid_count=grid_count)(prob)
         alphas = alpha_star * scales
         rows = []
-        for approx_k in rsvd_nested(target, ks, p=p, q=q, seed=rsvd_seed):
-            X = reg.block(approx_k, prob.b, alphas)
+        approxes = rsvd_nested(target, ks, p=p, q=q, seed=rsvd_seed)
+        for approx_k, X in zip(approxes, reg.block(approxes, prob.b, alphas)):
             for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,

@@ -86,64 +86,6 @@ def svd_full(A):
     return SvdTriple(U, s, Vt.T)
 
 
-def jacobi_svd(A, tol=1e-14, max_sweeps=60):
-    """One-sided Jacobi SVD, used as an independent cross-check oracle.
-
-    Orthogonalizes the columns of a working copy of ``A`` by plane
-    rotations.  Slow (O(m^2 n) per sweep) but simple enough to trust
-    independently of the LAPACK path.
-
-    Returns
-    -------
-    SvdTriple
-
-    Raises
-    ------
-    RuntimeError
-        If the sweep loop does not converge within ``max_sweeps``.
-    """
-    A = as_matrix(A)
-    transposed = A.shape[0] < A.shape[1]
-    W = (A.T if transposed else A).copy()
-    n, m = W.shape
-    V = np.eye(m)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                app = W[:, p] @ W[:, p]
-                aqq = W[:, q] @ W[:, q]
-                apq = W[:, p] @ W[:, q]
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                off = max(off, abs(apq))
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                W[:, [p, q]] = W[:, [p, q]] @ rot
-                V[:, [p, q]] = V[:, [p, q]] @ rot
-        if off == 0.0:
-            break
-    else:
-        raise RuntimeError(
-            f"one-sided Jacobi SVD did not converge for shape {A.shape} "
-            f"within {max_sweeps} sweeps"
-        )
-    sigma = np.linalg.norm(W, axis=0)
-    order = np.argsort(-sigma)
-    sigma = sigma[order]
-    W = W[:, order]
-    V = V[:, order]
-    U = np.zeros_like(W)
-    nonzero = sigma > 0
-    U[:, nonzero] = W[:, nonzero] / sigma[nonzero]
-    if transposed:
-        return SvdTriple(V, sigma, U)
-    return SvdTriple(U, sigma, V)
-
-
 def qr_thin(A, warn_deficient=True):
     """Orthonormal basis of the column space via thin Householder QR.
 

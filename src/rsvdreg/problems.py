@@ -88,6 +88,9 @@ class InverseProblem:
         return self.A.shape
 
 
+_SHAW_BLOCK = 256  # rows of shaw's kernel built at a time
+
+
 def _shaw(n):
     if n % 2:
         raise ValueError(f"shaw needs an even dimension, got n={n}")
@@ -96,18 +99,25 @@ def _shaw(n):
     co = np.cos(t)
     si = np.pi * np.sin(t)
     # h * ((co_i + co_j) * np.sinc((si_i + si_j) / pi)) ** 2, evaluated in
-    # place through np.sinc's own steps so that the result is bit-identical
-    # with two n-by-n arrays instead of about six
-    y = si[:, None] + si[None, :]
-    y /= np.pi
-    y *= np.pi
-    y[y == 0] = np.finfo(float).eps
-    A = np.sin(y)
-    A /= y
-    np.add(co[:, None], co[None, :], out=y)
-    A *= y
-    np.square(A, out=A)
-    A *= h
+    # place through np.sinc's own steps so that the result is bit-identical.
+    # Both sums commute exactly, so A is exactly symmetric: each block of
+    # rows is built from the diagonal rightwards and mirrored below it, with
+    # one n-by-n array and two blocks in memory.
+    A = np.empty((n, n))
+    for r0 in range(0, n, _SHAW_BLOCK):
+        r1 = min(r0 + _SHAW_BLOCK, n)
+        y = si[r0:r1, None] + si[None, r0:]
+        y /= np.pi
+        y *= np.pi
+        y[y == 0] = np.finfo(float).eps
+        blk = np.sin(y)
+        blk /= y
+        np.add(co[r0:r1, None], co[None, r0:], out=y)
+        blk *= y
+        np.square(blk, out=blk)
+        blk *= h
+        A[r0:r1, r0:] = blk
+        A[r1:, r0:r1] = blk[:, r1 - r0:].T
     x = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
     return A, x
 

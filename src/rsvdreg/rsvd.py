@@ -141,28 +141,39 @@ def _rsvd_tall_nested(A, cfgs):
     on the leading j+1 probe columns (on column j alone when ``q <= 2``) and
     the leading l columns of a Householder basis span the leading l columns
     of the sample, so the basis of the width-(k+p) probe is the leading
-    k+p columns of the widest basis.  Each rank therefore takes the SVD of
-    the leading k+p rows of the one sketch ``Q.T @ A``; its factors agree to
-    rounding with a lone factorization of that rank.  With ``q`` of 1 or 2
-    the sample is not re-orthonormalized, and on a fast-decaying spectrum
-    its rounding errors are amplified alike in both computations.
+    k+p columns of the widest basis.  Each rank therefore factors the
+    leading ``l = k+p`` rows of the one sketch ``B = Q.T @ A``; its factors
+    agree to rounding with a lone factorization of that rank.  With ``q`` of
+    1 or 2 the sample is not re-orthonormalized, and on a fast-decaying
+    spectrum its rounding errors are amplified alike in both computations.
+
+    Only the widest sketch is factored, ``B.T = Z diag(s) Wt``, exactly as
+    a lone call factors it, so the widest rank is bit for bit the lone
+    call.  Then ``B[:l].T = Z M`` with the small
+    ``M = diag(s) Wt[:, :l]``, and ``Z`` has orthonormal columns, so a
+    narrower rank takes the SVD of ``M`` (O((k+p)^3) instead of O(m (k+p)^2))
+    and maps its left factor back through ``Z``.
     """
     n, m = A.shape
     widest = max(cfgs, key=lambda c: c.k)
     widest.validate_shape((n, m))
     Q = range_basis(A, widest.k, widest.p, widest.seed, widest.q)
-    B = Q.T @ A
+    # LAPACK factors the wide sketch faster through its tall transpose
+    Z, s, Wt = np.linalg.svd((Q.T @ A).T, full_matrices=False)
     out = {}
     for cfg in cfgs:
         if cfg.k in out:
             continue
         ell = cfg.k + cfg.p
-        # LAPACK factors the wide sketch faster through its tall transpose
-        Z, s, Wt = np.linalg.svd(B[:ell].T, full_matrices=False)
-        rank = int(np.sum(s > default_pinv_rtol((ell, m)) * s[0]))
-        U = Q[:, :ell] @ Wt[:cfg.k].T
-        out[cfg.k] = RankKApprox(U, s[:cfg.k].copy(), Z[:, :cfg.k].copy(), cfg,
-                                 rank)
+        if cfg.k == widest.k:
+            V, sl, Wtl = Z[:, :cfg.k].copy(), s, Wt
+        else:
+            Zm, sl, Wtl = np.linalg.svd(s[:, None] * Wt[:, :ell],
+                                        full_matrices=False)
+            V = Z @ Zm[:, :cfg.k]
+        rank = int(np.sum(sl > default_pinv_rtol((ell, m)) * sl[0]))
+        U = Q[:, :ell] @ Wtl[:cfg.k].T
+        out[cfg.k] = RankKApprox(U, sl[:cfg.k].copy(), V, cfg, rank)
     return [out[cfg.k] for cfg in cfgs]
 
 
@@ -211,14 +222,16 @@ def rsvd_auto(A, cfg):
 def rsvd_nested(A, ks, p=5, q=0, seed=0):
     """Randomized rank-k SVDs of ``A`` for every rank in ``ks`` from one
     factorization: one probe of ``max(ks) + p`` columns, one sample, one
-    QR and one product ``Q.T @ A``.
+    QR, one product ``Q.T @ A`` and one SVD of that widest sketch; each
+    narrower rank adds only a (max(ks)+p)-by-(k+p) SVD.
 
     The rank-k factors come from the leading k+p columns of that basis, so
     the ranks' subspaces are nested, and each agrees to rounding with the
-    lone ``rsvd_auto(A, RsvdConfig(k, p, q, seed))``.  Returns one
-    :class:`RankKApprox` per entry of ``ks``, in input order (duplicates
-    included).  Raises ``ValueError`` for an empty ``ks`` and, like the lone
-    call, when ``max(ks) + p`` exceeds ``min(A.shape)``.
+    lone ``rsvd_auto(A, RsvdConfig(k, p, q, seed))`` (the widest rank bit
+    for bit).  Returns one :class:`RankKApprox` per entry of ``ks``, in
+    input order (duplicates included).  Raises ``ValueError`` for an empty
+    ``ks`` and, like the lone call, when ``max(ks) + p`` exceeds
+    ``min(A.shape)``.
     """
     cfgs = [RsvdConfig(k=k, p=p, q=q, seed=seed) for k in ks]
     if not cfgs:

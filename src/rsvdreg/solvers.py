@@ -236,26 +236,32 @@ def range_tikhonov_path(basis, approx, b, bundle=None):
     return solve
 
 
-def range_tikhonov_block(A, approx, b, alphas, bundle=None):
-    """Range-preserving Tikhonov solutions of one data vector for several
-    ``alphas`` at once, as the columns of an m-by-len(alphas) array.
+def range_tikhonov_block(A, approxes, b, alphas, bundle=None):
+    """Range-preserving Tikhonov solutions of one data vector for every
+    factorization in ``approxes`` and several ``alphas`` at once.
 
-    Agrees to rounding, column by column, with :func:`rsvd_tikhonov_range`
-    or, given the ``bundle`` of a general penalty (``approx`` then factors
-    ``B``), with :func:`rsvd_gen_tikhonov_range`, but makes one product of
-    ``A.T`` with an n-by-len(alphas) block instead of one matrix-vector
-    product per ``alpha``.
+    Returns one m-by-len(alphas) array per factorization, in order; a
+    single factorization is a one-element list.  Column j of each agrees to
+    rounding with :func:`rsvd_tikhonov_range` at ``alphas[j]`` or, given
+    the ``bundle`` of a general penalty (the factorizations then factor
+    ``B``), with :func:`rsvd_gen_tikhonov_range`.  The coefficient blocks
+    of all factorizations are stacked, so ``A.T`` is applied in one product
+    with an n-by-(len(approxes) len(alphas)) block, and a penalty's
+    ``Gamma`` and null-space term once each, instead of one matrix-vector
+    product per factorization and ``alpha``.
     """
     b = as_vector(b)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0):
         raise ValueError(f"alpha must be positive, got {alphas}")
-    coeffs = shifted_gram_coeffs((approx.U.T @ b)[:, None],
-                                 approx.sigma[:, None], alphas)
-    X = ((approx.U @ coeffs).T @ A).T  # A.T @ Y, faster this way round
-    if bundle is None:
-        return X
-    return bundle.gamma_apply(X) + bundle.w_term(b)[:, None]
+    Y = np.hstack([
+        ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
+                                   alphas)
+        for ap in approxes])
+    X = (Y.T @ A).T  # A.T @ Y, faster this way round
+    if bundle is not None:
+        X = bundle.gamma_apply(X) + bundle.w_term(b)[:, None]
+    return np.hsplit(X, len(approxes))
 
 
 def _ensure_bundle(A, L, bundle):
@@ -393,5 +399,5 @@ class Regularization:
     def path(self, basis, approx, b):
         return range_tikhonov_path(basis, approx, b, self.bundle)
 
-    def block(self, approx, b, alphas):
-        return range_tikhonov_block(self.A, approx, b, alphas, self.bundle)
+    def block(self, approxes, b, alphas):
+        return range_tikhonov_block(self.A, approxes, b, alphas, self.bundle)

@@ -134,6 +134,20 @@ class TestSweepHelpers:
         assert sorted(calls) == sorted(
             s for rep in range(2) for s in harness._cell_seeds(5, rep)[1:])
 
+    @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
+    def test_one_block_solve_per_repeat(self, monkeypatch, ks):
+        # every rank and policy of a repeat is solved from one stacked block
+        calls = []
+        block = solvers.range_tikhonov_block
+        monkeypatch.setattr(solvers, "range_tikhonov_block",
+                            lambda A, approxes, b, alphas, bundle=None:
+                            calls.append([a.k for a in approxes])
+                            or block(A, approxes, b, alphas, bundle))
+        rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
+                                  k_select=8, grid_count=20)
+        assert len(rows) == len(ks) * 3 * 2
+        assert calls == [ks, ks]
+
     def test_rows_record_probe_rank(self):
         # shaw's spectrum falls below the rank cutoff long before 45
         # directions, while a 7-column probe captures all of its columns
@@ -268,9 +282,14 @@ class TestBench:
     def test_rank_increase_adds_little_overhead(self):
         # The factorization dominated by the n^2 k probe products: growing
         # the rank from 20 to 30 changes the wall time by well under 50%.
-        rows = harness.bench_run(ns=(2000,), ks=(20, 30), repeats=3,
-                                 methods=("range",))
-        t = {r["k"]: r["seconds"] for r in rows}
+        # Each rank's time is the best of three runs, so that a few
+        # milliseconds of interference from other processes on a shared
+        # host cannot decide the verdict.
+        t = {}
+        for _ in range(3):
+            for r in harness.bench_run(ns=(2000,), ks=(20, 30), repeats=3,
+                                       methods=("range",)):
+                t[r["k"]] = min(t.get(r["k"], np.inf), r["seconds"])
         assert t[30] / t[20] < 1.5
 
 

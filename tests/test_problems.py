@@ -129,7 +129,8 @@ def test_matrix_matches_scalar_oracle(name):
     assert np.max(np.abs(A - O)) <= 1e-12 * np.max(np.abs(O))
 
 
-@pytest.mark.parametrize("n", [8, 10, 32, 100, 256])
+# 254 ... 778 fall around and between the generator's 256-row blocks
+@pytest.mark.parametrize("n", [8, 10, 32, 100, 256, 254, 258, 514, 778])
 def test_shaw_matches_sinc_expression_bitwise(n):
     # the in-place build repeats np.sinc's steps, zeros of its argument
     # (on the anti-diagonal) included, so it must agree to the last bit

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_decaying
 
+from rsvdreg import problems
 from rsvdreg.linalg import svd_full
 from rsvdreg.rsvd import (
     RankKApprox,
@@ -215,6 +216,23 @@ class TestNested:
         out = rsvd_nested(A, [1, 4, 8], p=2, seed=0)
         assert [a.probe_rank for a in out] == [3, 4, 4]
         assert from_exact_svd(A, 2).probe_rank is None
+
+    @pytest.mark.filterwarnings("ignore::rsvdreg.linalg.RankDeficiencyWarning")
+    @pytest.mark.parametrize("penalty", [None, "first_difference"])
+    def test_probe_rank_cutoffs_match_lone_calls(self, penalty):
+        # the narrower ranks take their singular values from a small SVD
+        # of the widest sketch's factors; on shaw, whose spectrum runs out
+        # inside the probe, the rank cutoffs must not move
+        ks = [2, 4, 6, 8, 10, 15, 20, 25, 30, 35, 40, 50, 60]
+        A = problems.generate("shaw", 200)[0]
+        if penalty:
+            A = form_B(A, weighted_pinv(A, SmoothingOperator(penalty, 200)))
+        for seed in range(3):
+            out = rsvd_nested(A, ks, p=5, seed=seed)
+            lone = [rsvd_auto(A, RsvdConfig(k=k, p=5, seed=seed)).probe_rank
+                    for k in ks]
+            assert [a.probe_rank for a in out] == lone
+            assert min(lone) == 7 and max(lone) < 30
 
 
 class TestRefineSingularValues:

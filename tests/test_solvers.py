@@ -5,7 +5,8 @@ from conftest import random_decaying
 from rsvdreg import harness, problems, smoothing
 from rsvdreg.diagnostics import default_alpha_grid
 from rsvdreg.linalg import svd_full
-from rsvdreg.rsvd import RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto
+from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
+                          rsvd_nested)
 from rsvdreg.smoothing import custom, first_difference, form_B, identity, weighted_pinv
 from rsvdreg.solvers import (
     Regularization,
@@ -357,8 +358,8 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        X = range_tikhonov_block(A, ap, b, alphas)
-        gen_X = range_tikhonov_block(A, apB, b, alphas, bundle)
+        [X] = range_tikhonov_block(A, [ap], b, alphas)
+        [gen_X] = range_tikhonov_block(A, [apB], b, alphas, bundle)
         assert X.shape == gen_X.shape == (12, 3)
         for j, alpha in enumerate(alphas):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
@@ -366,7 +367,31 @@ class TestRangePath:
             x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
             assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
         with pytest.raises(ValueError, match="alpha"):
-            range_tikhonov_block(A, ap, b, (1.0, 0.0))
+            range_tikhonov_block(A, [ap], b, (1.0, 0.0))
+
+    @pytest.mark.parametrize("penalty", ["none", "d1"])
+    def test_stacked_block_matches_separate_calls(self, penalty):
+        # one product with A.T for every factorization equals one call per
+        # factorization, column for column: bit for bit for the identity,
+        # to rounding where the penalty's Gamma and null-space term are
+        # applied to the wider block
+        n = 64
+        prob = problems.make_problem("deriv2", n, problems.NoiseSpec(0.01, 3))
+        reg = Regularization(prob.A, harness.make_penalty(penalty, n))
+        approxes = rsvd_nested(reg.target, [2, 5, 9, 20, 5], p=5, seed=1)
+        alphas = np.array([1e-5, 1e-3, 0.1]) * approxes[3].sigma[0] ** 2
+        stacked = range_tikhonov_block(prob.A, approxes, prob.b, alphas,
+                                       reg.bundle)
+        assert len(stacked) == len(approxes)
+        for approx, X in zip(approxes, stacked):
+            [ref] = range_tikhonov_block(prob.A, [approx], prob.b, alphas,
+                                         reg.bundle)
+            assert X.shape == ref.shape == (n, 3)
+            if penalty == "none":
+                assert np.array_equal(X, ref)
+            else:
+                err = np.linalg.norm(X - ref, axis=0)
+                assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=0))
 
 
 class TestRegularization:
@@ -413,8 +438,9 @@ class TestRegularization:
         reg_path = reg.path(reg.basis(apT), apT, b)
         for alpha in alphas:
             assert np.array_equal(reg_path(alpha), path(alpha))
-        assert np.array_equal(reg.block(apT, b, alphas),
-                              range_tikhonov_block(A, apT, b, alphas, bundle))
+        [X] = reg.block([apT], b, alphas)
+        assert np.array_equal(
+            X, range_tikhonov_block(A, [apT], b, alphas, bundle)[0])
         if bundle is None:
             assert reg.identity and reg.bundle is None and reg.target is A
         else:
