@@ -184,7 +184,7 @@ def cmd_solve(args):
     A, b = prob.A, prob.b
     method = args.method
     reg = solvers.Regularization(A, harness.make_penalty(args.penalty, A.shape[1]))
-    if not (reg.identity or method in _PENALIZED):
+    if not (args.penalty == "none" or method in _PENALIZED):
         raise ValueError(f"--method {method} solves the identity problem, so "
                          f"--penalty {args.penalty} needs a gtikh_* method")
     _, select_seed, rsvd_seed = harness._cell_seeds(args.seed, 0)

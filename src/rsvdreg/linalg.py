@@ -3,6 +3,8 @@
 All routines operate on plain float64 ndarrays.  Matrices are validated on
 entry (finite entries, sensible shapes) and never mutated, except the
 matrix handed to ``solve_spd``, so results are safe to share across threads.
+A solve's ``A`` goes through ``as_matrix`` where it is read densely: the
+direct solvers and ``direct_gram``, and ``weighted_pinv`` but for the identity.
 """
 
 import math

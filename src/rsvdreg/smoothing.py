@@ -12,6 +12,9 @@ their pseudoinverse.  The weighted pseudoinverse machinery reduces a
 general-penalty least-squares problem to standard form: the penalty's
 null-space component is resolved exactly through ``W (A W)^+ b`` while
 the smooth component travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
+The identity's special cases live here: its ``L^+`` is a copy, its bundle
+has no null-space term and is built without reading ``A`` (every other
+penalty's validates ``A``), and its ``B`` is ``A``.
 """
 
 import functools
@@ -99,12 +102,14 @@ class SmoothingOperator:
         y = np.asarray(y, dtype=float)
         if y.shape[0] != self.ell:
             raise ValueError(f"expected leading dimension {self.ell}, got {y.shape}")
-        Y = y.reshape(self.ell, -1)
         d = self.order
+        if d == 0:  # L^+ = I: a private copy in y's layout
+            return y.copy(order="K")
+        Y = y.reshape(self.ell, -1)
         if d is None:
             X = self._dense_pinv @ Y
         else:
-            # d <= 1 keeps Y's layout (a transposed block stays column-major)
+            # d = 1 keeps Y's layout (a transposed block stays column-major)
             # and d = 2 is row-major: later products round by layout, and
             # this is the layout the seeded outputs were produced with
             X = np.zeros_like(Y, shape=(self.m, Y.shape[1]), order="K" if d < 2 else "C")
@@ -113,7 +118,7 @@ class SmoothingOperator:
                 np.cumsum(X[d:], axis=0, out=X[d:])
             if d == 1:  # W W.T X for the constant W, as a column mean
                 X -= X.mean(axis=0, keepdims=True)
-            elif d:
+            else:
                 W = self.null_basis()
                 X -= W @ (W.T @ X)
         return X[:, 0] if y.ndim == 1 else X
@@ -134,9 +139,11 @@ class SmoothingOperator:
         d = self.order
         if d is None:
             return self._dense_pinv.T @ x
+        if d == 0:  # L^+ = I: a private copy in x's layout
+            return x.copy(order="K")
         if d == 1:  # W W.T x for the constant W, as a column mean
             Z = x[1:] - x.mean(axis=0)
-        else:  # for d = 0 the subtracted block is empty: a copy in x's layout
+        else:
             W = self.null_basis()
             Z = x[d:] - _outer_t(W.T @ x, W[d:])
         for _ in range(d):  # Z[j] <- sum_{i >= j} Z[i], in place
@@ -175,11 +182,14 @@ class SmoothingOperator:
         if d is None:
             _, _, Vt, rank = self._svd
             return Vt[rank:].T
-        ramp = np.arange(m, dtype=float)
-        ramp -= ramp.mean()
-        ramp /= np.linalg.norm(ramp) or 1.0  # m = 1 has no ramp to scale
-        basis = np.column_stack([np.full(m, 1.0 / np.sqrt(m)), ramp])
-        return np.ascontiguousarray(basis[:, :d])
+        basis = np.empty((m, d))
+        basis[:, :1] = 1.0 / np.sqrt(m)  # no column for d = 0
+        if d == 2:
+            ramp = np.arange(m, dtype=float)
+            ramp -= ramp.mean()
+            ramp /= np.linalg.norm(ramp) or 1.0  # m = 1 has no ramp to scale
+            basis[:, 1] = ramp
+        return basis
 
 
 def _outer_t(v, F):
@@ -247,12 +257,15 @@ class WeightedPinvBundle:
     def sharp_apply(self, y):
         """``L_sharp @ y = L^+ y - W (E L^+ y)``."""
         x = self.L.pinv_apply(y)
-        x -= self.W @ (self.E @ x)
+        if self.null_dim:
+            x -= self.W @ (self.E @ x)
         return x
 
     def sharp_t_apply(self, x):
         """``L_sharp.T @ x = (L^+).T (x - E.T (W.T x))``."""
-        return self.L.pinv_t_apply(x - _outer_t(self.W.T @ x, self.E.T))
+        if self.null_dim:
+            x = x - _outer_t(self.W.T @ x, self.E.T)
+        return self.L.pinv_t_apply(x)
 
     def gamma_apply(self, x):
         """Apply ``Gamma = L_sharp @ L_sharp.T`` (symmetric smoother)."""
@@ -261,6 +274,14 @@ class WeightedPinvBundle:
     def w_term(self, b):
         """Null-space component ``W (A W)^+ b`` of the solution."""
         return self.W @ (self.AW_pinv @ b)
+
+    def solution(self, y, b):
+        """``Gamma y + W (A W)^+ b`` for ``y = A.T v`` (a vector or columns,
+        all for the data ``b``); ``y`` itself for the identity."""
+        if self.L.order == 0:
+            return y
+        w = self.w_term(b)
+        return self.gamma_apply(y) + (w if y.ndim == 1 else w[:, None])
 
 
 def weighted_pinv(A, L):
@@ -278,10 +299,12 @@ def weighted_pinv(A, L):
     the check is at least as strict as one scaled by ``||A||_2``.
 
     When ``L`` has a trivial null space the bundle degenerates to
-    ``L_sharp = L^+``.
+    ``L_sharp = L^+``; the identity's ``L_sharp = Gamma = I`` is built from
+    ``A``'s shape alone, without reading or validating ``A``.
     """
-    A = as_matrix(A)
-    n, m = A.shape
+    if L.order != 0:
+        A = as_matrix(A)
+    n, m = np.shape(A)
     if m != L.m:
         raise ValueError(f"A has {m} columns but L expects {L.m}")
     W = L.null_basis()
@@ -360,6 +383,12 @@ def form_B(A, bundle):
     :class:`ProductOperator` whose products cost one product with ``A``
     plus O(m k d).  ``.toarray()`` forms the dense ``B`` in O(n m d).
     """
-    if bundle.L.kind == "identity":
+    if bundle.L.order == 0:
         return A
     return ProductOperator(A, bundle)
+
+
+def dense_B(A, bundle):
+    """Dense ``B``: ``A`` itself for the identity, else formed in O(n m d)."""
+    B = form_B(A, bundle)
+    return B if B is A else B.toarray()

@@ -1,19 +1,23 @@
 """Regularized solvers for discrete linear inverse problems.
 
-Three families, each in a direct flavor and randomized flavors:
+Two families, each in a direct flavor and randomized flavors:
 
 * truncated SVD: exact (``tsvd_solve``), randomized projected
   (``trsvd_solve_projected``) and randomized range-preserving
   (``trsvd_solve_range``);
-* Tikhonov: direct (``tikhonov_solve_direct``), projected
-  (``rsvd_tikhonov_projected``) and range-preserving
-  (``rsvd_tikhonov_range``);
-* general Tikhonov with a smoothness penalty: direct
+* Tikhonov with a penalty ``L``, through the standard-form reduction of
+  :func:`rsvdreg.smoothing.weighted_pinv`: direct
   (``gen_tikhonov_direct``), projected (``rsvd_gen_tikhonov_projected``)
   and range-preserving (``rsvd_gen_tikhonov_range``).
 
-:class:`Regularization`, built from ``(A, L)``, is the one place that
-tells the identity from a penalty; the drivers solve through it.
+The identity is the order-0 penalty (``L_sharp = Gamma = I``, ``B = A``):
+``tikhonov_solve_direct`` and ``rsvd_tikhonov_range`` call the general
+solvers with it.  Only ``rsvd_tikhonov_projected`` has its own code: its
+k-by-k system is diagonal, so it is solved in closed form, not by Cholesky
+(the one identity choice of :class:`Regularization`, which the harness
+solves through).  The direct solvers always take the dual form, factoring
+the n-by-n ``B B.T + alpha I``, and validate ``A``; the range-preserving
+solvers only multiply by ``A.T``.
 
 The range-preserving flavors keep the solution inside ``range(A.T)``
 (resp. ``range(Gamma A.T)``) by construction: they only consume the left
@@ -27,7 +31,7 @@ limit recover the truncated solver.
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -122,58 +126,32 @@ def trsvd_solve_range(A, approx, b):
 
 
 def _gram(A, bundle):
-    if bundle is not None:
-        Bt = bundle.sharp_t_apply(A.T)  # B.T = L_sharp.T @ A.T, O(n m d)
-        return Bt.T @ Bt
-    n, m = A.shape
-    return A @ A.T if n <= m else A.T @ A
+    B = smoothing.dense_B(A, bundle)
+    return B @ B.T
 
 
-def direct_gram(A, bundle=None):
-    """The unshifted Gram matrix a direct Tikhonov solve factors.
-
-    ``A @ A.T`` when rows <= cols and ``A.T @ A`` otherwise; given the
-    ``bundle`` of a general penalty, ``B @ B.T`` with ``B = A @ L_sharp``
-    formed in O(n m d) through the bundle's structured ``L_sharp.T``
-    (see :meth:`rsvdreg.smoothing.ProductOperator.toarray`), so the
-    product ``B @ B.T`` is the only O(n^3) step.
+def direct_gram(A, bundle):
+    """The unshifted Gram matrix ``B @ B.T`` a direct Tikhonov solve
+    factors, with ``B = A @ L_sharp`` the dense target of ``bundle`` (see
+    :func:`rsvdreg.smoothing.dense_B`): ``A`` for the identity, otherwise
+    formed in O(n m d), so ``B @ B.T`` is the only O(n^3) step.
     Forming it is the part of a direct solve that depends neither on
     ``alpha`` nor on the data, so runs that solve one matrix many times
-    form it once and pass it to :func:`tikhonov_solve_direct` or
-    :func:`gen_tikhonov_direct` as ``gram``.
+    form it once and pass it to :func:`gen_tikhonov_direct` as ``gram``.
     """
     return _gram(as_matrix(A), bundle)
 
 
-def _solve_shifted(A, bundle, gram, alpha, rhs, name):
-    """Solve ``(gram + alpha I) y = rhs``.  The shift and the Cholesky
-    factorization work in place on one n-by-n array: a copy of ``gram``,
-    or a fresh Gram matrix of ``(A, bundle)`` when ``gram`` is None."""
-    M = _gram(A, bundle) if gram is None else gram.copy()
-    M[np.diag_indices_from(M)] += alpha
-    return solve_spd(M, rhs, name)
-
-
 def tikhonov_solve_direct(A, b, alpha, gram=None):
-    """Classical Tikhonov solution of ``(A.T A + alpha I) x = A.T b``.
-
-    Uses the data-space (dual) form ``A.T (A A.T + alpha I)^-1 b`` when
-    rows <= cols and the parameter-space (primal) normal equations
-    otherwise; the two agree to rounding.  ``gram`` is
-    ``direct_gram(A)``, formed here when not given (it is left unchanged).
+    """Classical Tikhonov solution of ``(A.T A + alpha I) x = A.T b``: the
+    order-0 entry point of :func:`gen_tikhonov_direct`, in the dual form
+    ``A.T (A A.T + alpha I)^-1 b`` whatever the shape of ``A``.  ``gram`` is
+    ``A @ A.T``, formed here when not given (it is left unchanged).
     """
     A = as_matrix(A)
-    b = as_vector(b)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    t0 = time.perf_counter()
-    n, m = A.shape
-    if n <= m:
-        x = A.T @ _solve_shifted(A, None, gram, alpha, b, "shifted Gram matrix")
-    else:
-        x = _solve_shifted(A, None, gram, alpha, A.T @ b,
-                           "regularized normal equations")
-    return _result(x, "tikh_direct", alpha, None, t0)
+    result = gen_tikhonov_direct(A, smoothing.identity(A.shape[1]), b, alpha,
+                                 gram=gram)
+    return replace(result, method="tikh_direct")
 
 
 def rsvd_tikhonov_projected(approx, b, alpha):
@@ -189,43 +167,38 @@ def rsvd_tikhonov_projected(approx, b, alpha):
 
 def rsvd_tikhonov_range(A, approx, b, alpha):
     """Range-preserving randomized Tikhonov
-    ``A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i``.
-
-    Cost after the factorization is one product with ``A.T`` plus O(nk).
+    ``A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i``: the order-0 entry
+    point of :func:`rsvd_gen_tikhonov_range`.  Cost after the factorization
+    is one product with ``A.T`` plus O(nk); ``A`` is not scanned.
     """
-    b = as_vector(b)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    t0 = time.perf_counter()
-    x = A.T @ solve_shifted_gram(approx.U, approx.sigma, alpha, b)
-    return _result(x, "tikh_range", alpha, approx.k, t0)
+    result = rsvd_gen_tikhonov_range(A, smoothing.identity(A.shape[1]),
+                                     approx, b, alpha)
+    return replace(result, method="tikh_range")
 
 
-def range_tikhonov_basis(A, approx, bundle=None):
-    """``A.T @ U`` of a factorization ``approx`` of ``A`` or, given the
-    ``bundle`` of a general penalty (``approx`` then factors ``B``),
-    ``Gamma A.T @ U``.
+def range_tikhonov_basis(A, approx, bundle):
+    """``Gamma A.T @ U`` of a factorization ``approx`` of ``B = A @ L_sharp``
+    for the penalty of ``bundle``: ``A.T @ U`` for the identity.
 
     This is the part of :func:`range_tikhonov_path` that depends neither
     on the data nor on ``alpha``: one O(n m k) product, formed once and
     shared by the paths of every data vector solved with ``approx``.
     """
     AtU = (approx.U.T @ A).T  # A.T @ U; OpenBLAS is faster this way round
-    return AtU if bundle is None else bundle.gamma_apply(AtU)
+    return bundle.gamma_apply(AtU)
 
 
-def range_tikhonov_path(basis, approx, b, bundle=None):
+def range_tikhonov_path(basis, approx, b, bundle):
     """Range-preserving Tikhonov solutions for one factorization and one
     data vector, as a function ``alpha -> x``.
 
     ``basis`` is :func:`range_tikhonov_basis` of the same ``approx`` and
-    ``bundle``.  Agrees to rounding with :func:`rsvd_tikhonov_range` or,
-    given the ``bundle`` of a general penalty, with
-    :func:`rsvd_gen_tikhonov_range`.  Each ``alpha`` costs O(mk) instead of
-    a product with ``A.T``: the shape of a parameter sweep.
+    ``bundle``.  Agrees to rounding with :func:`rsvd_gen_tikhonov_range`.
+    Each ``alpha`` costs O(mk) instead of a product with ``A.T``: the
+    shape of a parameter sweep.
     """
     b = as_vector(b)
-    x0 = 0.0 if bundle is None else bundle.w_term(b)
+    x0 = bundle.w_term(b)
     Utb = approx.U.T @ b
 
     def solve(alpha):
@@ -236,19 +209,18 @@ def range_tikhonov_path(basis, approx, b, bundle=None):
     return solve
 
 
-def range_tikhonov_block(A, approxes, b, alphas, bundle=None):
+def range_tikhonov_block(A, approxes, b, alphas, bundle):
     """Range-preserving Tikhonov solutions of one data vector for every
-    factorization in ``approxes`` and several ``alphas`` at once.
+    factorization in ``approxes`` (each of ``B = A @ L_sharp``) and several
+    ``alphas`` at once.
 
     Returns one m-by-len(alphas) array per factorization, in order; a
     single factorization is a one-element list.  Column j of each agrees to
-    rounding with :func:`rsvd_tikhonov_range` at ``alphas[j]`` or, given
-    the ``bundle`` of a general penalty (the factorizations then factor
-    ``B``), with :func:`rsvd_gen_tikhonov_range`.  The coefficient blocks
-    of all factorizations are stacked, so ``A.T`` is applied in one product
-    with an n-by-(len(approxes) len(alphas)) block, and a penalty's
-    ``Gamma`` and null-space term once each, instead of one matrix-vector
-    product per factorization and ``alpha``.
+    rounding with :func:`rsvd_gen_tikhonov_range` at ``alphas[j]``.  The
+    coefficient blocks of all factorizations are stacked, so ``A.T`` is
+    applied in one product with an n-by-(len(approxes) len(alphas)) block,
+    and the penalty's ``Gamma`` and null-space term once each, instead of
+    one matrix-vector product per factorization and ``alpha``.
     """
     b = as_vector(b)
     alphas = np.asarray(alphas, dtype=float)
@@ -258,14 +230,8 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle=None):
         ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
                                    alphas)
         for ap in approxes])
-    X = (Y.T @ A).T  # A.T @ Y, faster this way round
-    if bundle is not None:
-        X = bundle.gamma_apply(X) + bundle.w_term(b)[:, None]
+    X = bundle.solution((Y.T @ A).T, b)  # A.T @ Y, faster this way round
     return np.hsplit(X, len(approxes))
-
-
-def _ensure_bundle(A, L, bundle):
-    return smoothing.weighted_pinv(A, L) if bundle is None else bundle
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
@@ -289,10 +255,14 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
     b = as_vector(b)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    bundle = _ensure_bundle(A, L, bundle)
+    if bundle is None:
+        bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
-    xi = _solve_shifted(A, bundle, gram, alpha, b, "shifted dual Gram matrix")
-    x = bundle.gamma_apply(A.T @ xi) + bundle.w_term(b)
+    # the shift and the Cholesky factorization work in place on one array
+    M = _gram(A, bundle) if gram is None else gram.copy()
+    M[np.diag_indices_from(M)] += alpha
+    xi = solve_spd(M, b, "shifted dual Gram matrix")
+    x = bundle.solution(A.T @ xi, b)
     return _result(x, "gtikh_direct", alpha, None, t0)
 
 
@@ -333,43 +303,42 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     ``approx_B`` must factor ``B = A @ L_sharp`` (see
     :func:`rsvdreg.smoothing.form_B`).  The smooth component is
     ``Gamma A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i`` and the
-    null-space term ``W (A W)^+ b`` is added exactly.
+    null-space term ``W (A W)^+ b`` is added exactly.  ``A`` is only
+    multiplied here; ``weighted_pinv`` validates it for a penalty.
     """
-    A = as_matrix(A)
     b = as_vector(b)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    bundle = _ensure_bundle(A, L, bundle)
+    if bundle is None:
+        bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
     v = solve_shifted_gram(approx_B.U, approx_B.sigma, alpha, b)
-    x = bundle.gamma_apply(A.T @ v) + bundle.w_term(b)
+    x = bundle.solution(A.T @ v, b)
     return _result(x, "gtikh_range", alpha, approx_B.k, t0)
 
 
 class Regularization:
     """Tikhonov regularization of ``A`` with the penalty ``L``.
 
-    The identity is the degenerate penalty (``L_sharp = Gamma = I``, no
-    null-space term): for it the methods call the standard solvers, with no
-    :attr:`bundle`.  Otherwise they call the general solvers with the bundle
-    of :func:`rsvdreg.smoothing.weighted_pinv`, built on first use, so a
-    projected solve never pays for it.  Each method equals its public solver
-    bit for bit; ``projected`` factors ``A``, the others :attr:`target`.
+    The methods call the general solvers with the :attr:`bundle` of
+    :func:`rsvdreg.smoothing.weighted_pinv`, built on first use, so a
+    projected solve never pays for it; ``projected`` solves the identity in
+    closed form.  Each method equals its public solver bit for bit;
+    ``projected`` factors ``A``, the others :attr:`target`.
     """
 
     def __init__(self, A, L):
         self.A = A
         self.L = L
-        self.identity = L.kind == "identity"
 
     @functools.cached_property
     def bundle(self):
-        return None if self.identity else smoothing.weighted_pinv(self.A, self.L)
+        return smoothing.weighted_pinv(self.A, self.L)
 
     @functools.cached_property
     def target(self):
-        """``A`` for the identity, else ``B = A @ L_sharp``."""
-        return self.A if self.identity else smoothing.form_B(self.A, self.bundle)
+        """``B = A @ L_sharp``: ``A`` itself for the identity."""
+        return smoothing.form_B(self.A, self.bundle)
 
     @functools.cached_property
     def gram(self):
@@ -377,19 +346,18 @@ class Regularization:
         return direct_gram(self.A, self.bundle)
 
     def direct(self, b, alpha, gram=None):
-        if self.identity:
-            return tikhonov_solve_direct(self.A, b, alpha, gram=gram)
         return gen_tikhonov_direct(self.A, self.L, b, alpha, self.bundle,
                                    gram=gram)
 
     def projected(self, approx_A, b, alpha):
-        if self.identity:
+        # order 0: (L V_k).T (L V_k) = I, so the k-by-k system is diagonal
+        # and its closed form replaces the Cholesky solve (which would round
+        # differently)
+        if self.L.order == 0:
             return rsvd_tikhonov_projected(approx_A, b, alpha)
         return rsvd_gen_tikhonov_projected(approx_A, self.L, b, alpha)
 
     def range(self, approx, b, alpha):
-        if self.identity:
-            return rsvd_tikhonov_range(self.A, approx, b, alpha)
         return rsvd_gen_tikhonov_range(self.A, self.L, approx, b, alpha,
                                        self.bundle)
 

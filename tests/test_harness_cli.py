@@ -140,7 +140,7 @@ class TestSweepHelpers:
         calls = []
         block = solvers.range_tikhonov_block
         monkeypatch.setattr(solvers, "range_tikhonov_block",
-                            lambda A, approxes, b, alphas, bundle=None:
+                            lambda A, approxes, b, alphas, bundle:
                             calls.append([a.k for a in approxes])
                             or block(A, approxes, b, alphas, bundle))
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
@@ -167,19 +167,16 @@ class TestSweepHelpers:
                                   grid_count=30)
         A, x_true, b_exact = problems.generate("deriv2", n)
         L = harness.make_penalty(penalty, n)
-        bundle = None if penalty == "none" else smoothing.weighted_pinv(A, L)
-        target = A if bundle is None else smoothing.form_B(A, bundle)
+        bundle = smoothing.weighted_pinv(A, L)
+        target = smoothing.form_B(A, bundle)
         assert len(rows) == 2 * 3 * 2
         for row in rows:
             b, _ = problems.add_noise(b_exact,
                                       problems.NoiseSpec(0.01, row["noise_seed"]))
             approx = rsvd_auto(target, RsvdConfig(k=row["k"], p=5, q=0,
                                                   seed=row["rsvd_seed"]))
-            if bundle is None:
-                x = solvers.rsvd_tikhonov_range(A, approx, b, row["alpha"]).x
-            else:
-                x = solvers.rsvd_gen_tikhonov_range(A, L, approx, b, row["alpha"],
-                                                    bundle).x
+            x = solvers.rsvd_gen_tikhonov_range(A, L, approx, b, row["alpha"],
+                                                bundle).x
             e = np.linalg.norm(x - x_true)
             assert abs(row["e_ij"] - e) <= 1e-12 * e
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_decaying
 from rsvdreg import harness, problems, smoothing
 from rsvdreg.diagnostics import default_alpha_grid
-from rsvdreg.linalg import svd_full
+from rsvdreg.linalg import shifted_gram_coeffs, svd_full
 from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
                           rsvd_nested)
 from rsvdreg.smoothing import custom, first_difference, form_B, identity, weighted_pinv
@@ -151,7 +151,7 @@ class TestTikhonovDirect:
     def test_shared_gram_matches_and_is_kept(self, rng, shape):
         A = rng.standard_normal(shape)
         b = rng.standard_normal(shape[0])
-        gram = direct_gram(A)
+        gram = direct_gram(A, weighted_pinv(A, identity(shape[1])))
         kept = gram.copy()
         for alpha in (0.3, 1e-4):
             x = tikhonov_solve_direct(A, b, alpha, gram=gram).x
@@ -334,7 +334,8 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        path = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, b)
+        eye = weighted_pinv(A, identity(12))
+        path = range_tikhonov_path(range_tikhonov_basis(A, ap, eye), ap, b, eye)
         gen_path = range_tikhonov_path(range_tikhonov_basis(A, apB, bundle),
                                        apB, b, bundle)
         for alpha in (1e-6, 1e-2, 1.0):
@@ -346,7 +347,9 @@ class TestRangePath:
     def test_rejects_nonpositive_alpha(self, rng):
         A = rng.standard_normal((6, 6))
         ap = from_exact_svd(A, 3)
-        path = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, np.ones(6))
+        eye = weighted_pinv(A, identity(6))
+        path = range_tikhonov_path(range_tikhonov_basis(A, ap, eye), ap,
+                                   np.ones(6), eye)
         with pytest.raises(ValueError, match="alpha"):
             path(0.0)
 
@@ -358,7 +361,8 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        [X] = range_tikhonov_block(A, [ap], b, alphas)
+        eye = weighted_pinv(A, identity(12))
+        [X] = range_tikhonov_block(A, [ap], b, alphas, eye)
         [gen_X] = range_tikhonov_block(A, [apB], b, alphas, bundle)
         assert X.shape == gen_X.shape == (12, 3)
         for j, alpha in enumerate(alphas):
@@ -367,7 +371,7 @@ class TestRangePath:
             x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
             assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
         with pytest.raises(ValueError, match="alpha"):
-            range_tikhonov_block(A, [ap], b, (1.0, 0.0))
+            range_tikhonov_block(A, [ap], b, (1.0, 0.0), eye)
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
     def test_stacked_block_matches_separate_calls(self, penalty):
@@ -395,9 +399,9 @@ class TestRangePath:
 
 
 class TestRegularization:
-    """Each method of the class is its public per-penalty solver, bit for
-    bit; the identity never builds a bundle and a projected solve never
-    builds one either."""
+    """Each method of the class is its public general solver, bit for bit,
+    and for the identity also the order-0 entry point; a projected solve
+    never builds the bundle."""
 
     @pytest.fixture(params=[(name, pen) for name in ("deriv2", "shaw")
                             for pen in ("none", "d1", "d2")],
@@ -407,32 +411,22 @@ class TestRegularization:
         n = 40
         prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 3))
         L = harness.make_penalty(penalty, n)
-        bundle = None if penalty == "none" else weighted_pinv(prob.A, L)
-        target = prob.A if bundle is None else form_B(prob.A, bundle)
+        bundle = weighted_pinv(prob.A, L)
         cfg = RsvdConfig(k=8, p=5, q=0, seed=4)
         return (prob.A, prob.b, L, bundle, rsvd_auto(prob.A, cfg),
-                rsvd_auto(target, cfg))
+                rsvd_auto(form_B(prob.A, bundle), cfg))
 
     def test_methods_equal_public_solvers(self, case):
         A, b, L, bundle, ap, apT = case
         reg = Regularization(A, L)
         alphas = np.array([1e-6, 1e-3, 0.1])
-        if bundle is None:
-            direct = tikhonov_solve_direct(A, b, 1e-3).x
-            proj = rsvd_tikhonov_projected(ap, b, 1e-3).x
-            rng_ = rsvd_tikhonov_range(A, apT, b, 1e-3).x
-            gram = direct_gram(A)
-        else:
-            direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
-            proj = rsvd_gen_tikhonov_projected(ap, L, b, 1e-3).x
-            rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
-            gram = direct_gram(A, bundle)
+        direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
+        rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
         basis = range_tikhonov_basis(A, apT, bundle)
         path = range_tikhonov_path(basis, apT, b, bundle)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
-        assert np.array_equal(reg.gram, gram)
-        assert np.array_equal(reg.projected(ap, b, 1e-3).x, proj)
+        assert np.array_equal(reg.gram, direct_gram(A, bundle))
         assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
         assert np.array_equal(reg.basis(apT), basis)
         reg_path = reg.path(reg.basis(apT), apT, b)
@@ -441,11 +435,17 @@ class TestRegularization:
         [X] = reg.block([apT], b, alphas)
         assert np.array_equal(
             X, range_tikhonov_block(A, [apT], b, alphas, bundle)[0])
-        if bundle is None:
-            assert reg.identity and reg.bundle is None and reg.target is A
+        if L.order == 0:
+            # the one identity choice: the projected closed form
+            proj = rsvd_tikhonov_projected(ap, b, 1e-3).x
+            assert np.array_equal(direct, tikhonov_solve_direct(A, b, 1e-3).x)
+            assert np.array_equal(rng_, rsvd_tikhonov_range(A, apT, b, 1e-3).x)
+            assert reg.target is A
         else:
+            proj = rsvd_gen_tikhonov_projected(ap, L, b, 1e-3).x
             B = reg.target.toarray()
             assert np.array_equal(B, form_B(A, bundle).toarray())
+        assert np.array_equal(reg.projected(ap, b, 1e-3).x, proj)
 
     def test_projected_never_builds_the_bundle(self, case, monkeypatch):
         A, b, L, _, ap, _ = case
@@ -458,21 +458,119 @@ class TestRegularization:
         assert built == []
         reg.range(rsvd_auto(reg.target, RsvdConfig(k=8, p=5, seed=4)), b, 1e-3)
         reg.direct(b, 1e-3)
-        assert built == ([] if reg.identity else [L.kind])
+        assert built == [L.kind]
+
+
+class _ShapeOnly:
+    """Stands in for a matrix: it has a shape, and counts every other
+    attribute read and every conversion to an array."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.reads = 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        raise AttributeError(name)
+
+    def __array__(self, *args, **kwargs):
+        self.reads += 1
+        raise TypeError("read")
+
+
+def test_identity_bundle_never_validates_or_reads_A(monkeypatch):
+    invertible = custom(np.eye(20) - np.eye(20, k=-1))
+    checked = []
+    real = smoothing.as_matrix
+    monkeypatch.setattr(smoothing, "as_matrix",
+                        lambda A, name="A": checked.append(name) or real(A, name))
+    A = _ShapeOnly((30, 20))
+    reg = Regularization(A, identity(20))
+    assert reg.target is A
+    assert reg.bundle.null_dim == 0
+    assert reg.bundle.AW_pinv.shape == (0, 30) and reg.bundle.E.shape == (0, 20)
+    assert checked == [] and A.reads == 0
+    # a custom invertible penalty also has no null space, but validates A
+    assert weighted_pinv(np.ones((30, 20)), invertible).null_dim == 0
+    assert checked == ["A"]
+
+
+@pytest.mark.parametrize("layout", ["vector", "C", "F"])
+def test_order_zero_bundle_is_the_identity(layout, rng):
+    # the identity's order-0 bundle: its applies return x bit for bit as a
+    # private array in x's layout, the null-space term is zero (so the
+    # solution is the smooth part itself), B is A, and the direct Gram
+    # matrix is A @ A.T
+    n, m = 12, 9
+    A = rng.standard_normal((n, m))
+    bundle = weighted_pinv(A, identity(m))
+    x = {"vector": rng.standard_normal(m),
+         "C": rng.standard_normal((m, 4)),
+         "F": rng.standard_normal((4, m)).T}[layout]
+    for apply in (bundle.sharp_apply, bundle.sharp_t_apply, bundle.gamma_apply):
+        got = apply(x)
+        assert np.array_equal(got, x) and not np.shares_memory(got, x)
+        assert got.flags.c_contiguous == x.flags.c_contiguous
+        assert got.flags.f_contiguous == x.flags.f_contiguous
+    b = rng.standard_normal(n)
+    w = bundle.w_term(b)
+    assert w.shape == (m,) and not np.any(w)
+    assert bundle.solution(x, b) is x
+    assert form_B(A, bundle) is A
+    assert np.array_equal(direct_gram(A, bundle), A @ A.T)
 
 
 @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
 def test_identity_bundle_path_equals_bundleless_path(name):
     # the identity's bundle degenerates to Gamma = I with no null-space
-    # term, and its path is the bundle-less one bit for bit
+    # term, and its path is the bundle-less arithmetic A.T U (Sigma^2 +
+    # alpha)^-1 U.T b, bit for bit
     n = 64
     prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 1))
     A, b = prob.A, prob.b
     bundle = weighted_pinv(A, identity(n))
     ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
-    plain = range_tikhonov_path(range_tikhonov_basis(A, ap), ap, b)
-    degenerate = range_tikhonov_path(range_tikhonov_basis(A, ap, bundle), ap,
-                                     b, bundle)
+    AtU, Utb = (ap.U.T @ A).T, ap.U.T @ b
+    path = range_tikhonov_path(range_tikhonov_basis(A, ap, bundle), ap, b,
+                               bundle)
     lo, hi, count = default_alpha_grid(ap.sigma[0])
     for alpha in np.logspace(np.log10(lo), np.log10(hi), count):
-        assert np.array_equal(degenerate(alpha), plain(alpha))
+        plain = AtU @ shifted_gram_coeffs(Utb, ap.sigma, alpha)
+        assert np.array_equal(path(alpha), plain)
+
+
+@pytest.mark.parametrize("call, penalty, where", [
+    ("tikhonov_solve_direct", "none", "A"), ("tikhonov_solve_direct", "none", "b"),
+    ("gen_tikhonov_direct", "d1", "A"), ("gen_tikhonov_direct", "d1", "b"),
+    ("direct_gram", "none", "A"), ("direct_gram", "d1", "A"),
+    ("weighted_pinv", "d1", "A"), ("weighted_pinv", "custom", "A"),
+    ("rsvd_gen_tikhonov_range", "d1", "A"),
+    ("rsvd_gen_tikhonov_range", "d1", "b"),
+    ("rsvd_gen_tikhonov_range", "custom", "A"),
+    ("rsvd_gen_tikhonov_range", "custom", "b"),
+])
+def test_nonfinite_input_rejected(call, penalty, where, rng):
+    # every solver that reads A densely rejects a non-finite entry; the
+    # range solver's A is validated by the bundle it builds (bundle=None)
+    n = m = 10
+    A, b = rng.standard_normal((n, m)), rng.standard_normal(n)
+    L = {"none": identity(m), "d1": first_difference(m),
+         "custom": custom(np.eye(m) - np.eye(m, k=-1))}[penalty]
+    ap = from_exact_svd(A, 4)
+    bundle = weighted_pinv(A, L)
+    if where == "A":
+        A = A.copy()
+        A[3, 2] = np.nan
+    else:
+        b = b.copy()
+        b[1] = np.inf
+    calls = {
+        "tikhonov_solve_direct": lambda: tikhonov_solve_direct(A, b, 0.1),
+        "gen_tikhonov_direct": lambda: gen_tikhonov_direct(A, L, b, 0.1),
+        "direct_gram": lambda: direct_gram(A, bundle),
+        "weighted_pinv": lambda: weighted_pinv(A, L),
+        "rsvd_gen_tikhonov_range": lambda: rsvd_gen_tikhonov_range(
+            A, L, ap, b, 0.1, None),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[call]()
