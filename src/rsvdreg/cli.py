@@ -158,18 +158,19 @@ def cmd_gen(args):
     return 0
 
 
-#: each solve method on a Regularization, a rank-k config, the data and alpha
+#: each solve method on a Regularization, the rank, ``factor(M)`` (rank-k
+#: factors of ``reg.A`` or ``reg.target``), the data and alpha
 _SOLVES = {
-    "tsvd": lambda reg, cfg, b, alpha: solvers.tsvd_solve(svd_full(reg.A), cfg.k, b),
-    "trsvd_proj": lambda reg, cfg, b, alpha: solvers.trsvd_solve_projected(
-        rsvd_auto(reg.A, cfg), b),
-    "trsvd_range": lambda reg, cfg, b, alpha: solvers.trsvd_solve_range(
-        reg.A, rsvd_auto(reg.A, cfg), b),
-    "tikh_direct": lambda reg, cfg, b, alpha: reg.direct(b, alpha),
-    "tikh_proj": lambda reg, cfg, b, alpha: reg.projected(
-        rsvd_auto(reg.A, cfg), b, alpha),
-    "tikh_range": lambda reg, cfg, b, alpha: reg.range(
-        rsvd_auto(reg.target, cfg), b, alpha),
+    "tsvd": lambda reg, k, factor, b, alpha: solvers.tsvd_solve(svd_full(reg.A), k, b),
+    "trsvd_proj": lambda reg, k, factor, b, alpha: solvers.trsvd_solve_projected(
+        factor(reg.A), b),
+    "trsvd_range": lambda reg, k, factor, b, alpha: solvers.trsvd_solve_range(
+        reg.A, factor(reg.A), b),
+    "tikh_direct": lambda reg, k, factor, b, alpha: reg.direct(b, alpha),
+    "tikh_proj": lambda reg, k, factor, b, alpha: reg.projected(
+        factor(reg.A), b, alpha),
+    "tikh_range": lambda reg, k, factor, b, alpha: reg.range(
+        factor(reg.target), b, alpha),
 }
 #: the methods that take ``--penalty``: their tikh_* solve under that penalty
 _PENALIZED = ("gtikh_direct", "gtikh_proj", "gtikh_range")
@@ -187,14 +188,21 @@ def cmd_solve(args):
     if not (args.penalty == "none" or method in _PENALIZED):
         raise ValueError(f"--method {method} solves the identity problem, so "
                          f"--penalty {args.penalty} needs a gtikh_* method")
-    _, select_seed, rsvd_seed = harness._cell_seeds(args.seed, 0)
+    _, seed = harness._cell_seeds(args.seed, 0)
+    cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=seed)
+    approx_k = None  # rank-k factors of reg.target from the selection probe
     alpha = args.alpha
     if alpha is None and method not in _NO_ALPHA:
-        select = harness.alpha_selector(reg, 100, args.p, args.q, select_seed,
+        approx_select, approx_k = harness.selection_probe(
+            reg, 100, [args.k], args.p, args.q, seed)
+        select = harness.alpha_selector(reg, approx_select,
                                         grid=_alpha_grid(args.alpha_grid))
         alpha, _ = select(prob)
-    cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=rsvd_seed)
-    result = _SOLVES[method](reg, cfg, b, alpha)
+
+    def factor(M):
+        return approx_k if approx_k is not None and M is reg.target else rsvd_auto(M, cfg)
+
+    result = _SOLVES[method](reg, args.k, factor, b, alpha)
     row = {
         "example": args.problem, "n": args.n, "delta": args.delta,
         "seed": args.seed, "method": method, "penalty": args.penalty,
@@ -236,9 +244,9 @@ def cmd_sweep_alpha(args):
         args.problem, args.n, problems.NoiseSpec(args.delta, args.seed)
     )
     reg = solvers.Regularization(prob.A, harness.make_penalty(args.penalty, args.n))
-    select = harness.alpha_selector(reg, args.k, args.p, args.q,
-                                    harness._cell_seeds(args.seed, 0)[1],
-                                    grid=_alpha_grid(args.alpha_grid))
+    [approx] = harness.selection_probe(reg, args.k, [], args.p, args.q,
+                                       harness._cell_seeds(args.seed, 0)[1])
+    select = harness.alpha_selector(reg, approx, grid=_alpha_grid(args.alpha_grid))
     alpha_star, curve = select(prob)
     rows = [
         {"alpha": float(a), "error": float(e),

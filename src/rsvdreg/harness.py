@@ -44,14 +44,15 @@ class RunRecord:
     """One benchmark cell: problem, method parameters, errors and times,
     from the solves of the problem's :class:`rsvdreg.solvers.Regularization`.
 
-    ``t_direct`` is the direct solve plus the Gram matrix it factors.  The
-    Gram matrix depends only on the problem, so a table forms it once per
-    problem, but every cell is charged its full time: the direct column
-    costs what a lone direct solve would.  ``t_proj`` and ``t_range``
-    include their randomized factorization in the same way: it depends
-    only on the problem and the repeat, so a table computes it once for
-    all noise levels of a repeat and charges its full time to every cell
-    that uses it.
+    ``t_direct`` is the direct solve plus the Gram matrix it factors, and
+    ``t_proj`` and ``t_range`` include their randomized factorization.  A
+    table computes each once per problem (the Gram matrix) or per repeat
+    (the factorizations) but charges its full time to every cell that uses
+    it, so each column costs what a lone solve would.  The range factors
+    are cut from the selection probe (:func:`selection_probe`), so
+    ``t_range`` (and ``t_proj`` for the identity) charges that whole probe.
+    ``rsvd_seed`` equals ``select_seed``; ``probe_rank`` is the numerical
+    rank of the range factors' (k+p)-row sketch.
 
     ``note`` is empty on success and carries the failure diagnostic when a
     solver aborted the cell (the numeric fields are then NaN).
@@ -84,30 +85,48 @@ class RunRecord:
     note: str = ""
     alpha_at_lower: bool = False
     alpha_at_upper: bool = False
+    probe_rank: int | None = None
 
     def as_dict(self):
         return asdict(self)
 
 
 def _cell_seeds(base_seed, repeat):
-    """(noise, selection, factorization) seeds of one table cell or one
-    rank-sweep repeat; they depend neither on the noise level nor on the
-    rank."""
-    return base_seed + repeat, base_seed + repeat + 555_000, base_seed + repeat + 777_000
+    """(noise, factorization) seeds of one table cell or one rank-sweep
+    repeat; they depend neither on the noise level nor on the rank."""
+    return base_seed + repeat, base_seed + repeat + 555_000
 
 
-def alpha_selector(reg, k, p, q, seed, grid=None, grid_count=100):
+def selection_probe(reg, k_select, ks, p, q, seed):
+    """``[selection, *rank-k factors]`` of ``reg.target`` from one probe
+    (:func:`rsvdreg.rsvd.rsvd_nested`), the selection rank ``k_select``
+    clamped to ``min(shape) - p``.  Each rank agrees to rounding with a lone
+    ``rsvd_auto(reg.target, RsvdConfig(k, p, q, seed))``, the widest bit
+    for bit."""
+    k_sel = min(k_select, min(reg.target.shape) - p)
+    return rsvd_nested(reg.target, [k_sel, *ks], p=p, q=q, seed=seed)
+
+
+def alpha_selector(reg, approx, grid=None, grid_count=100):
     """``select(problem) -> (alpha_star, curve)``: the alpha minimizing the
     error of ``reg``'s range-preserving solve over ``grid`` (by default
     ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
-    from one factorization of ``reg.target`` at a generous rank ``k``
-    (clamped to ``min(shape) - p``) shared by every problem it is given."""
-    cfg = RsvdConfig(k=min(k, min(reg.target.shape) - p), p=p, q=q, seed=seed)
-    approx = rsvd_auto(reg.target, cfg)
+    from the factors ``approx`` of ``reg.target`` shared by every problem
+    it is given.  For tall-path factors its basis ``Gamma A.T U`` is
+    ``L_sharp V diag(sigma)`` (see :mod:`rsvdreg.solvers`): no product with
+    ``A``."""
     basis = reg.basis(approx)
     if grid is None:
         grid = default_alpha_grid(approx.sigma[0], grid_count)
     return lambda prob: select_alpha(prob, reg.path(basis, approx, prob.b), grid)
+
+
+def _map(fn, items, workers):
+    """``[fn(x) for x in items]``, on ``workers`` threads when above one."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _timed(fn, *args):
@@ -118,20 +137,18 @@ def _timed(fn, *args):
 
 def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
                   base_seed, k_select, grid_count):
-    """The cells of one repeat, one per noise level.  The factorizations
-    do not depend on the noise level, so they are computed once here:
-    the high-rank selection factorization with its range basis, and the
-    rank-``k`` factorizations of ``A`` and, for a penalty, of ``B``."""
-    noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, repeat)
+    """The cells of one repeat, one per noise level, which share its
+    factorizations (see :func:`table_run`)."""
+    noise_seed, seed = _cell_seeds(base_seed, repeat)
     A = reg.A
-    select = alpha_selector(reg, k_select, p, q, select_seed,
-                            grid_count=grid_count)
-    cfg_k = RsvdConfig(k=k, p=p, q=q, seed=rsvd_seed)
-    approx_A, t_factor_A = _timed(rsvd_auto, A, cfg_k)
+    (approx_select, approx_B), t_factor_B = _timed(
+        selection_probe, reg, k_select, [k], p, q, seed)
+    select = alpha_selector(reg, approx_select, grid_count=grid_count)
     if reg.target is A:
-        approx_B, t_factor_B = approx_A, t_factor_A
+        approx_A, t_factor_A = approx_B, t_factor_B
     else:
-        approx_B, t_factor_B = _timed(rsvd_auto, reg.target, cfg_k)
+        approx_A, t_factor_A = _timed(rsvd_auto, A,
+                                      RsvdConfig(k=k, p=p, q=q, seed=seed))
 
     def cell(delta):
         prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
@@ -144,12 +161,13 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
         return RunRecord(
             example=prob.name, n=A.shape[0], delta=delta, penalty=penalty, k=k,
             p=p, q=q, repeat=repeat, noise_seed=noise_seed,
-            select_seed=select_seed, rsvd_seed=rsvd_seed, alpha_star=alpha_star,
+            select_seed=seed, rsvd_seed=seed, alpha_star=alpha_star,
             noise_norm=prob.noise_norm, t_direct=t_gram + direct.wall_time,
             t_proj=t_factor_A + hat.wall_time,
             t_range=t_factor_B + tilde.wall_time,
             alpha_at_lower=curve.at_lower_boundary,
-            alpha_at_upper=curve.at_upper_boundary, **rep.as_dict(),
+            alpha_at_upper=curve.at_upper_boundary,
+            probe_rank=approx_B.probe_rank, **rep.as_dict(),
         )
 
     records = []
@@ -165,12 +183,12 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
 
 
 def _failed_record(name, n, delta, penalty, k, p, q, repeat, base_seed, exc):
-    noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, repeat)
+    noise_seed, seed = _cell_seeds(base_seed, repeat)
     nan = float("nan")
     return RunRecord(
         example=name, n=n, delta=delta, penalty=penalty, k=k, p=p, q=q,
-        repeat=repeat, noise_seed=noise_seed, select_seed=select_seed,
-        rsvd_seed=rsvd_seed, alpha_star=nan, noise_norm=nan, e_tilde_xz=nan,
+        repeat=repeat, noise_seed=noise_seed, select_seed=seed,
+        rsvd_seed=seed, alpha_star=nan, noise_norm=nan, e_tilde_xz=nan,
         e_tilde_ij=nan, e=nan, e_xz=nan, e_ij=nan, t_direct=nan, t_proj=nan,
         t_range=nan, note=f"{type(exc).__name__}: {exc}",
     )
@@ -180,24 +198,21 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
               repeats=5, base_seed=0, k_select=100, grid_count=100, workers=1):
     """Error table over (example, noise level) cells, ``repeats`` seeds each.
 
-    The regularization parameter is selected per cell by minimizing the
-    reconstruction error of a high-rank (``k_select``) range-preserving
-    solve over a logarithmic grid; the reported solutions then use rank
-    ``k``.
-
-    Work is shared at two levels.  Problems run one after another; each is
-    generated once, with its penalty reduction and the direct solver's Gram
-    matrix, and those serve all of its cells.  Within a problem, each
-    repeat computes its factorizations once (the selection factorization
-    and its range basis ``A.T @ U``, and the rank-``k`` factorizations of
-    ``A`` and, for a penalty, of ``B``), since their seeds do not depend on
-    the noise level; its cells then only add noise, select alpha and
-    solve.  The repeats of a problem run on ``workers`` threads.
+    Alpha is selected per cell by minimizing the error of a rank
+    ``k_select`` range-preserving solve over a logarithmic grid; the
+    reported solutions use rank ``k``.  Each problem is generated once, with
+    its penalty reduction and the direct solver's Gram matrix.  Each repeat
+    factors ``B = A @ L_sharp`` once for all noise levels, in one probe at
+    the selection seed (:func:`selection_probe`): its widest rank selects
+    alpha and its rank-``k`` prefix serves the range column (and the
+    identity's projected column), so these are not independent draws.  A
+    penalty's projected column factors ``A`` at rank ``k`` with the same
+    seed.  The repeats of a problem run on ``workers`` threads.
     """
     def failed(name, delta, rep, exc):
         return _failed_record(name, n, delta, penalty, k, p, q, rep, base_seed, exc)
 
-    def problem_records(name, mapper):
+    def problem_records(name):
         # a failed problem (or repeat) must not take down the rest of the
         # table; it is reported in the rows of its cells
         try:
@@ -216,13 +231,9 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
             except Exception as exc:  # noqa: BLE001
                 return [failed(name, delta, rep, exc) for delta in deltas]
 
-        return [r for chunk in mapper(run, range(repeats)) for r in chunk]
+        return [r for chunk in _map(run, range(repeats), workers) for r in chunk]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = [r for name in names for r in problem_records(name, pool.map)]
-    else:
-        records = [r for name in names for r in problem_records(name, map)]
+    records = [r for name in names for r in problem_records(name)]
     records.sort(key=lambda r: (r.example, r.delta, r.repeat))
     return records
 
@@ -261,57 +272,46 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     """Reconstruction error of the range-preserving solver as a function of
     the factorization rank, at the selected parameter and scalings of it.
 
-    The problem, its penalty reduction and the matrix the factorizations
-    act on are built once per call and shared by every repeat; each repeat
-    realizes its own noise and selects its own alpha.  A repeat takes its
-    noise, selection and factorization seeds from :func:`_cell_seeds`, as
-    a table cell does, and factors once for all ranks
-    (:func:`rsvdreg.rsvd.rsvd_nested`): the ranks of one repeat share one
-    probe and one SVD of the widest sketch, so their subspaces are nested.
-    A row is reproduced to rounding by a lone
-    ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))``.  Each row
-    records ``probe_rank``, the numerical rank of its (k+p)-row sketch.
-    The solutions of all ranks and ``policies`` of a repeat come from one
-    product with ``A.T`` (see :func:`rsvdreg.solvers.range_tikhonov_block`),
-    so besides its selection a repeat touches ``A`` in two products for the
-    factorization and one for the solves, whatever the number of ranks.
-    The repeats run on ``workers`` threads.
+    The problem and its penalty reduction are built once per call; each
+    repeat realizes its own noise and factors once for its selection and
+    all ranks (:func:`selection_probe`): the selection uses the widest rank
+    and the ranks of ``ks`` are nested prefixes of the same probe, so they
+    are not independent draws.  A row is reproduced to rounding by a lone
+    ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))`` (the
+    selection seed) and records ``probe_rank``, the numerical rank of its
+    (k+p)-row sketch.  All ranks and ``policies`` are solved in one
+    :func:`rsvdreg.solvers.range_tikhonov_block`, which maps tall-path
+    factors back through ``V diag(sigma)``: a repeat touches ``A`` in
+    exactly two products, ``A @ Omega`` and ``Q.T @ A``.  The repeats run
+    on ``workers`` threads.
     """
     for pol in policies:
         if pol not in ALPHA_POLICIES:
             raise ValueError(f"unknown alpha policy {pol!r}")
     base = problems.make_problem(name, n)
     reg = solvers.Regularization(base.A, make_penalty(penalty, n))
-    target = reg.target
     scales = np.array([ALPHA_POLICIES[pol] for pol in policies])
 
     def run_rep(rep):
-        noise_seed, select_seed, rsvd_seed = _cell_seeds(base_seed, rep)
+        noise_seed, seed = _cell_seeds(base_seed, rep)
         prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
-        alpha_star, _ = alpha_selector(reg, k_select, p, q, select_seed,
-                                       grid_count=grid_count)(prob)
+        select, *approxes = selection_probe(reg, k_select, ks, p, q, seed)
+        alpha_star, _ = alpha_selector(reg, select, grid_count=grid_count)(prob)
         alphas = alpha_star * scales
         rows = []
-        approxes = rsvd_nested(target, ks, p=p, q=q, seed=rsvd_seed)
         for approx_k, X in zip(approxes, reg.block(approxes, prob.b, alphas)):
             for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,
                     "k": approx_k.k, "policy": pol, "alpha": float(alphas[j]),
                     "repeat": rep, "noise_seed": noise_seed,
-                    "rsvd_seed": rsvd_seed,
+                    "rsvd_seed": seed,
                     "e_ij": float(np.linalg.norm(X[:, j] - prob.x_true)),
                     "probe_rank": approx_k.probe_rank,
                 })
         return rows
 
-    reps = range(repeats)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_rep, reps))
-    else:
-        chunks = [run_rep(r) for r in reps]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _map(run_rep, range(repeats), workers) for row in chunk]
     rows.sort(key=lambda r: (r["policy"], r["k"], r["repeat"]))
     return rows
 
@@ -530,7 +530,7 @@ def _bench_cells(name, ns, ks, penalty, methods, delta, base_seed, p, q):
         alpha = BENCH_ALPHA_SCALE * estimate_spectral_norm(A, seed=base_seed) ** 2
         L = make_penalty(penalty, A.shape[1])
         for k in ks:
-            cfg = RsvdConfig(k=k, p=p, q=q, seed=_cell_seeds(base_seed, 0)[2])
+            cfg = RsvdConfig(k=k, p=p, q=q, seed=_cell_seeds(base_seed, 0)[1])
             for method in methods:
                 row = {"example": name, "n": n, "k": k, "method": method,
                        "penalty": penalty, "alpha": alpha}

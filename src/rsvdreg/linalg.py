@@ -182,25 +182,12 @@ def estimate_spectral_norm(A, iterations=30, seed=0):
 
 
 def solve_shifted_gram(U, sigma, alpha, b):
-    """Spectral sum ``sum_i (u_i, b) / (sigma_i^2 + alpha) * u_i``.
-
-    This is the shared kernel of every range-preserving solver: it applies
-    the inverse of the shifted Gram matrix ``U diag(sigma^2) U.T + alpha I``
-    restricted to ``span(U)``, dropping the orthogonal complement entirely.
-
-    Parameters
-    ----------
-    U : ndarray, shape (n, k)
-        Orthonormal columns.
-    sigma : ndarray, shape (k,)
-        Nonnegative spectrum associated with the columns of ``U``.
-    alpha : float
-        Nonnegative shift.  ``alpha == 0`` requires all ``sigma > 0``.
-    b : ndarray, shape (n,)
-
-    Returns
-    -------
-    ndarray, shape (n,)
+    """Spectral sum ``sum_i (u_i, b) / (sigma_i^2 + alpha) * u_i`` for
+    orthonormal ``U`` (n-by-k), a nonnegative ``sigma`` and ``alpha >= 0``
+    (``alpha == 0`` needs ``sigma > 0``): the inverse of the shifted Gram
+    matrix ``U diag(sigma^2) U.T + alpha I`` restricted to ``span(U)``.
+    The range-preserving solvers use only its coefficients
+    (:func:`shifted_gram_coeffs`), mapped back without this n-vector.
     """
     U = as_matrix(U, "U") if U.size else np.asarray(U, dtype=float)
     sigma = np.asarray(sigma, dtype=float)

@@ -14,14 +14,13 @@ step, the correction problem projected onto the captured right subspace;
 the full-accuracy minimizer is a fixed point of the update.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import as_matrix, as_vector
-from .solvers import SolverResult
+from .solvers import rsvd_gen_tikhonov_range
 
 
 def _require_trivial_null_space(bundle, who):
@@ -50,22 +49,15 @@ def dual_solve(A, bundle, approx_B, b, alpha):
     """Solve the regularized problem through its dual.
 
     Maximizes the rank-k dual in closed form and maps back to the primal
-    via the reduced duality relation ``alpha L x = B_k.T xi``.  For tall
-    ``B`` the result matches the smooth component of the range-preserving
-    solver to rounding, because the truncated factors satisfy
-    ``B.T u_i = sigma_i v_i`` exactly.
+    via the reduced duality relation ``alpha L x = B_k.T xi``: at the
+    maximizer ``alpha^-1 B_k.T xi = V_k (sigma * c)`` with
+    ``c_i = (u_i, b) / (sigma_i^2 + alpha)``, which is the back-transform of
+    the range-preserving solver (with ``B.T U = V_k diag(sigma)`` for
+    tall-path factors), so this is that solver.
     """
-    A = as_matrix(A)
-    b = as_vector(b)
     _require_trivial_null_space(bundle, "dual_solve")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    t0 = time.perf_counter()
-    # alpha^-1 B_k.T xi at the dual maximizer xi collapses to
-    # sigma_i/(sigma_i^2+alpha) (u_i, b).
-    coeff = approx_B.sigma * (approx_B.U.T @ b) / (approx_B.sigma**2 + alpha)
-    x = bundle.sharp_apply(approx_B.V @ coeff)
-    return SolverResult(x, "dual", alpha, approx_B.k, time.perf_counter() - t0)
+    result = rsvd_gen_tikhonov_range(A, bundle.L, approx_B, b, alpha, bundle)
+    return replace(result, method="dual")
 
 
 def dual_objective(approx_B, b, alpha, xi):

@@ -61,6 +61,10 @@ class RankKApprox:
     ``U @ diag(sigma) @ V.T == (U @ U.T) @ A`` to rounding; on the wide
     path the analogous right-projection identity holds.
 
+    ``left_sketch`` is True when ``A.T @ U == V @ diag(sigma)`` holds
+    exactly: for tall-path factors (``U = Q Wt.T`` with the SVD
+    ``Q.T @ A = Wt.T diag(s) Z.T``) and the exact SVD, not the wide path.
+
     ``probe_rank`` is the numerical rank of the (k+p)-row sketch the factors
     were cut from: its singular values above ``default_pinv_rtol`` times
     the largest.  Below k+p, the probe captured fewer directions than it
@@ -72,6 +76,7 @@ class RankKApprox:
     V: np.ndarray
     config: RsvdConfig = field(repr=False)
     probe_rank: int | None = None
+    left_sketch: bool = False
 
     @property
     def k(self):
@@ -86,9 +91,8 @@ def from_exact_svd(A, k, seed=0):
     """Rank-k factors taken from the exact SVD (oracle substitution)."""
     tri = svd_full(A)
     cfg = RsvdConfig(k=k, p=0, q=0, seed=seed)
-    return RankKApprox(
-        tri.U[:, :k].copy(), tri.sigma[:k].copy(), tri.V[:, :k].copy(), cfg
-    )
+    return RankKApprox(tri.U[:, :k].copy(), tri.sigma[:k].copy(),
+                       tri.V[:, :k].copy(), cfg, left_sketch=True)
 
 
 def _gaussian_probe_tall(m, ell, seed):
@@ -173,7 +177,7 @@ def _rsvd_tall_nested(A, cfgs):
             V = Z @ Zm[:, :cfg.k]
         rank = int(np.sum(sl > default_pinv_rtol((ell, m)) * sl[0]))
         U = Q[:, :ell] @ Wtl[:cfg.k].T
-        out[cfg.k] = RankKApprox(U, sl[:cfg.k].copy(), V, cfg, rank)
+        out[cfg.k] = RankKApprox(U, sl[:cfg.k].copy(), V, cfg, rank, True)
     return [out[cfg.k] for cfg in cfgs]
 
 

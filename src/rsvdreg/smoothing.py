@@ -278,10 +278,15 @@ class WeightedPinvBundle:
     def solution(self, y, b):
         """``Gamma y + W (A W)^+ b`` for ``y = A.T v`` (a vector or columns,
         all for the data ``b``); ``y`` itself for the identity."""
+        return y if self.L.order == 0 else self.sharp_solution(self.sharp_t_apply(y), b)
+
+    def sharp_solution(self, z, b):
+        """``L_sharp z + W (A W)^+ b`` for ``z = B.T v = L_sharp.T A.T v``,
+        so ``L_sharp z = Gamma A.T v``; ``z`` itself for the identity."""
         if self.L.order == 0:
-            return y
+            return z
         w = self.w_term(b)
-        return self.gamma_apply(y) + (w if y.ndim == 1 else w[:, None])
+        return self.sharp_apply(z) + (w if z.ndim == 1 else w[:, None])
 
 
 def weighted_pinv(A, L):

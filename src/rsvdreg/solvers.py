@@ -12,21 +12,23 @@ Two families, each in a direct flavor and randomized flavors:
 
 The identity is the order-0 penalty (``L_sharp = Gamma = I``, ``B = A``):
 ``tikhonov_solve_direct`` and ``rsvd_tikhonov_range`` call the general
-solvers with it.  Only ``rsvd_tikhonov_projected`` has its own code: its
-k-by-k system is diagonal, so it is solved in closed form, not by Cholesky
-(the one identity choice of :class:`Regularization`, which the harness
-solves through).  The direct solvers always take the dual form, factoring
-the n-by-n ``B B.T + alpha I``, and validate ``A``; the range-preserving
-solvers only multiply by ``A.T``.
+solvers with it.  Only ``rsvd_tikhonov_projected`` has its own code, a
+closed form for its diagonal k-by-k system (the one identity choice of
+:class:`Regularization`, which the harness solves through).  The direct
+solvers take the dual form, factoring the n-by-n ``B B.T + alpha I``,
+and validate ``A``; the range-preserving solvers never read ``A`` densely.
 
 The range-preserving flavors keep the solution inside ``range(A.T)``
-(resp. ``range(Gamma A.T)``) by construction: they only consume the left
-factors ``(U, sigma)`` of the randomized SVD and touch the data space
-through a single product with ``A.T``.  Their spectral filter is the sum
-``sum_i (u_i, b) / (sigma_i^2 + alpha) u_i`` over the captured modes; the
-component of ``b`` orthogonal to the captured range is dropped rather than
-amplified by ``1/alpha``, which is also what makes the ``alpha -> 0``
-limit recover the truncated solver.
+(resp. ``range(Gamma A.T)``): they map the filter
+``sum_i (u_i, b) / (sigma_i^2 + alpha) u_i`` over the captured modes back
+by ``Gamma A.T``, dropping the component of ``b`` orthogonal to the
+captured range rather than amplifying it by ``1/alpha`` (so ``alpha -> 0``
+recovers the truncated solver).  Factors of ``B`` cut from a left sketch
+(``RankKApprox.left_sketch``) satisfy ``B.T U = V diag(sigma)`` exactly, so
+``Gamma A.T U = L_sharp B.T U = L_sharp V diag(sigma)``: for them the
+solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
+``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
+with ``A``.  Wide-path factors take one product with ``A.T``.
 """
 
 import functools
@@ -42,7 +44,6 @@ from .linalg import (
     as_vector,
     default_pinv_rtol,
     shifted_gram_coeffs,
-    solve_shifted_gram,
     solve_spd,
 )
 
@@ -112,17 +113,33 @@ def trsvd_solve_projected(approx, b):
 
 
 def trsvd_solve_range(A, approx, b):
-    """Range-preserving truncated randomized SVD:
-    ``A.T @ sum_i (u_i, b)/sigma_i^2 u_i``.
-
-    Only needs the left factors plus one product with ``A.T``; the result
-    lies in ``range(A.T)`` by construction.
-    """
+    """Range-preserving truncated randomized SVD
+    ``A.T @ sum_i (u_i, b)/sigma_i^2 u_i``: :func:`rsvd_tikhonov_range` at
+    ``alpha = 0``."""
     b = as_vector(b)
     t0 = time.perf_counter()
     _check_positive_spectrum(approx.sigma, "trsvd_solve_range")
-    x = A.T @ solve_shifted_gram(approx.U, approx.sigma, 0.0, b)
+    eye = smoothing.weighted_pinv(A, smoothing.identity(A.shape[1]))
+    x = _range_solve(A, eye, approx, b, 0.0)
     return _result(x, "trsvd_range", None, approx.k, t0)
+
+
+def _sharp_image(A, approx, bundle, C=None):
+    """``B.T U C`` (``B.T U`` for ``C`` None) of factors of ``B = A @
+    L_sharp`` and coefficients ``C`` (k or k-by-j): ``V diag(sigma) C`` for
+    left-sketch factors, else ``L_sharp.T A.T U C``."""
+    if approx.left_sketch:
+        if C is None:
+            return approx.V * approx.sigma
+        return approx.V @ (approx.sigma * C.T).T
+    Y = approx.U if C is None else approx.U @ C
+    # A.T @ Y; OpenBLAS is faster with the thin block on the left
+    return bundle.sharp_t_apply(A.T @ Y if Y.ndim == 1 else (Y.T @ A).T)
+
+
+def _range_solve(A, bundle, approx, b, alpha):
+    c = shifted_gram_coeffs(approx.U.T @ b, approx.sigma, alpha)
+    return bundle.sharp_solution(_sharp_image(A, approx, bundle, c), b)
 
 
 def _gram(A, bundle):
@@ -168,33 +185,20 @@ def rsvd_tikhonov_projected(approx, b, alpha):
 def rsvd_tikhonov_range(A, approx, b, alpha):
     """Range-preserving randomized Tikhonov
     ``A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i``: the order-0 entry
-    point of :func:`rsvd_gen_tikhonov_range`.  Cost after the factorization
-    is one product with ``A.T`` plus O(nk); ``A`` is not scanned.
-    """
+    point of :func:`rsvd_gen_tikhonov_range`, O(nk) after a tall-path
+    factorization."""
     result = rsvd_gen_tikhonov_range(A, smoothing.identity(A.shape[1]),
                                      approx, b, alpha)
     return replace(result, method="tikh_range")
-
-
-def range_tikhonov_basis(A, approx, bundle):
-    """``Gamma A.T @ U`` of a factorization ``approx`` of ``B = A @ L_sharp``
-    for the penalty of ``bundle``: ``A.T @ U`` for the identity.
-
-    This is the part of :func:`range_tikhonov_path` that depends neither
-    on the data nor on ``alpha``: one O(n m k) product, formed once and
-    shared by the paths of every data vector solved with ``approx``.
-    """
-    AtU = (approx.U.T @ A).T  # A.T @ U; OpenBLAS is faster this way round
-    return bundle.gamma_apply(AtU)
 
 
 def range_tikhonov_path(basis, approx, b, bundle):
     """Range-preserving Tikhonov solutions for one factorization and one
     data vector, as a function ``alpha -> x``.
 
-    ``basis`` is :func:`range_tikhonov_basis` of the same ``approx`` and
-    ``bundle``.  Agrees to rounding with :func:`rsvd_gen_tikhonov_range`.
-    Each ``alpha`` costs O(mk) instead of a product with ``A.T``: the
+    ``basis`` is ``Gamma A.T @ U`` of the same ``approx`` and ``bundle``
+    (:meth:`Regularization.basis`).  Agrees to rounding with
+    :func:`rsvd_gen_tikhonov_range`.  Each ``alpha`` costs O(mk): the
     shape of a parameter sweep.
     """
     b = as_vector(b)
@@ -217,21 +221,18 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle):
     Returns one m-by-len(alphas) array per factorization, in order; a
     single factorization is a one-element list.  Column j of each agrees to
     rounding with :func:`rsvd_gen_tikhonov_range` at ``alphas[j]``.  The
-    coefficient blocks of all factorizations are stacked, so ``A.T`` is
-    applied in one product with an n-by-(len(approxes) len(alphas)) block,
-    and the penalty's ``Gamma`` and null-space term once each, instead of
-    one matrix-vector product per factorization and ``alpha``.
+    blocks of all factorizations are stacked, so ``L_sharp`` and the
+    null-space term are applied once each.
     """
     b = as_vector(b)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0):
         raise ValueError(f"alpha must be positive, got {alphas}")
-    Y = np.hstack([
-        ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
-                                   alphas)
+    Z = np.hstack([
+        _sharp_image(A, ap, bundle, shifted_gram_coeffs(
+            (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas))
         for ap in approxes])
-    X = bundle.solution((Y.T @ A).T, b)  # A.T @ Y, faster this way round
-    return np.hsplit(X, len(approxes))
+    return np.hsplit(bundle.sharp_solution(Z, b), len(approxes))
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
@@ -302,9 +303,10 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
 
     ``approx_B`` must factor ``B = A @ L_sharp`` (see
     :func:`rsvdreg.smoothing.form_B`).  The smooth component is
-    ``Gamma A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i`` and the
-    null-space term ``W (A W)^+ b`` is added exactly.  ``A`` is only
-    multiplied here; ``weighted_pinv`` validates it for a penalty.
+    ``Gamma A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i`` (``L_sharp V
+    (sigma * c)`` for left-sketch factors, see the module docstring) and
+    the null-space term ``W (A W)^+ b`` is added exactly.  ``weighted_pinv``
+    validates ``A`` for a penalty.
     """
     b = as_vector(b)
     if alpha <= 0:
@@ -312,8 +314,7 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     if bundle is None:
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
-    v = solve_shifted_gram(approx_B.U, approx_B.sigma, alpha, b)
-    x = bundle.solution(A.T @ v, b)
+    x = _range_solve(A, bundle, approx_B, b, alpha)
     return _result(x, "gtikh_range", alpha, approx_B.k, t0)
 
 
@@ -362,7 +363,8 @@ class Regularization:
                                        self.bundle)
 
     def basis(self, approx):
-        return range_tikhonov_basis(self.A, approx, self.bundle)
+        """``Gamma A.T @ U`` of factors of :attr:`target`, for :meth:`path`."""
+        return self.bundle.sharp_apply(_sharp_image(self.A, approx, self.bundle))
 
     def path(self, basis, approx, b):
         return range_tikhonov_path(basis, approx, b, self.bundle)

@@ -66,16 +66,54 @@ class TestTableRun:
     @pytest.mark.parametrize("deltas", [(0.01,), (0.01, 0.02, 0.05)])
     def test_one_factorization_set_per_repeat(self, monkeypatch, penalty,
                                               per_repeat, deltas):
-        # selection, rank-k of A and (with a penalty) rank-k of B, once per
-        # (problem, repeat) whatever the number of noise levels
+        # the selection and rank-k factors of the target from one probe and
+        # (with a penalty) the rank-k factors of A, all at the selection
+        # seed, once per (problem, repeat) whatever the number of noise
+        # levels
         calls = []
-        real = harness.rsvd_auto
+        auto, nested = harness.rsvd_auto, harness.rsvd_nested
         monkeypatch.setattr(harness, "rsvd_auto",
-                            lambda A, cfg: calls.append(cfg) or real(A, cfg))
+                            lambda A, cfg: calls.append(("auto", cfg.seed, 1))
+                            or auto(A, cfg))
+        monkeypatch.setattr(harness, "rsvd_nested",
+                            lambda A, ks, **kw: calls.append(
+                                ("nested", kw["seed"], len(ks)))
+                            or nested(A, ks, **kw))
         recs = harness.table_run(["shaw", "deriv2"], deltas, penalty=penalty,
                                  n=32, k=4, repeats=2, k_select=8, grid_count=20)
         assert not any(r.note for r in recs)
-        assert len(calls) == 2 * 2 * per_repeat
+        seeds = [harness._cell_seeds(0, rep)[1] for rep in range(2)]
+        probes = sorted(seed for kind, seed, _ in calls if kind == "nested")
+        assert probes == sorted(seeds * 2)
+        assert {seed for _, seed, _ in calls} == set(seeds)
+        assert sum(count for *_, count in calls) == 2 * 2 * per_repeat
+        assert all(r.rsvd_seed == r.select_seed == seeds[r.repeat] for r in recs)
+
+    @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+    def test_rows_match_lone_solves(self, penalty):
+        # a row's e_ij is reproduced by a lone factorization of the target
+        # at its recorded seed and a lone range-preserving solve, and its
+        # e_xz by a lone factorization of A and a projected solve.  (shaw's
+        # spectrum decays so fast that its rank-10 prefix reproduces only
+        # to about 5e-12 with d1 and d2 at this size.)
+        n = 64
+        recs = harness.table_run(["deriv2", "phillips"], [0.01, 0.05],
+                                 penalty=penalty, n=n, k=10, repeats=2,
+                                 base_seed=3, k_select=20, grid_count=30)
+        assert len(recs) == 8 and not any(r.note for r in recs)
+        for r in recs:
+            prob = problems.make_problem(r.example, n,
+                                         problems.NoiseSpec(r.delta, r.noise_seed))
+            reg = solvers.Regularization(prob.A, harness.make_penalty(penalty, n))
+            cfg = RsvdConfig(k=r.k, p=r.p, q=r.q, seed=r.rsvd_seed)
+            approx = rsvd_auto(reg.target, cfg)
+            assert r.probe_rank == approx.probe_rank
+            x = reg.range(approx, prob.b, r.alpha_star).x
+            e = np.linalg.norm(x - prob.x_true)
+            assert abs(r.e_ij - e) <= 1e-12 * e
+            x = reg.projected(rsvd_auto(prob.A, cfg), prob.b, r.alpha_star).x
+            e = np.linalg.norm(x - prob.x_true)
+            assert abs(r.e_xz - e) <= 1e-12 * e
 
     def test_alpha_grid_edge_is_recorded(self):
         # a two-point grid holds only its edges, so alpha* sits on one
@@ -118,21 +156,23 @@ class TestSweepHelpers:
         assert calls == ["shaw"] and len(rows) == 2 * 3 * repeats
 
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
-    def test_two_factorizations_per_repeat(self, monkeypatch, ks):
-        # the selection factorization and one nested factorization for all
-        # ranks, whatever the number of ranks
+    def test_one_factorization_per_repeat(self, monkeypatch, ks):
+        # one probe per repeat, at the selection seed, serves the selection
+        # and every rank
         calls = []
         auto, nested = harness.rsvd_auto, harness.rsvd_nested
         monkeypatch.setattr(harness, "rsvd_auto",
-                            lambda A, cfg: calls.append(cfg.seed) or auto(A, cfg))
+                            lambda A, cfg: calls.append(("auto", cfg.seed))
+                            or auto(A, cfg))
         monkeypatch.setattr(harness, "rsvd_nested",
-                            lambda A, ks, **kw: calls.append(kw["seed"])
+                            lambda A, ks, **kw: calls.append(("nested", kw["seed"]))
                             or nested(A, ks, **kw))
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
                                   base_seed=5, k_select=8, grid_count=20)
         assert len(rows) == len(ks) * 3 * 2
-        assert sorted(calls) == sorted(
-            s for rep in range(2) for s in harness._cell_seeds(5, rep)[1:])
+        seeds = [harness._cell_seeds(5, rep)[1] for rep in range(2)]
+        assert calls == [("nested", s) for s in seeds]
+        assert sorted({r["rsvd_seed"] for r in rows}) == seeds
 
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
     def test_one_block_solve_per_repeat(self, monkeypatch, ks):
@@ -428,7 +468,8 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 0
         header = out.read_text().splitlines()[0].rstrip("\r").split(",")
-        assert header[-3:] == ["note", "alpha_at_lower", "alpha_at_upper"]
+        assert header[-4:] == ["note", "alpha_at_lower", "alpha_at_upper",
+                               "probe_rank"]
 
     def test_sweep_alpha_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

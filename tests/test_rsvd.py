@@ -217,6 +217,21 @@ class TestNested:
         assert [a.probe_rank for a in out] == [3, 4, 4]
         assert from_exact_svd(A, 2).probe_rank is None
 
+    def test_left_sketch_provenance(self, rng):
+        # tall-path and exact factors satisfy A.T U = V diag(sigma) and say
+        # so; wide-path factors and hand-built ones do not claim it
+        tall = rng.standard_normal((30, 20))
+        cfg = RsvdConfig(k=5, p=3, seed=1)
+        left = [rsvd_tall(tall, cfg), *rsvd_nested(tall, [2, 5], p=3, seed=1),
+                from_exact_svd(tall, 5), from_exact_svd(tall.T, 5)]
+        for ap in left:
+            M = tall if ap.U.shape[0] == 30 else tall.T
+            assert ap.left_sketch
+            assert np.allclose(M.T @ ap.U, ap.V * ap.sigma, rtol=0, atol=1e-12)
+        right = [rsvd_wide(tall.T, cfg), *rsvd_nested(tall.T, [2, 5], p=3, seed=1),
+                 RankKApprox(np.eye(3), np.ones(3), np.eye(3), cfg)]
+        assert not any(ap.left_sketch for ap in right)
+
     @pytest.mark.filterwarnings("ignore::rsvdreg.linalg.RankDeficiencyWarning")
     @pytest.mark.parametrize("penalty", [None, "first_difference"])
     def test_probe_rank_cutoffs_match_lone_calls(self, penalty):

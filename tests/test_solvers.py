@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_decaying
 from rsvdreg import harness, problems, smoothing
 from rsvdreg.diagnostics import default_alpha_grid
-from rsvdreg.linalg import shifted_gram_coeffs, svd_full
+from rsvdreg.linalg import shifted_gram_coeffs, solve_shifted_gram, svd_full
 from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
                           rsvd_nested)
 from rsvdreg.smoothing import custom, first_difference, form_B, identity, weighted_pinv
@@ -12,7 +14,6 @@ from rsvdreg.solvers import (
     Regularization,
     direct_gram,
     gen_tikhonov_direct,
-    range_tikhonov_basis,
     range_tikhonov_block,
     range_tikhonov_path,
     rsvd_gen_tikhonov_projected,
@@ -335,8 +336,9 @@ class TestRangePath:
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
         eye = weighted_pinv(A, identity(12))
-        path = range_tikhonov_path(range_tikhonov_basis(A, ap, eye), ap, b, eye)
-        gen_path = range_tikhonov_path(range_tikhonov_basis(A, apB, bundle),
+        basis = Regularization(A, identity(12)).basis(ap)
+        path = range_tikhonov_path(basis, ap, b, eye)
+        gen_path = range_tikhonov_path(Regularization(A, L).basis(apB),
                                        apB, b, bundle)
         for alpha in (1e-6, 1e-2, 1.0):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
@@ -348,8 +350,8 @@ class TestRangePath:
         A = rng.standard_normal((6, 6))
         ap = from_exact_svd(A, 3)
         eye = weighted_pinv(A, identity(6))
-        path = range_tikhonov_path(range_tikhonov_basis(A, ap, eye), ap,
-                                   np.ones(6), eye)
+        path = range_tikhonov_path(Regularization(A, identity(6)).basis(ap),
+                                   ap, np.ones(6), eye)
         with pytest.raises(ValueError, match="alpha"):
             path(0.0)
 
@@ -422,7 +424,8 @@ class TestRegularization:
         alphas = np.array([1e-6, 1e-3, 0.1])
         direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
         rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
-        basis = range_tikhonov_basis(A, apT, bundle)
+        # Gamma A.T U of tall-path factors is L_sharp V diag(sigma)
+        basis = bundle.sharp_apply(apT.V * apT.sigma)
         path = range_tikhonov_path(basis, apT, b, bundle)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
@@ -523,20 +526,79 @@ def test_order_zero_bundle_is_the_identity(layout, rng):
 @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
 def test_identity_bundle_path_equals_bundleless_path(name):
     # the identity's bundle degenerates to Gamma = I with no null-space
-    # term, and its path is the bundle-less arithmetic A.T U (Sigma^2 +
-    # alpha)^-1 U.T b, bit for bit
+    # term, and its path is the bundle-less arithmetic V Sigma (Sigma^2 +
+    # alpha)^-1 U.T b of the tall-path identity A.T U = V Sigma, bit for bit
     n = 64
     prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 1))
     A, b = prob.A, prob.b
     bundle = weighted_pinv(A, identity(n))
     ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
-    AtU, Utb = (ap.U.T @ A).T, ap.U.T @ b
-    path = range_tikhonov_path(range_tikhonov_basis(A, ap, bundle), ap, b,
-                               bundle)
+    VS, Utb = ap.V * ap.sigma, ap.U.T @ b
+    path = range_tikhonov_path(Regularization(A, identity(n)).basis(ap), ap,
+                               b, bundle)
     lo, hi, count = default_alpha_grid(ap.sigma[0])
     for alpha in np.logspace(np.log10(lo), np.log10(hi), count):
-        plain = AtU @ shifted_gram_coeffs(Utb, ap.sigma, alpha)
+        plain = VS @ shifted_gram_coeffs(Utb, ap.sigma, alpha)
         assert np.array_equal(path(alpha), plain)
+
+
+@pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+def test_back_transform_equals_product_form(penalty):
+    # on full-rank tall-path sketches, L_sharp V (sigma * c) + W (A W)^+ b
+    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers, the alpha
+    # path's basis and the block.  Below alpha ~ 1e-5 sigma_1^2 the product
+    # form's own rounding, amplified by 1/(sigma_k^2 + alpha), exceeds
+    # 1e-12 with d2 (1.4e-12 at 1e-6 sigma_1^2, 3.4e-12 at 1e-8)
+    n = 64
+    prob = problems.make_problem("deriv2", n, problems.NoiseSpec(0.01, 2))
+    A, b = prob.A, prob.b
+    reg = Regularization(A, harness.make_penalty(penalty, n))
+    approxes = rsvd_nested(reg.target, [6, 20], p=5, seed=3)
+    assert all(ap.left_sketch and ap.probe_rank == ap.k + 5 for ap in approxes)
+    # the same factors without the flag take the product with A.T
+    ref = [replace(ap, left_sketch=False) for ap in approxes]
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    alphas = np.array([1e-5, 1e-3, 1e-1]) * approxes[1].sigma[0] ** 2
+    for ap, ap_ref in zip(approxes, ref):
+        assert close(reg.basis(ap), reg.basis(ap_ref))
+        for alpha in alphas:
+            assert close(reg.range(ap, b, alpha).x, reg.range(ap_ref, b, alpha).x)
+    for X, X_ref in zip(reg.block(approxes, b, alphas), reg.block(ref, b, alphas)):
+        assert close(X, X_ref)
+    if penalty == "none":
+        for ap, ap_ref in zip(approxes, ref):
+            assert close(trsvd_solve_range(A, ap, b).x,
+                         trsvd_solve_range(A, ap_ref, b).x)
+
+
+@pytest.mark.parametrize("penalty", ["none", "d1"])
+def test_wide_factors_take_the_product(penalty, rng):
+    # wide-path factors do not satisfy A.T U = V Sigma; they go through one
+    # product with A.T, bit for bit the arithmetic of the product form
+    n, m = 30, 50
+    A = random_decaying(rng, n, m)
+    b = rng.standard_normal(n)
+    L = harness.make_penalty(penalty, m)
+    reg = Regularization(A, L)
+    bundle = reg.bundle
+    ap = rsvd_auto(reg.target, RsvdConfig(k=6, p=4, seed=1))
+    assert not ap.left_sketch
+    alphas = np.array([1e-3, 1e-1])
+    for alpha in alphas:
+        v = solve_shifted_gram(ap.U, ap.sigma, alpha, b)
+        assert np.array_equal(reg.range(ap, b, alpha).x,
+                              bundle.solution(A.T @ v, b))
+    assert np.array_equal(reg.basis(ap), bundle.gamma_apply((ap.U.T @ A).T))
+    Y = ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
+                                   alphas)
+    [X] = reg.block([ap], b, alphas)
+    assert np.array_equal(X, bundle.solution((Y.T @ A).T, b))
+    if penalty == "none":
+        assert np.array_equal(trsvd_solve_range(A, ap, b).x,
+                              A.T @ solve_shifted_gram(ap.U, ap.sigma, 0.0, b))
 
 
 @pytest.mark.parametrize("call, penalty, where", [
