@@ -45,12 +45,13 @@ class RunRecord:
     from the solves of the problem's :class:`rsvdreg.solvers.Regularization`.
 
     ``t_direct`` is the direct solve plus the Gram matrix it factors, and
-    ``t_proj`` and ``t_range`` include their randomized factorization.  A
-    table computes each once per problem (the Gram matrix) or per repeat
-    (the factorizations) but charges its full time to every cell that uses
-    it, so each column costs what a lone solve would.  The range factors
-    are cut from the selection probe (:func:`selection_probe`), so
-    ``t_range`` (and ``t_proj`` for the identity) charges that whole probe.
+    ``t_proj`` and ``t_range`` include the factorization they use; a table
+    charges a shared cost in full to every cell that uses it.  The range
+    factors are cut from the selection probe (:func:`selection_probe`,
+    ``k_select + p`` columns), so ``t_range``, and ``t_proj`` for the
+    identity, charge that whole probe, not a lone rank-k factorization,
+    while ``t_direct`` charges no selection: they compare neither with
+    ``t_direct`` nor with tables from before the probe was shared.
     ``rsvd_seed`` equals ``select_seed``; ``probe_rank`` is the numerical
     rank of the range factors' (k+p)-row sketch.
 
@@ -205,8 +206,9 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
     factors ``B = A @ L_sharp`` once for all noise levels, in one probe at
     the selection seed (:func:`selection_probe`): its widest rank selects
     alpha and its rank-``k`` prefix serves the range column (and the
-    identity's projected column), so these are not independent draws.  A
-    penalty's projected column factors ``A`` at rank ``k`` with the same
+    identity's projected column), so these are not independent draws and
+    those columns' times charge the whole probe (see :class:`RunRecord`).
+    A penalty's projected column factors ``A`` at rank ``k`` with the same
     seed.  The repeats of a problem run on ``workers`` threads.
     """
     def failed(name, delta, rep, exc):

@@ -2,20 +2,17 @@
 
 All routines operate on plain float64 ndarrays.  Matrices are validated on
 entry (finite entries, sensible shapes) and never mutated, except the
-matrices handed to ``solve_spd`` and ``svd_tall``, so results are safe to
-share across threads.
+matrix handed to ``solve_spd``, so results are safe to share across threads.
 A solve's ``A`` goes through ``as_matrix`` where it is read densely: the
 direct solvers and ``direct_gram``, and ``weighted_pinv`` but for the identity.
 """
 
-import functools
 import math
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -47,7 +44,7 @@ def as_matrix(A, name="A"):
         raise ValueError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
     if A.shape[0] == 0 or A.shape[1] == 0:
         raise ValueError(f"{name} must be nonempty, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
@@ -57,7 +54,7 @@ def as_vector(b, name="b"):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={b.ndim}")
-    if not np.isfinite(b).all():
+    if not np.all(np.isfinite(b)):
         raise ValueError(f"{name} contains non-finite entries")
     return b
 
@@ -91,27 +88,6 @@ def svd_full(A):
     return SvdTriple(U, s, Vt.T)
 
 
-def _householder_qr(A, overwrite=False):
-    """LAPACK ``dgeqrf`` of a tall float64 ``A``: R on and above the
-    diagonal of the result, the Householder vectors below it, and their
-    scalars ``tau``.  Called directly rather than through ``np.linalg.qr``,
-    whose per-call cost is large next to the QR of an n-by-25 sample at a
-    few hundred rows; the workspace admits blocks of up to 64 columns."""
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=64 * A.shape[1], overwrite_a=overwrite)
-    if info != 0:
-        raise ValueError(f"dgeqrf rejected argument {-info}")
-    return qr, tau
-
-
-def _householder_basis(qr, tau):
-    """The orthonormal columns ``Q`` of a :func:`_householder_qr` result,
-    formed in its storage (``dorgqr``)."""
-    Q, _, info = lapack.dorgqr(qr, tau, lwork=64 * qr.shape[1], overwrite_a=True)
-    if info != 0:
-        raise ValueError(f"dorgqr rejected argument {-info}")
-    return Q
-
-
 def qr_thin(A, warn_deficient=True):
     """Orthonormal basis of the column space via thin Householder QR.
 
@@ -131,52 +107,18 @@ def qr_thin(A, warn_deficient=True):
     n, m = A.shape
     if n < m:
         raise ValueError(f"qr_thin needs rows >= cols, got shape {A.shape}")
-    qr, tau = _householder_qr(A)
+    Q, R = np.linalg.qr(A)
     if warn_deficient:
-        diag = np.abs(np.diagonal(qr))
-        cutoff = max(n, m) * np.finfo(float).eps * diag.max()
-        if diag.min() <= cutoff:
+        diag = np.abs(np.diag(R))
+        cutoff = max(n, m) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
+        if diag.size and diag.min() <= cutoff:
             warnings.warn(
                 f"qr_thin: input of shape {A.shape} is numerically "
                 f"rank-deficient; basis columns beyond the rank are arbitrary",
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
-    return _householder_basis(qr, tau)
-
-
-@functools.lru_cache(maxsize=64)
-def _strictly_lower(ell):
-    """Read-only mask of the entries below the diagonal of an ell-by-ell
-    matrix."""
-    mask = np.tri(ell, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def svd_tall(X):
-    """Thin SVD ``X = U @ diag(s) @ Vt`` of a tall float64 ``X`` (at least
-    as many rows as columns), returned like
-    ``np.linalg.svd(X, full_matrices=False)`` but with ``U`` in Fortran
-    order, so that its leading columns are one contiguous block.
-
-    Householder QR ``X = Q R``, the SVD ``R = U_R diag(s) Vt`` of the small
-    square factor, and ``U = Q U_R``: the steps LAPACK's ``gesdd`` takes
-    for a tall matrix, with less fixed cost per call.  ``X`` is
-    overwritten; pass one the caller owns.
-    """
-    ell = X.shape[1]
-    if X.shape[0] < ell:
-        raise ValueError(f"svd_tall needs rows >= cols, got shape {X.shape}")
-    qr, tau = _householder_qr(X, overwrite=True)
-    R = qr[:ell].copy(order="F")
-    R[_strictly_lower(ell)] = 0.0  # a third of the time of np.triu
-    u, s, vt, info = lapack.dgesdd(R, overwrite_a=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"SVD did not converge for matrix of shape {X.shape}"
-            if info > 0 else f"dgesdd rejected argument {-info}")
-    return (u.T @ _householder_basis(qr, tau).T).T, s, vt
+    return Q
 
 
 def default_pinv_rtol(shape):

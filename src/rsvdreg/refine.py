@@ -49,14 +49,15 @@ def dual_solve(A, bundle, approx_B, b, alpha):
     """Solve the regularized problem through its dual.
 
     Maximizes the rank-k dual in closed form and maps back to the primal
-    via the reduced duality relation ``alpha L x = B_k.T xi``: at the
-    maximizer ``alpha^-1 B_k.T xi = V_k (sigma * c)`` with
-    ``c_i = (u_i, b) / (sigma_i^2 + alpha)``, which is the back-transform of
-    the range-preserving solver (with ``B.T U = V_k diag(sigma)`` for
-    tall-path factors), so this is that solver.
+    via the reduced duality relation ``alpha L x = B_k.T xi``.  For any
+    factors ``B_k.T U = V diag(sigma)``, so at the maximizer this is
+    ``V (sigma * c)``, ``c_i = (u_i, b) / (sigma_i^2 + alpha)``: the range
+    solver's back-transform, for wide-path factors too.
     """
+    A = as_matrix(A)
     _require_trivial_null_space(bundle, "dual_solve")
-    result = rsvd_gen_tikhonov_range(A, bundle.L, approx_B, b, alpha, bundle)
+    approx = replace(approx_B, left_sketch=True)  # B_k.T U = V diag(sigma)
+    result = rsvd_gen_tikhonov_range(A, bundle.L, approx, b, alpha, bundle)
     return replace(result, method="dual")
 
 

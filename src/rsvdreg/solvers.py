@@ -129,9 +129,7 @@ def _sharp_image(A, approx, bundle, C=None):
     L_sharp`` and coefficients ``C`` (k or k-by-j): ``V diag(sigma) C`` for
     left-sketch factors, else ``L_sharp.T A.T U C``."""
     if approx.left_sketch:
-        if C is None:
-            return approx.V * approx.sigma
-        return approx.V @ (approx.sigma * C.T).T
+        return approx.V * approx.sigma if C is None else approx.V @ (approx.sigma * C.T).T
     Y = approx.U if C is None else approx.U @ C
     # A.T @ Y; OpenBLAS is faster with the thin block on the left
     return bundle.sharp_t_apply(A.T @ Y if Y.ndim == 1 else (Y.T @ A).T)

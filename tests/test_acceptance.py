@@ -160,14 +160,10 @@ def test_criterion_6_timing_scaling():
     """Wall-time scaling over n in {250, 500, 1000, 2000}: direct solver
     slope in [2.5, 3.5], randomized solvers in [1.5, 2.5], randomized
     speedup at n=2000 at least 10x; every timing taken on one BLAS thread
-    (as read back by the pin).  Each cell's time is the best of three bench
-    runs, so that a burst of interference from other processes on a shared
-    host cannot decide the verdict."""
-    runs = [harness.bench_run(ns=(250, 500, 1000, 2000), ks=(20, 30),
-                              repeats=3, base_seed=0) for _ in range(3)]
-    rows = [dict(row, seconds=min(run[i]["seconds"] for run in runs))
-            for i, row in enumerate(runs[0])]
-    threads = sorted({r["blas_threads"] for run in runs for r in run}, key=str)
+    (as read back by the pin)."""
+    rows = harness.bench_run(ns=(250, 500, 1000, 2000), ks=(20, 30),
+                             repeats=3, base_seed=0)
+    threads = sorted({r["blas_threads"] for r in rows}, key=str)
     if threads != [1]:
         _report(6, False, f"BLAS pin not confirmed: blas_threads {threads}")
     assert threads == [1], f"timings not taken on one BLAS thread: {threads}"

@@ -13,7 +13,6 @@ from rsvdreg.linalg import (
     solve_shifted_gram,
     spectral_norm,
     svd_full,
-    svd_tall,
 )
 
 
@@ -97,31 +96,6 @@ class TestSvdFull:
             svd_full(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError, match="nonempty"):
             svd_full(np.zeros((0, 3)))
-
-
-class TestSvdTall:
-    @pytest.mark.parametrize("shape", [(7, 7), (40, 5), (250, 25)])
-    def test_matches_jacobi_oracle(self, rng, shape):
-        X = rng.standard_normal(shape) * np.logspace(0, -6, shape[1])
-        oracle = jacobi_svd(X)
-        U, s, Vt = svd_tall(X.copy(order="F"))
-        assert U.flags.f_contiguous
-        assert np.allclose(s, oracle.sigma, rtol=0, atol=1e-12 * s[0])
-        assert np.linalg.norm(U.T @ U - np.eye(shape[1]), 2) <= 1e-12
-        assert np.linalg.norm(Vt @ Vt.T - np.eye(shape[1]), 2) <= 1e-12
-        assert np.linalg.norm(X - (U * s) @ Vt, 2) <= 1e-12 * s[0]
-
-    def test_rank_deficient_input_keeps_orthonormal_factors(self, rng):
-        X = rng.standard_normal((30, 3))
-        X = np.column_stack([X, X[:, 0] + X[:, 1]])
-        U, s, Vt = svd_tall(X.copy(order="F"))
-        assert s[-1] <= 1e-14 * s[0]
-        assert np.linalg.norm(U.T @ U - np.eye(4), 2) <= 1e-12
-        assert np.linalg.norm(X - (U * s) @ Vt, 2) <= 1e-12 * s[0]
-
-    def test_rejects_wide(self):
-        with pytest.raises(ValueError, match="rows >= cols"):
-            svd_tall(np.ones((2, 3), order="F"))
 
 
 class TestJacobiOracle:

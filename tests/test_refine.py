@@ -67,6 +67,26 @@ class TestDualSolve:
         x_range = rsvd_gen_tikhonov_range(A, L, apx, b, alpha, bundle).x
         assert np.linalg.norm(x_dual - x_range) <= 1e-9 * np.linalg.norm(x_range)
 
+    def test_wide_factors_map_through_v_sigma(self, rng):
+        A = random_decaying(rng, 10, 16)
+        b = rng.standard_normal(10)
+        bundle = weighted_pinv(A, anchored_gradient(16))
+        apx = rsvd_auto(form_B(A, bundle).toarray(), RsvdConfig(k=4, p=3, seed=5))
+        assert not apx.left_sketch
+        alpha = 0.3
+        x = dual_solve(A, bundle, apx, b, alpha).x
+        coeff = apx.sigma * (apx.U.T @ b) / (apx.sigma**2 + alpha)
+        ref = bundle.sharp_apply(apx.V @ coeff)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_nonfinite_A_rejected(self, setup):
+        A, b, L, bundle, B = setup
+        apx = rsvd_auto(B.toarray(), RsvdConfig(k=6, p=4, seed=13))
+        A = A.copy()
+        A[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dual_solve(A, bundle, apx, b, 0.25)
+
     def test_duality_gap_vanishes_with_exact_factors(self, setup):
         A, b, L, bundle, B = setup
         alpha = 0.4
