@@ -33,6 +33,11 @@ collection:
 
 In every case the exact data is ``b = A @ x`` so that the discrete triple
 is exactly consistent.
+
+Each operator is built in the one n-by-n array it is returned in: kernels
+are evaluated in place (outer ufuncs with ``out=``), symmetric ones a block
+of rows at a time, so a build holds no n-by-n temporary.  Every entry is
+bit for bit the whole-matrix expression of its kernel.
 """
 
 import math
@@ -88,7 +93,25 @@ class InverseProblem:
         return self.A.shape
 
 
-_SHAW_BLOCK = 256  # rows of shaw's kernel built at a time
+#: Rows of a symmetric operator built at a time: shaw's two block-sized
+#: temporaries stay within an eighth of the n-by-n result for n >= 512.
+_BLOCK = 32
+
+
+def _symmetric(n, upper_rows):
+    """The exactly symmetric n-by-n array whose rows ``r0:r1`` from the
+    diagonal rightwards ``upper_rows(block, r0, r1)`` writes into ``block``,
+    a view of the result.  Each block of rows is mirrored below the diagonal
+    while it is in cache, so the build needs no n-by-n temporary."""
+    A = np.empty((n, n))
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        block = A[r0:r1, r0:]
+        upper_rows(block, r0, r1)
+        A[r1:, r0:r1] = block[:, r1 - r0:].T
+        diag = block[:, :r1 - r0]
+        diag[...] = np.where(np.tri(r1 - r0, dtype=bool), diag.T, diag)
+    return A
 
 
 def _shaw(n):
@@ -98,26 +121,23 @@ def _shaw(n):
     t = -math.pi / 2 + (np.arange(n) + 0.5) * h
     co = np.cos(t)
     si = np.pi * np.sin(t)
-    # h * ((co_i + co_j) * np.sinc((si_i + si_j) / pi)) ** 2, evaluated in
-    # place through np.sinc's own steps so that the result is bit-identical.
-    # Both sums commute exactly, so A is exactly symmetric: each block of
-    # rows is built from the diagonal rightwards and mirrored below it, with
-    # one n-by-n array and two blocks in memory.
-    A = np.empty((n, n))
-    for r0 in range(0, n, _SHAW_BLOCK):
-        r1 = min(r0 + _SHAW_BLOCK, n)
+
+    # h * ((co_i + co_j) * np.sinc((si_i + si_j) / pi)) ** 2, evaluated
+    # through np.sinc's own steps so that the result is bit-identical; both
+    # sums commute exactly, so the kernel is exactly symmetric
+    def upper_rows(block, r0, r1):
         y = si[r0:r1, None] + si[None, r0:]
         y /= np.pi
         y *= np.pi
         y[y == 0] = np.finfo(float).eps
-        blk = np.sin(y)
-        blk /= y
+        sinc = np.sin(y)
+        sinc /= y
         np.add(co[r0:r1, None], co[None, r0:], out=y)
-        blk *= y
-        np.square(blk, out=blk)
-        blk *= h
-        A[r0:r1, r0:] = blk
-        A[r1:, r0:r1] = blk[:, r1 - r0:].T
+        sinc *= y
+        np.square(sinc, out=sinc)
+        np.multiply(sinc, h, out=block)
+
+    A = _symmetric(n, upper_rows)
     x = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
     return A, x
 
@@ -125,14 +145,23 @@ def _shaw(n):
 def _foxgood(n):
     h = 1.0 / n
     t = (np.arange(n) + 0.5) * h
-    A = h * np.sqrt(t[:, None] ** 2 + t[None, :] ** 2)
+    t2 = t**2
+    # h * np.sqrt(t_i^2 + t_j^2), in place
+    A = np.add.outer(t2, t2)
+    np.sqrt(A, out=A)
+    A *= h
     return A, t.copy()
 
 
 def _gravity(n, depth=0.25):
     h = 1.0 / n
     t = (np.arange(n) + 0.5) * h
-    A = h * depth / (depth**2 + (t[:, None] - t[None, :]) ** 2) ** 1.5
+    # h * depth / (depth^2 + (t_i - t_j)^2)^1.5, in place
+    A = np.subtract.outer(t, t)
+    np.square(A, out=A)
+    A += depth**2
+    np.power(A, 1.5, out=A)
+    np.divide(h * depth, A, out=A)
     x = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return A, x
 
@@ -163,11 +192,18 @@ def _deriv2(n):
     i = np.arange(1, n + 1, dtype=float)
     # Exact Galerkin integrals of the kernel s(t-1) (s < t) / t(s-1) (s >= t)
     # against orthonormal box functions.
-    lower = h**2 * np.outer((i - 0.5) * h - 1.0, i - 0.5)
-    A = np.tril(lower, -1)
-    A = A + A.T
+    mid = i - 0.5  # cell midpoints in units of h
+    s_minus_1 = mid * h - 1.0
+
+    # above the diagonal, entry (r, c) is h^2 mid_r (s_c - 1): the lower
+    # triangle's expression with the indices swapped
+    def upper_rows(block, r0, r1):
+        np.multiply(mid[r0:r1, None], s_minus_1[None, r0:], out=block)
+        block *= h**2
+
+    A = _symmetric(n, upper_rows)
     np.fill_diagonal(A, h**2 * ((i**2 - i + 0.25) * h - (i - 2.0 / 3.0)))
-    x = h**1.5 * (i - 0.5)
+    x = h**1.5 * mid
     return A, x
 
 
@@ -220,9 +256,11 @@ def _baart(n):
     # Galerkin: the s-integration of exp(s cos t) is exact, the
     # t-integration uses the midpoint tau_j.  expm1 keeps precision where
     # cos(tau) is nearly zero.
-    A = math.sqrt(ht / hs) * np.exp(np.outer(s_edges[:-1], c)) * (
-        np.expm1(hs * c) / c
-    )
+    # sqrt(ht / hs) * exp(s_i c_j) * expm1(hs c_j) / c_j, in place
+    A = np.multiply.outer(s_edges[:-1], c)
+    np.exp(A, out=A)
+    A *= math.sqrt(ht / hs)
+    A *= np.expm1(hs * c) / c
     t_edges = np.arange(n + 1) * ht
     x = (np.cos(t_edges[:-1]) - np.cos(t_edges[1:])) / math.sqrt(ht)
     return A, x

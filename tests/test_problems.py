@@ -7,6 +7,7 @@ quadrature split at the kernel's support boundary.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,18 +130,86 @@ def test_matrix_matches_scalar_oracle(name):
     assert np.max(np.abs(A - O)) <= 1e-12 * np.max(np.abs(O))
 
 
-# 254 ... 778 fall around and between the generator's 256-row blocks
-@pytest.mark.parametrize("n", [8, 10, 32, 100, 256, 254, 258, 514, 778])
-def test_shaw_matches_sinc_expression_bitwise(n):
-    # the in-place build repeats np.sinc's steps, zeros of its argument
-    # (on the anti-diagonal) included, so it must agree to the last bit
+# --- the in-place builds against their dense expressions ---------------------
+# Each generator writes A into one n-by-n array; these are the whole-matrix
+# expressions it replaced, which it must reproduce to the last bit.
+
+def shaw_expression(n):
     h = math.pi / n
     t = -math.pi / 2 + (np.arange(n) + 0.5) * h
     co = np.cos(t)
     ssum = np.pi * np.sin(t)[:, None] + np.pi * np.sin(t)[None, :]
-    ref = h * ((co[:, None] + co[None, :]) * np.sinc(ssum / np.pi)) ** 2
+    # zeros of np.sinc's argument lie on the anti-diagonal
     assert np.any(ssum == 0)
-    assert np.array_equal(problems._shaw(n)[0], ref)
+    return h * ((co[:, None] + co[None, :]) * np.sinc(ssum / np.pi)) ** 2
+
+
+def deriv2_expression(n):
+    h = 1.0 / n
+    i = np.arange(1, n + 1, dtype=float)
+    lower = h**2 * np.outer((i - 0.5) * h - 1.0, i - 0.5)
+    A = np.tril(lower, -1)
+    A = A + A.T
+    np.fill_diagonal(A, h**2 * ((i**2 - i + 0.25) * h - (i - 2.0 / 3.0)))
+    return A
+
+
+def baart_expression(n):
+    hs = (math.pi / 2.0) / n
+    ht = math.pi / n
+    s_edges = np.arange(n + 1) * hs
+    c = np.cos((np.arange(n) + 0.5) * ht)
+    return math.sqrt(ht / hs) * np.exp(np.outer(s_edges[:-1], c)) * (
+        np.expm1(hs * c) / c)
+
+
+def foxgood_expression(n):
+    h = 1.0 / n
+    t = (np.arange(n) + 0.5) * h
+    return h * np.sqrt(t[:, None] ** 2 + t[None, :] ** 2)
+
+
+def gravity_expression(n, depth=0.25):
+    h = 1.0 / n
+    t = (np.arange(n) + 0.5) * h
+    return h * depth / (depth**2 + (t[:, None] - t[None, :]) ** 2) ** 1.5
+
+
+EXPRESSIONS = {
+    "baart": baart_expression,
+    "deriv2": deriv2_expression,
+    "foxgood": foxgood_expression,
+    "gravity": gravity_expression,
+}
+
+
+# one partial row block (8, 10), whole blocks (32, 256) and a ragged last
+# block (the rest) of the generators' 32-row blocks
+@pytest.mark.parametrize("n", [8, 10, 32, 100, 256, 254, 258, 514, 778])
+def test_shaw_matches_sinc_expression_bitwise(n):
+    # the in-place build repeats np.sinc's steps, zeros of its argument
+    # (on the anti-diagonal) included, so it must agree to the last bit
+    assert np.array_equal(problems._shaw(n)[0], shaw_expression(n))
+
+
+@pytest.mark.parametrize("n", [8, 10, 100, 254, 256, 258, 514, 778])
+@pytest.mark.parametrize("name", sorted(EXPRESSIONS))
+def test_matrix_matches_dense_expression_bitwise(name, n):
+    assert np.array_equal(generate(name, n)[0], EXPRESSIONS[name](n))
+
+
+@pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+def test_generate_holds_one_matrix(name):
+    # the build's temporaries stay below a quarter of the n-by-n result
+    n = 512
+    generate(name, 16)  # first-call allocations (caches, imports) excluded
+    tracemalloc.start()
+    try:
+        generate(name, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_phillips_matches_quadrature_oracle():
