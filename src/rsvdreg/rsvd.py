@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import default_pinv_rtol, qr_thin, spectral_norm, svd_full
+from .linalg import default_pinv_rtol, qr_thin, spectral_norm, svd_full, svd_tall
 
 
 @dataclass(frozen=True)
@@ -162,22 +162,21 @@ def _rsvd_tall_nested(A, cfgs):
     widest = max(cfgs, key=lambda c: c.k)
     widest.validate_shape((n, m))
     Q = range_basis(A, widest.k, widest.p, widest.seed, widest.q)
-    # LAPACK factors the wide sketch faster through its tall transpose
-    Z, s, Wt = np.linalg.svd((Q.T @ A).T, full_matrices=False)
+    # the wide sketch B = Q.T @ A, factored through its tall transpose
+    Z, s, Wt = svd_tall((Q.T @ A).T)
     out = {}
     for cfg in cfgs:
         if cfg.k in out:
             continue
         ell = cfg.k + cfg.p
         if cfg.k == widest.k:
-            V, sl, Wtl = Z[:, :cfg.k].copy(), s, Wt
+            V, sl, Wtl = Z[:, :cfg.k], s, Wt
         else:
-            Zm, sl, Wtl = np.linalg.svd(s[:, None] * Wt[:, :ell],
-                                        full_matrices=False)
+            Zm, sl, Wtl = svd_tall(s[:, None] * Wt[:, :ell])
             V = Z @ Zm[:, :cfg.k]
         rank = int(np.sum(sl > default_pinv_rtol((ell, m)) * sl[0]))
         U = Q[:, :ell] @ Wtl[:cfg.k].T
-        out[cfg.k] = RankKApprox(U, sl[:cfg.k].copy(), V, cfg, rank, True)
+        out[cfg.k] = RankKApprox(U, sl[:cfg.k], V, cfg, rank, True)
     return [out[cfg.k] for cfg in cfgs]
 
 
@@ -350,7 +349,7 @@ def rsvd_error(A, approx):
     else:
         Q = range_basis(A.T, cfg.k, cfg.p, cfg.seed, cfg.q)
         err_range = spectral_norm(A - (A @ Q) @ Q.T)
-    sigma = np.linalg.svd(np.asarray(A), compute_uv=False)
+    sigma = svd_full(A).sigma
     first, second = theorem_spectral_bounds(sigma, cfg.k, cfg.p)
     applicable = cfg.q == 0 and cfg.p >= 4
     return RsvdErrorReport(err_rank_k, err_range, first, second, applicable)

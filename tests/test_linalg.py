@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rsvdreg.linalg import (
     solve_shifted_gram,
     spectral_norm,
     svd_full,
+    svd_tall,
 )
 
 
@@ -133,6 +135,73 @@ class TestQrThin:
     def test_rejects_wide(self):
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_thin(np.ones((2, 3)))
+
+
+ROWS = 40
+
+
+def _factor_inputs():
+    """Gaussian tall matrices with 1, 25 and ROWS columns, C- and F-ordered."""
+    r = np.random.default_rng(17)
+    for ell in (1, 25, ROWS):
+        X = r.standard_normal((ROWS, ell))
+        yield X
+        yield np.asfortranarray(X)
+
+
+def _signs(X, ref):
+    """The signs that align each column of ``X`` with that of ``ref``."""
+    return np.where(np.sum(X * ref, axis=0) < 0, -1.0, 1.0)
+
+
+class TestThinFactorizations:
+    @pytest.mark.parametrize("X", _factor_inputs())
+    def test_qr_matches_numpy(self, X):
+        before = X.copy()
+        Q = qr_thin(X)
+        assert np.array_equal(X, before)  # the input is left unchanged
+        Q0 = np.linalg.qr(X)[0]
+        assert np.abs(Q * _signs(Q, Q0) - Q0).max() <= 1e-12
+        assert np.abs(Q.T @ Q - np.eye(X.shape[1])).max() <= 1e-13
+
+    @pytest.mark.parametrize("X", _factor_inputs())
+    def test_svd_tall_matches_numpy(self, X):
+        U0, s0, Vt0 = np.linalg.svd(X, full_matrices=False)
+        U, s, Vt = svd_tall(X.copy(order="K"))
+        assert np.abs(s - s0).max() <= 1e-12 * s0[0]
+        flip = _signs(U, U0)
+        assert np.abs(U * flip - U0).max() <= 1e-12
+        assert np.abs(Vt * flip[:, None] - Vt0).max() <= 1e-12
+        assert np.abs(U.T @ U - np.eye(X.shape[1])).max() <= 1e-13
+        assert U.flags.f_contiguous
+
+    def test_exact_rank_four_warns(self, rng):
+        X = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 10))
+        with pytest.warns(RankDeficiencyWarning, match="rank-deficient"):
+            qr_thin(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = qr_thin(X, warn_deficient=False)
+        assert np.abs(Q.T @ Q - np.eye(10)).max() <= 1e-13
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]), "non-finite"),
+        (np.array([[1.0, np.inf], [0.0, 1.0], [1.0, 1.0]]), "non-finite"),
+        (np.ones(3), "2-dimensional"),
+        (np.ones((0, 0)), "nonempty"),
+    ])
+    def test_qr_rejects_bad_input(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            qr_thin(bad)
+
+    def test_svd_tall_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="rows >= cols"):
+            svd_tall(np.ones((2, 3)))
+        for value in (np.nan, np.inf):
+            X = np.ones((5, 3))
+            X[2, 1] = value
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                svd_tall(X)
 
 
 class TestPinv:
