@@ -5,8 +5,12 @@ Every bound checker evaluates both sides of the corresponding inequality
 verbatim and records separately whether the inequality's hypotheses were
 satisfied; a verdict is only meaningful when they were.  Since the bounds
 are proven, a hypotheses-met failure indicates an implementation bug.  The
-checks of one seed share one :class:`BoundTrial`: one operator, its exact
-SVD, one set of randomized factors with their errors, one noisy problem.
+checks of one seed share one :class:`BoundTrial`: one set of randomized
+factors with their errors, one noisy problem.  The seeds of one size share
+one :func:`shared_operator`: the operator, its exact SVD, the ``gtikh``
+penalty with its dense ``B`` and ``A A.T``, read-only.  It keeps the last
+size for the life of the process: nine n-by-n arrays, 2.9 MB at n=200 and
+72 MB at n=1000.
 Matrix 2-norms come from :func:`~rsvdreg.linalg.spectral_norm`; the factor
 gap ``||A_k - A_k_tilde||`` comes from thin QR factors of the 2k-column
 blocks ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``, never from the dense
@@ -357,15 +361,10 @@ def check_gen_tikhonov_error(trial):
     its own source-type problem, rank-10 factors of ``B = A L_sharp`` and
     ``alpha = max(delta, 1e-12)``.
     """
-    A, m = trial.A, trial.n
-    L = custom(np.eye(m) - np.eye(m, k=-1))
-    bundle = weighted_pinv(A, L)
+    A, (L, bundle, B, Bmat, nrm) = trial.A, trial.operator.gtikh
     problem = _source_problem(A, trial.seed, bundle)
-    B = form_B(A, bundle)
     approx_B = rsvd_auto(B, trial.cfg)
     alpha = max(problem.noise_norm, 1e-12)
-    Bmat = B.toarray()
-    nrm = spectral_norm(Bmat)
     err = spectral_norm(Bmat - approx_B.matrix())
     x = rsvd_gen_tikhonov_range(A, L, approx_B, problem.b, alpha, bundle).x
     lhs = float(np.linalg.norm(L.apply(problem.x_true - x)))
@@ -408,7 +407,7 @@ def check_resolvent_perturbation(trial):
     A, err, nrm = trial.A, trial.err, trial.svd.sigma[0]
     alpha = 1e-4 * nrm**2
     n = A.shape[0]
-    AAt = A @ A.T
+    AAt = trial.operator.AAt
     Mk = trial.approx_matrix @ trial.approx_matrix.T
     lhs_mat = np.linalg.solve((Mk + alpha * np.eye(n)).T, (AAt + alpha * np.eye(n)).T).T
     lhs_mat -= np.eye(n)
@@ -429,15 +428,73 @@ def check_resolvent_perturbation(trial):
 VERIFY_DEFAULT_N = 200
 
 
+def _read_only(part):
+    """``part``, with every array in it (searched through tuples and object
+    attributes) marked read-only."""
+    if isinstance(part, np.ndarray):
+        part.flags.writeable = False
+    elif isinstance(part, tuple):
+        for item in part:
+            _read_only(item)
+    elif hasattr(part, "__dict__"):
+        for item in vars(part).values():
+            _read_only(item)
+    return part
+
+
+class TrialOperator:
+    """The seed-independent parts of the verification trials on one
+    operator ``A``, each built on first use and read-only: the exact SVD
+    ``svd``, the ``gtikh`` penalty ``(L, bundle, B, dense B, ||B||)`` and
+    ``AAt = A @ A.T``.  ``A`` itself is left as given."""
+
+    def __init__(self, A):
+        self.A = A
+
+    @functools.cached_property
+    def svd(self):
+        return _read_only(svd_full(self.A))
+
+    @functools.cached_property
+    def gtikh(self):
+        """The square bidiagonal gradient-with-anchor ``L``, its bundle,
+        ``B = A L_sharp`` as an operator and dense, and ``||B||``."""
+        m = self.A.shape[1]
+        L = custom(np.eye(m) - np.eye(m, k=-1))
+        bundle = weighted_pinv(self.A, L)
+        B = form_B(self.A, bundle)
+        Bmat = _read_only(B.toarray())
+        # after B.toarray(), which fills the caches of L that the bundle holds
+        _read_only(bundle)
+        return L, bundle, B, Bmat, spectral_norm(Bmat)
+
+    @functools.cached_property
+    def AAt(self):
+        return _read_only(self.A @ self.A.T)
+
+
+@functools.lru_cache(maxsize=1)
+def shared_operator(n):
+    """The :class:`TrialOperator` of the ``shaw`` operator at size ``n``,
+    whose ``A`` is read-only.  The last size asked for stays resident for
+    the life of the process, so every seed of that size shares its parts."""
+    return TrialOperator(_read_only(generate("shaw", n)[0]))
+
+
 class BoundTrial:
     """The seeded ``shaw`` trial that every check of one verification seed
     reads, with ``err = ||A - A_k_tilde||`` and ``gap = ||A_k - A_k_tilde||``
     for the rank-10 factors ``approx``, and the range-preserving TSVD
     solution ``x_trsvd`` of ``problem``.  ``err`` is the 2-norm of the dense
     difference; ``gap`` is the 2-norm of a 2k-by-2k core built from thin QR
-    factors of ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``.  Each part is built
-    on first use, at most once; a test may set a part first, e.g. exact
-    factors as ``approx``.
+    factors of ``[U_k, U_tilde]`` and ``[V_k, V_tilde]``.
+
+    The parts that do not depend on the seed (``A``, its exact SVD, the
+    ``gtikh`` penalty and ``A A.T``) come from ``operator``, which is
+    :func:`shared_operator` of ``n`` unless ``A`` is set: setting ``A`` gives
+    the trial a :class:`TrialOperator` of its own.  Every other part is the
+    trial's own, built on first use, at most once; a test may set a part
+    first, e.g. exact factors as ``approx``.
     """
 
     def __init__(self, seed, n=VERIFY_DEFAULT_N):
@@ -449,12 +506,20 @@ class BoundTrial:
         self.cfg = RsvdConfig(k=10, p=5, q=1, seed=seed)
 
     @functools.cached_property
+    def operator(self):
+        return shared_operator(self.n)
+
+    @property
     def A(self):
-        return generate("shaw", self.n)[0]
+        return self.operator.A
+
+    @A.setter
+    def A(self, A):
+        self.operator = TrialOperator(A)
 
     @functools.cached_property
     def svd(self):
-        return svd_full(self.A)
+        return self.operator.svd
 
     @functools.cached_property
     def approx(self):

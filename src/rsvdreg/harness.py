@@ -560,7 +560,10 @@ def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0)
 
     Each seed builds one :class:`~rsvdreg.diagnostics.BoundTrial`, which
     every requested check of that seed reads; it is dropped before the next
-    seed.  Returns a report keyed by check id with pass counts among
+    seed.  The parts that do not depend on the seed (the operator, its exact
+    SVD, the ``gtikh`` penalty and ``A A.T``) are built once per ``n`` by
+    :func:`~rsvdreg.diagnostics.shared_operator` and stay resident after the
+    call, for the next call at that size.  Returns a report keyed by check id with pass counts among
     hypotheses-met trials (hypotheses-not-met trials are tallied
     separately, never as failures), the worst relative slack observed and,
     per failure, its seed, both sides and the check's details.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_decaying
-from rsvdreg import diagnostics
+from rsvdreg import diagnostics, harness
 from rsvdreg.diagnostics import (
     BoundCheck,
     BoundTrial,
@@ -238,3 +238,83 @@ class TestBoundChecks:
         run_bound_trial("trsvd", trial)
         run_bound_trial("tsvd_rel", trial)
         assert len(calls) == 1
+
+
+def _arrays(*parts):
+    """Every array among ``parts``, searched through tuples and attributes."""
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            yield part
+        elif isinstance(part, tuple):
+            yield from _arrays(*part)
+        elif hasattr(part, "__dict__"):
+            yield from _arrays(*vars(part).values())
+
+
+class TestSharedOperator:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        # each test starts from an empty memo and leaves none of its operators
+        diagnostics.shared_operator.cache_clear()
+        yield
+        diagnostics.shared_operator.cache_clear()
+
+    def test_shared_arrays_are_read_only(self):
+        op = diagnostics.shared_operator(48)
+        op.svd, op.gtikh, op.AAt
+        arrays = list(_arrays(op))
+        # A, U, V, A A.T, dense B, L, L's U, V.T and pinv
+        assert sum(X.shape == (48, 48) for X in arrays) >= 9
+        for X in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                X[...] = 0.0
+
+    def test_sizes_in_one_process_match_cold_runs(self):
+        sizes = (48, 200, 48)
+        warm = [harness.verify_run(diagnostics.VERIFY_CHECKS, seeds=2, n=n)
+                for n in sizes]
+        cold = []
+        for n in sizes:
+            diagnostics.shared_operator.cache_clear()
+            cold.append(harness.verify_run(diagnostics.VERIFY_CHECKS, seeds=2, n=n))
+        assert warm == cold
+
+    def test_one_size_stays_resident(self):
+        op = diagnostics.shared_operator(48)
+        assert diagnostics.shared_operator(48) is op
+        assert BoundTrial(seed=5, n=48).operator is op
+        diagnostics.shared_operator(40)
+        assert diagnostics.shared_operator.cache_info().currsize == 1
+        assert diagnostics.shared_operator(48) is not op
+
+    def test_replaced_parts_stay_on_their_trial(self, rng):
+        op = diagnostics.shared_operator(48)
+        A0, svd0 = op.A, op.svd
+        mine, other = BoundTrial(seed=0, n=48), BoundTrial(seed=0, n=48)
+        A = random_decaying(rng, 48, 48)
+        mine.A = A
+        mine.approx = from_exact_svd(A, 10)
+        assert mine.A is A and A.flags.writeable
+        assert np.array_equal(mine.svd.sigma, svd_full(A).sigma)
+        assert other.A is A0 and other.svd is svd0
+        assert other.approx.k == 10 and other.approx is not mine.approx
+        assert diagnostics.shared_operator(48) is op
+        assert op.A is A0 and op.svd is svd0 and "approx" not in vars(op)
+        for cid in diagnostics.VERIFY_CHECKS:
+            assert run_bound_trial(cid, other) == run_bound_trial(cid, BoundTrial(0, 48))
+
+    def test_gtikh_and_resolvent_read_a_replaced_A(self, monkeypatch):
+        # a trial whose A is replaced gives the records of a trial whose
+        # shared operator is that A
+        A = 2.0 * generate("shaw", 48)[0]
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "generate", lambda name, n: (A.copy(), None, None))
+            as_shared = {cid: run_bound_trial(cid, BoundTrial(seed=1, n=48))
+                         for cid in ("gtikh", "resolvent")}
+        diagnostics.shared_operator.cache_clear()
+        trial = BoundTrial(seed=1, n=48)
+        trial.A = A
+        for cid, records in as_shared.items():
+            assert run_bound_trial(cid, trial) == records
+            assert run_bound_trial(cid, BoundTrial(seed=1, n=48)) != records
+        assert trial.operator.gtikh[2].A is A

@@ -362,15 +362,19 @@ class TestVerifyRun:
         ]
 
     def test_one_trial_per_seed(self, monkeypatch):
-        # one shaw build and one exact SVD per seed, and one factorization
-        # each of A and B; the checks that never touch shaw build nothing
+        # one shaw build, one exact SVD and one gtikh penalty per size, shared
+        # by every seed of every call; one factorization each of A and B per
+        # seed; the checks that never touch shaw build nothing
+        diagnostics.shared_operator.cache_clear()
         calls = []
-        for name in ("generate", "svd_full", "rsvd_auto"):
+        for name in ("generate", "svd_full", "weighted_pinv", "rsvd_auto"):
             fn = getattr(diagnostics, name)
             monkeypatch.setattr(diagnostics, name, lambda *a, name=name, fn=fn:
                                 calls.append(name) or fn(*a))
         harness.verify_run(diagnostics.VERIFY_CHECKS, seeds=2)
-        assert sorted(calls) == ["generate"] * 2 + ["rsvd_auto"] * 4 + ["svd_full"] * 2
+        harness.verify_run(diagnostics.VERIFY_CHECKS, seeds=2, base_seed=2)
+        assert sorted(calls) == (["generate"] + ["rsvd_auto"] * 8 + ["svd_full"]
+                                 + ["weighted_pinv"])
         calls.clear()
         harness.verify_run(["rsvd_capture"], seeds=2)
         harness.verify_run(["weyl"], seeds=2)

@@ -9,7 +9,7 @@ per command, BLAS on one thread) and writes into ``OUTDIR``:
   CSV and as ``--detail`` JSON;
 * ``sweep-rank`` for shaw without a penalty and deriv2 with d1;
 * ``sweep-alpha`` for deriv2 without a penalty and with d1;
-* ``verify --seeds 20``;
+* ``verify --seeds 20`` (n=200) and ``verify --seeds 5 --n 48``;
 * ``solve`` for the six ``tikh_*`` / ``gtikh_*`` methods (d1 for gtikh).
 
 Wall-time fields (``t_direct``, ``t_proj``, ``t_range``,
@@ -41,6 +41,7 @@ for pen in ("none", "d1"):
         "sweep-alpha", "--problem", "deriv2", "--n", N, "--penalty", pen,
         "--format", "json"]
 RUNS["verify.json"] = ["verify", "--seeds", "20"]
+RUNS["verify-n48.json"] = ["verify", "--seeds", "5", "--n", "48"]
 for method in ("tikh_direct", "tikh_proj", "tikh_range"):
     for pen_method, pen in ((method, "none"), ("g" + method, "d1")):
         RUNS[f"solve-{pen_method}.json"] = [
