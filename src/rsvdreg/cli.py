@@ -97,7 +97,8 @@ def build_parser():
     s.add_argument("--q", type=int, default=0)
     s.add_argument("--repeats", type=int, default=5)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="threads, one problem each")
     s.add_argument("--detail", action="store_true",
                    help="emit per-seed records instead of medians")
     _add_common(s)
@@ -125,7 +126,8 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--p", type=int, default=5)
     s.add_argument("--q", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="threads, one repeat each")
     _add_common(s)
 
     s = subs.add_parser("bench", help="wall-clock scaling of the solvers")

@@ -209,7 +209,9 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
     identity's projected column), so these are not independent draws and
     those columns' times charge the whole probe (see :class:`RunRecord`).
     A penalty's projected column factors ``A`` at rank ``k`` with the same
-    seed.  The repeats of a problem run on ``workers`` threads.
+    seed.  The problems run on ``workers`` threads, each with its own
+    :class:`rsvdreg.solvers.Regularization`, whose Gram matrix the direct
+    solves of its repeats borrow one at a time (it is factored in place).
     """
     def failed(name, delta, rep, exc):
         return _failed_record(name, n, delta, penalty, k, p, q, rep, base_seed, exc)
@@ -226,16 +228,16 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
             return [failed(name, delta, rep, exc)
                     for delta in deltas for rep in range(repeats)]
 
-        def run(rep):
+        records = []
+        for rep in range(repeats):
             try:
-                return _table_repeat(base, reg, t_gram, deltas, penalty, k, p,
-                                     q, rep, base_seed, k_select, grid_count)
+                records += _table_repeat(base, reg, t_gram, deltas, penalty, k,
+                                         p, q, rep, base_seed, k_select, grid_count)
             except Exception as exc:  # noqa: BLE001
-                return [failed(name, delta, rep, exc) for delta in deltas]
+                records += [failed(name, delta, rep, exc) for delta in deltas]
+        return records
 
-        return [r for chunk in _map(run, range(repeats), workers) for r in chunk]
-
-    records = [r for name in names for r in problem_records(name)]
+    records = [r for chunk in _map(problem_records, names, workers) for r in chunk]
     records.sort(key=lambda r: (r.example, r.delta, r.repeat))
     return records
 

@@ -151,24 +151,24 @@ class SmoothingOperator:
         return Z
 
     @functools.cached_property
-    def _svd(self):
-        """``(U, sigma, Vt, rank)`` of a custom penalty: its one full SVD and
-        its numerical rank under the default cutoff, which ``null_basis``
-        and the dense pseudoinverse share."""
+    def _factored(self):
+        """``(L^+, null basis)`` of a custom penalty from its one full SVD,
+        with the rank under the default cutoff; the factors themselves are
+        dropped.  ``L^+`` has the cutoff and product order of
+        ``np.linalg.pinv`` (``linalg.pinv``), so that a square penalty gets
+        the same bits.  The null basis is a copy of the trailing right
+        singular vectors in the layout of ``Vt[rank:].T``."""
         U, sigma, Vt = np.linalg.svd(self._matrix, full_matrices=True)
         rank = int(np.sum(sigma > default_pinv_rtol(self._matrix.shape) * sigma[0]))
-        return U, sigma, Vt, rank
-
-    @functools.cached_property
-    def _dense_pinv(self):
-        """Dense ``L^+`` of a custom penalty from the shared SVD, with the
-        cutoff and product order of ``np.linalg.pinv`` (``linalg.pinv``),
-        so that a square penalty gets the same bits."""
-        U, sigma, Vt, rank = self._svd
         p = sigma.size
         inv = np.zeros_like(sigma)
         inv[:rank] = 1.0 / sigma[:rank]
-        return Vt[:p].T @ (inv[:, None] * U[:, :p].T)
+        return Vt[:p].T @ (inv[:, None] * U[:, :p].T), Vt[rank:].copy().T
+
+    @property
+    def _dense_pinv(self):
+        """Dense ``L^+`` of a custom penalty."""
+        return self._factored[0]
 
     def null_basis(self):
         """Orthonormal basis of the null space of ``L`` (m-by-d).
@@ -180,8 +180,7 @@ class SmoothingOperator:
         """
         m, d = self.m, self.order
         if d is None:
-            _, _, Vt, rank = self._svd
-            return Vt[rank:].T
+            return self._factored[1]
         basis = np.empty((m, d))
         basis[:, :1] = 1.0 / np.sqrt(m)  # no column for d = 0
         if d == 2:

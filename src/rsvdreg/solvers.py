@@ -16,7 +16,8 @@ solvers with it.  Only ``rsvd_tikhonov_projected`` has its own code, a
 closed form for its diagonal k-by-k system (the one identity choice of
 :class:`Regularization`, which the harness solves through).  The direct
 solvers take the dual form, factoring the n-by-n ``B B.T + alpha I``,
-and validate ``A``; the range-preserving solvers never read ``A`` densely.
+and validate ``A`` unless handed its Gram matrix (``direct_gram`` validated
+it); the range-preserving solvers never read ``A`` densely.
 
 The range-preserving flavors keep the solution inside ``range(A.T)``
 (resp. ``range(Gamma A.T)``): they map the filter
@@ -43,6 +44,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     default_pinv_rtol,
+    mirror_upper,
     shifted_gram_coeffs,
     solve_spd,
 )
@@ -152,18 +154,28 @@ def direct_gram(A, bundle):
     formed in O(n m d), so ``B @ B.T`` is the only O(n^3) step.
     Forming it is the part of a direct solve that depends neither on
     ``alpha`` nor on the data, so runs that solve one matrix many times
-    form it once and pass it to :func:`gen_tikhonov_direct` as ``gram``.
+    form it once and pass it to :func:`gen_tikhonov_direct` as ``gram``,
+    which borrows it: each solve factors it in place and restores it bit
+    for bit, which needs it symmetric bit for bit, as returned here.
+    Validates ``A``, so solves handed the result do not.
     """
     return _gram(as_matrix(A), bundle)
+
+
+def _direct_matrix(A, gram):
+    """``A`` as an array, validated unless ``gram`` is given: the
+    :func:`direct_gram` that formed it validated ``A``."""
+    return as_matrix(A) if gram is None else np.asarray(A, dtype=float)
 
 
 def tikhonov_solve_direct(A, b, alpha, gram=None):
     """Classical Tikhonov solution of ``(A.T A + alpha I) x = A.T b``: the
     order-0 entry point of :func:`gen_tikhonov_direct`, in the dual form
     ``A.T (A A.T + alpha I)^-1 b`` whatever the shape of ``A``.  ``gram`` is
-    ``A @ A.T``, formed here when not given (it is left unchanged).
+    ``A @ A.T``, formed here when not given, and borrowed as
+    :func:`gen_tikhonov_direct` borrows it.
     """
-    A = as_matrix(A)
+    A = _direct_matrix(A, gram)
     result = gen_tikhonov_direct(A, smoothing.identity(A.shape[1]), b, alpha,
                                  gram=gram)
     return replace(result, method="tikh_direct")
@@ -244,13 +256,20 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
 
     where the second term resolves the penalty's null-space component
     exactly.  Agrees with a dense solve of the regularized normal
-    equations ``(A.T A + alpha L.T L) x = A.T b``.  ``gram`` is
-    ``direct_gram(A, bundle)``, formed here when not given (it is left
-    unchanged).  ``Gamma`` is applied through the bundle's structured
-    factors, so besides the bundle's O(n m d) set-up the only O(n^3) work
-    is forming and factoring the Gram matrix.
+    equations ``(A.T A + alpha L.T L) x = A.T b``.  ``Gamma`` is applied
+    through the bundle's structured factors, so besides the bundle's
+    O(n m d) set-up the only O(n^3) work is forming and factoring the Gram
+    matrix.
+
+    ``gram`` is ``direct_gram(A, bundle)``, formed here when not given.  A
+    given ``gram`` is borrowed, not copied: it is shifted and factored in
+    place, then its diagonal and lower triangle are restored from the
+    saved diagonal and the untouched upper triangle, also when the
+    factorization fails, so it comes back bit for bit.  It must be
+    writable and must not be read concurrently, by another solve or
+    otherwise.  ``A`` is then trusted, as :func:`direct_gram` validated it.
     """
-    A = as_matrix(A)
+    A = _direct_matrix(A, gram)
     b = as_vector(b)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -258,9 +277,16 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
     # the shift and the Cholesky factorization work in place on one array
-    M = _gram(A, bundle) if gram is None else gram.copy()
+    M = _gram(A, bundle) if gram is None else gram
+    diag = M.diagonal().copy()
     M[np.diag_indices_from(M)] += alpha
-    xi = solve_spd(M, b, "shifted dual Gram matrix")
+    try:
+        xi = solve_spd(M, b, "shifted dual Gram matrix")
+    finally:
+        if gram is not None:
+            # the factor holds M's lower triangle; the upper one is intact
+            M[np.diag_indices_from(M)] = diag
+            mirror_upper(M)
     x = bundle.solution(A.T @ xi, b)
     return _result(x, "gtikh_direct", alpha, None, t0)
 
@@ -345,6 +371,9 @@ class Regularization:
         return direct_gram(self.A, self.bundle)
 
     def direct(self, b, alpha, gram=None):
+        """:func:`gen_tikhonov_direct`.  A ``gram`` (:attr:`gram`) is
+        borrowed: factored in place and returned bit for bit, so it must be
+        writable and no other thread may read it during the call."""
         return gen_tikhonov_direct(self.A, self.L, b, alpha, self.bundle,
                                    gram=gram)
 

@@ -1,12 +1,14 @@
 import contextlib
 import json
 import sys
+import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rsvdreg import diagnostics, harness, problems, smoothing, solvers
+from rsvdreg import diagnostics, harness, linalg, problems, smoothing, solvers
 from rsvdreg.cli import main
 from rsvdreg.rsvd import RsvdConfig, rsvd_auto
 
@@ -35,6 +37,59 @@ class TestTableRun:
         threaded = harness.table_run(["shaw"], [0.01], workers=4, **kw)
         for a, b in zip(serial, threaded):
             assert a.e == b.e and a.alpha_star == b.alpha_star
+
+    def test_problem_workers_give_the_serial_records(self):
+        # each worker owns a problem and its Gram matrix, which the direct
+        # cells factor in place; more workers than cores and frequent
+        # thread switches would expose a Gram matrix read mid-factorization
+        kw = dict(n=48, k=4, repeats=2, k_select=8, grid_count=20)
+
+        def untimed(recs):
+            return [replace(r, t_direct=0.0, t_proj=0.0, t_range=0.0) for r in recs]
+
+        names, deltas = ["shaw", "deriv2", "heat"], [0.01, 0.05]
+        serial = harness.table_run(names, deltas, workers=1, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = harness.table_run(names, deltas, workers=3, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial) == 12 and not any(r.note for r in serial)
+        assert untimed(threaded) == untimed(serial)
+
+    @pytest.mark.parametrize("penalty, scans", [("none", 1), ("d1", 2)])
+    def test_matrix_scanned_once_per_build(self, monkeypatch, penalty, scans):
+        # direct_gram (and weighted_pinv for a penalty) validate A; the
+        # direct cells given its Gram matrix trust that validation
+        n = 32
+        shapes = []
+        as_matrix = linalg.as_matrix
+
+        def counting(A, name="A"):
+            shapes.append(np.shape(A))
+            return as_matrix(A, name)
+
+        for module in (linalg, smoothing, solvers):
+            monkeypatch.setattr(module, "as_matrix", counting)
+        recs = harness.table_run(["shaw", "deriv2"], [0.01, 0.05], penalty=penalty,
+                                 n=n, k=4, repeats=2, k_select=8, grid_count=20)
+        assert len(recs) == 8 and not any(r.note for r in recs)
+        assert shapes.count((n, n)) == 2 * scans
+
+    def test_peak_memory_two_and_a_half_matrices(self):
+        # A and the Gram matrix, which each direct cell factors in place,
+        # with no n-by-n copy of it (3.2 matrices with the copy); a small
+        # selection rank keeps the n-by-(k+p) probe arrays out of the way
+        n = 400
+        tracemalloc.start()
+        try:
+            harness.table_run(["deriv2"], [0.01, 0.05], n=n, repeats=2,
+                              k_select=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 2.5
 
     def test_each_problem_generated_once(self, monkeypatch):
         calls = []

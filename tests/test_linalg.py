@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from rsvdreg.linalg import (
     RankDeficiencyWarning,
     SvdTriple,
+    mirror_upper,
     pinv,
     qr_thin,
     solve_shifted_gram,
+    solve_spd,
     spectral_norm,
     svd_full,
     svd_tall,
@@ -294,6 +296,39 @@ class TestSolveShiftedGram:
         rhs = c1 * solve_shifted_gram(U, sigma, alpha, b1) + \
             c2 * solve_shifted_gram(U, sigma, alpha, b2)
         assert np.allclose(lhs, rhs, atol=1e-9 * (1 + abs(c1) + abs(c2)))
+
+
+class TestInPlaceCholesky:
+    """``solve_spd`` factors into the lower triangle and keeps the strict
+    upper one; ``mirror_upper`` rebuilds the lower one from it."""
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])
+    def test_factor_keeps_the_strict_upper_triangle(self, rng, n):
+        A = rng.standard_normal((n, n))
+        G = A @ A.T + n * np.eye(n)
+        M = G.copy()
+        b = rng.standard_normal(n)
+        x = solve_spd(M, b)
+        assert np.array_equal(np.triu(M, 1), np.triu(G, 1))
+        assert not np.array_equal(np.tril(M), np.tril(G))
+        assert np.allclose(G @ x, b)
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300])
+    def test_mirror_restores_a_symmetric_matrix(self, rng, n):
+        A = rng.standard_normal((n, n))
+        G = A @ A.T
+        assert np.array_equal(G, G.T)
+        M = G.copy()
+        M[np.tril_indices(n, -1)] = np.nan
+        mirror_upper(M)
+        assert np.array_equal(M, G)
+
+    def test_mirror_leaves_the_diagonal(self, rng):
+        M = np.triu(rng.standard_normal((200, 200)))
+        diag = M.diagonal().copy()
+        mirror_upper(M)
+        assert np.array_equal(M.diagonal(), diag)
+        assert np.array_equal(M, M.T)
 
 
 class TestMatrixAnalysisProperties:

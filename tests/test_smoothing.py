@@ -148,6 +148,22 @@ class TestCustomPenalty:
         L.null_basis()
         assert sum(a.shape == L.shape for a in calls) == 1
 
+    def test_keeps_no_factor_of_the_penalty(self, rng):
+        # the null basis copies the trailing rows of Vt, in the layout of
+        # Vt[rank:].T, rather than holding the square U and Vt alive
+        m, ell = 50, 48
+        L = custom(np.diff(np.eye(m), n=2, axis=0))
+        W = L.null_basis()
+        L.pinv_apply(rng.standard_normal(ell))
+        assert W.shape == (m, 2) and W.strides == (8, 8 * m)
+        assert L.null_basis() is W
+        held = []
+        for value in vars(L).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    held += [arr] if arr.base is None else [arr, arr.base]
+        assert not [a.shape for a in held if a.shape in {(m, m), (ell, ell)}]
+
     @pytest.mark.parametrize("m", [5, 40, 200])
     def test_square_pinv_equals_linalg_pinv(self, rng, m):
         for M in (np.eye(m) - np.eye(m, k=-1), rng.standard_normal((m, m))):

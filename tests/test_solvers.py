@@ -9,7 +9,8 @@ from rsvdreg.diagnostics import default_alpha_grid
 from rsvdreg.linalg import shifted_gram_coeffs, solve_shifted_gram, svd_full
 from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
                           rsvd_nested)
-from rsvdreg.smoothing import custom, first_difference, form_B, identity, weighted_pinv
+from rsvdreg.smoothing import (custom, first_difference, form_B, identity,
+                               second_difference, weighted_pinv)
 from rsvdreg.solvers import (
     Regularization,
     direct_gram,
@@ -252,6 +253,64 @@ class TestGenTikhonovDirect:
             Lm = L.matrix()
             ref = np.linalg.solve(A.T @ A + alpha * (Lm.T @ Lm), A.T @ b)
             assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class TestBorrowedGram:
+    """A direct solve handed ``gram`` shifts and factors it in place and
+    gives it back bit for bit, also when the factorization fails."""
+
+    @pytest.mark.parametrize("n", [5, 128, 300])
+    def test_kept_and_same_solution(self, rng, n):
+        A = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        for L in (identity(n), first_difference(n)):
+            bundle = weighted_pinv(A, L)
+            gram = direct_gram(A, bundle)
+            kept = gram.copy()
+            for alpha in (1e-2, 1.0):
+                x = gen_tikhonov_direct(A, L, b, alpha, bundle, gram=gram).x
+                assert np.array_equal(gram, kept)
+                assert np.array_equal(
+                    x, gen_tikhonov_direct(A, L, b, alpha, bundle).x)
+
+    @pytest.mark.parametrize("fails_at", ["first", "last"])
+    def test_kept_after_failed_factorization(self, rng, fails_at):
+        n = 300
+        A = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        if fails_at == "first":
+            gram = -np.eye(n)
+        else:
+            # SPD but for the last leading minor: the factorization writes
+            # all of the lower triangle before it fails
+            gram = direct_gram(A, weighted_pinv(A, identity(n)))
+            gram[-1, -1] = -gram[-1, -1]
+        kept = gram.copy()
+        with pytest.raises(np.linalg.LinAlgError, match="shifted dual Gram"):
+            tikhonov_solve_direct(A, b, 0.5, gram=gram)
+        assert np.array_equal(gram, kept)
+
+    def test_read_only_gram_is_refused_unchanged(self, rng):
+        A = rng.standard_normal((6, 6))
+        gram = direct_gram(A, weighted_pinv(A, identity(6)))
+        kept = gram.copy()
+        gram.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            tikhonov_solve_direct(A, rng.standard_normal(6), 0.1, gram=gram)
+        assert np.array_equal(gram, kept)
+
+
+@pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+@pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
+def test_direct_gram_is_symmetric_bit_for_bit(name, penalty):
+    # a borrowed Gram matrix is restored from its upper triangle
+    n = 72
+    A = problems.make_problem(name, n).A
+    L = {"none": identity(n), "d1": first_difference(n),
+         "d2": second_difference(n),
+         "custom": custom(np.eye(n) - 0.5 * np.eye(n, k=1))}[penalty]
+    gram = direct_gram(A, weighted_pinv(A, L))
+    assert np.array_equal(gram, gram.T)
 
 
 class TestGenTikhonovRandomized:
