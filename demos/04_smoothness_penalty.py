@@ -20,13 +20,14 @@ from rsvdreg import (
     rsvd_gen_tikhonov_projected,
     rsvd_gen_tikhonov_range,
     select_alpha,
-    weighted_pinv,
 )
+from rsvdreg.solvers import Regularization
 
 prob = make_problem("deriv2", 500, NoiseSpec(0.01, seed=5))
 A, b = prob.A, prob.b
 L = first_difference(A.shape[1])
-bundle = weighted_pinv(A, L)
+reg = Regularization(A, L)
+bundle = reg.bundle
 
 # The standard-form reduction smooths the operator: B = A @ L_sharp decays
 # faster than A, so a small factorization rank goes further.
@@ -36,8 +37,9 @@ sB = np.linalg.svd(B.toarray(), compute_uv=False)
 print(f"sigma_20/sigma_1:  A: {sA[19] / sA[0]:.2e}   B = A L_sharp: {sB[19] / sB[0]:.2e}")
 
 approx_sel = rsvd_auto(B, RsvdConfig(k=100, p=5, seed=2))
-solver = lambda a: rsvd_gen_tikhonov_range(A, L, approx_sel, b, a, bundle).x
-alpha_star, _ = select_alpha(prob, solver, default_alpha_grid(approx_sel.sigma[0]))
+# the whole alpha grid is one block solve, a column per alpha
+solve = lambda alphas: reg.block([approx_sel], b, alphas)[0]
+alpha_star, _ = select_alpha(prob, solve, default_alpha_grid(approx_sel.sigma[0]))
 
 direct = gen_tikhonov_direct(A, L, b, alpha_star, bundle)
 k = 20

@@ -112,16 +112,19 @@ def select_alpha(problem, solver, grid):
     ----------
     problem : InverseProblem
     solver : callable
-        Maps one ``alpha`` to a solution vector.
+        Maps the grid's array of ``count`` alphas to the block of their
+        solutions, an m-by-``count`` array (column j for ``alphas[j]``),
+        e.g. ``lambda alphas: reg.block([approx], b, alphas)[0]``.  The
+        block is overwritten with the errors ``X - x_true``.
     grid : (lo, hi, count)
         Log-uniform sampling bounds and count (count >= 2).
 
     Returns
     -------
     (alpha_star, AlphaCurve)
-        Ties are broken toward the larger (more strongly regularizing)
-        value; grid points where the solver returns non-finite output are
-        excluded and recorded on the curve.
+        The errors are the block's column norms.  Ties are broken toward
+        the larger (more strongly regularizing) value; grid points whose
+        error is not finite are excluded and recorded on the curve.
     """
     lo, hi, count = grid
     if count < 2:
@@ -129,32 +132,23 @@ def select_alpha(problem, solver, grid):
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     alphas = np.logspace(math.log10(lo), math.log10(hi), int(count))
-    errors = np.full(alphas.shape, np.nan)
-    excluded = []
-    for j, a in enumerate(alphas):
-        x = solver(a)
-        err = float(np.linalg.norm(x - problem.x_true))
-        if math.isfinite(err):
-            errors[j] = err
-        else:
-            excluded.append(j)
-    finite = np.flatnonzero(np.isfinite(errors))
-    if finite.size == 0:
+    X = solver(alphas)
+    shape = (problem.x_true.size, alphas.size)
+    if not isinstance(X, np.ndarray) or X.shape != shape:
+        raise ValueError(f"solver must return an array of shape {shape}, one column "
+                         f"per alpha, got a {type(X).__name__} of shape {np.shape(X)}")
+    X -= problem.x_true[:, None]
+    errors = np.sqrt(np.einsum("ij,ij->j", X, X))
+    finite = np.isfinite(errors)
+    if not finite.any():
         raise RuntimeError("every grid point produced a non-finite error")
-    best = finite[0]
-    for j in finite[1:]:
-        if errors[j] <= errors[best]:
-            best = j
-    alpha_star = float(alphas[best])
-    curve = AlphaCurve(
-        alphas=alphas,
-        errors=errors,
-        alpha_star=alpha_star,
-        at_lower_boundary=best == 0,
-        at_upper_boundary=best == len(alphas) - 1,
-        excluded=excluded,
-    )
-    return alpha_star, curve
+    errors[~finite] = np.nan
+    # the last of the minima: ties go to the larger alpha
+    best = np.flatnonzero(errors == np.nanmin(errors))[-1]
+    curve = AlphaCurve(alphas=alphas, errors=errors, alpha_star=float(alphas[best]),
+                       at_lower_boundary=best == 0, at_upper_boundary=best == alphas.size - 1,
+                       excluded=np.flatnonzero(~finite).tolist())
+    return curve.alpha_star, curve
 
 
 @dataclass(frozen=True)

@@ -275,8 +275,9 @@ def solve_shifted_gram(U, sigma, alpha, b):
 
 def shifted_gram_coeffs(Utb, sigma, alpha):
     """Coefficients ``(u_i, b) / (sigma_i^2 + alpha)`` of the spectral sum in
-    :func:`solve_shifted_gram`, given ``Utb = U.T @ b``: the filter every
-    range-preserving solver applies."""
+    :func:`solve_shifted_gram`, given ``Utb = U.T @ b``: the filter of the one
+    range-preserving solve, which broadcasts a k-by-1 ``Utb`` and ``sigma``
+    against its alphas (:func:`rsvdreg.solvers.range_tikhonov_block`)."""
     return Utb / (sigma**2 + alpha)
 
 

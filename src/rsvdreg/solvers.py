@@ -29,7 +29,10 @@ recovers the truncated solver).  Factors of ``B`` cut from a left sketch
 ``Gamma A.T U = L_sharp B.T U = L_sharp V diag(sigma)``: for them the
 solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 ``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
-with ``A``.  Wide-path factors take one product with ``A.T``.
+with ``A``.  Wide-path factors take one product with ``A.T``.  One
+function computes it, :func:`range_tikhonov_block`, for any number of
+factorizations and alphas at once: the single-alpha solvers call it with
+one alpha, and the alpha selection with the whole grid.
 """
 
 import functools
@@ -122,24 +125,18 @@ def trsvd_solve_range(A, approx, b):
     t0 = time.perf_counter()
     _check_positive_spectrum(approx.sigma, "trsvd_solve_range")
     eye = smoothing.weighted_pinv(A, smoothing.identity(A.shape[1]))
-    x = _range_solve(A, eye, approx, b, 0.0)
-    return _result(x, "trsvd_range", None, approx.k, t0)
+    [X] = _range_block(A, [approx], b, [0.0], eye)
+    return _result(X[:, 0], "trsvd_range", None, approx.k, t0)
 
 
-def _sharp_image(A, approx, bundle, C=None):
-    """``B.T U C`` (``B.T U`` for ``C`` None) of factors of ``B = A @
-    L_sharp`` and coefficients ``C`` (k or k-by-j): ``V diag(sigma) C`` for
-    left-sketch factors, else ``L_sharp.T A.T U C``."""
+def _sharp_image(A, approx, bundle, C):
+    """``B.T U C`` of factors of ``B = A @ L_sharp`` and k-by-j
+    coefficients ``C``: ``V diag(sigma) C`` for left-sketch factors, else
+    ``L_sharp.T A.T U C``."""
     if approx.left_sketch:
-        return approx.V * approx.sigma if C is None else approx.V @ (approx.sigma * C.T).T
-    Y = approx.U if C is None else approx.U @ C
+        return approx.V @ (approx.sigma * C.T).T
     # A.T @ Y; OpenBLAS is faster with the thin block on the left
-    return bundle.sharp_t_apply(A.T @ Y if Y.ndim == 1 else (Y.T @ A).T)
-
-
-def _range_solve(A, bundle, approx, b, alpha):
-    c = shifted_gram_coeffs(approx.U.T @ b, approx.sigma, alpha)
-    return bundle.sharp_solution(_sharp_image(A, approx, bundle, c), b)
+    return bundle.sharp_t_apply(((approx.U @ C).T @ A).T)
 
 
 def _gram(A, bundle):
@@ -202,47 +199,36 @@ def rsvd_tikhonov_range(A, approx, b, alpha):
     return replace(result, method="tikh_range")
 
 
-def range_tikhonov_path(basis, approx, b, bundle):
-    """Range-preserving Tikhonov solutions for one factorization and one
-    data vector, as a function ``alpha -> x``.
-
-    ``basis`` is ``Gamma A.T @ U`` of the same ``approx`` and ``bundle``
-    (:meth:`Regularization.basis`).  Agrees to rounding with
-    :func:`rsvd_gen_tikhonov_range`.  Each ``alpha`` costs O(mk): the
-    shape of a parameter sweep.
-    """
-    b = as_vector(b)
-    x0 = bundle.w_term(b)
-    Utb = approx.U.T @ b
-
-    def solve(alpha):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        return basis @ shifted_gram_coeffs(Utb, approx.sigma, alpha) + x0
-
-    return solve
-
-
 def range_tikhonov_block(A, approxes, b, alphas, bundle):
     """Range-preserving Tikhonov solutions of one data vector for every
     factorization in ``approxes`` (each of ``B = A @ L_sharp``) and several
-    ``alphas`` at once.
+    ``alphas`` at once: the one implementation of the range-preserving
+    filter and its map back, which every range-preserving solve and the
+    alpha selection go through.
 
     Returns one m-by-len(alphas) array per factorization, in order; a
-    single factorization is a one-element list.  Column j of each agrees to
-    rounding with :func:`rsvd_gen_tikhonov_range` at ``alphas[j]``.  The
-    blocks of all factorizations are stacked, so ``L_sharp`` and the
+    single factorization is a one-element list.  Column j of each is the
+    range-preserving solution at ``alphas[j]``: a one-alpha block is what
+    :func:`rsvd_gen_tikhonov_range` returns, and a wider one agrees with it
+    to rounding (the map back is one matrix product for all columns).  The
+    blocks of several factorizations are stacked, so ``L_sharp`` and the
     null-space term are applied once each.
     """
     b = as_vector(b)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 0):
         raise ValueError(f"alpha must be positive, got {alphas}")
-    Z = np.hstack([
-        _sharp_image(A, ap, bundle, shifted_gram_coeffs(
-            (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas))
-        for ap in approxes])
-    return np.hsplit(bundle.sharp_solution(Z, b), len(approxes))
+    return _range_block(A, approxes, b, alphas, bundle)
+
+
+def _range_block(A, approxes, b, alphas, bundle):
+    """:func:`range_tikhonov_block` of a validated ``b`` without the alpha
+    check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``."""
+    Z = [_sharp_image(A, ap, bundle, shifted_gram_coeffs(
+        (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)) for ap in approxes]
+    if len(Z) == 1:
+        return [bundle.sharp_solution(Z[0], b)]
+    return np.hsplit(bundle.sharp_solution(np.hstack(Z), b), len(Z))
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
@@ -338,8 +324,8 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     if bundle is None:
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
-    x = _range_solve(A, bundle, approx_B, b, alpha)
-    return _result(x, "gtikh_range", alpha, approx_B.k, t0)
+    [X] = _range_block(A, [approx_B], b, [alpha], bundle)
+    return _result(X[:, 0], "gtikh_range", alpha, approx_B.k, t0)
 
 
 class Regularization:
@@ -388,13 +374,6 @@ class Regularization:
     def range(self, approx, b, alpha):
         return rsvd_gen_tikhonov_range(self.A, self.L, approx, b, alpha,
                                        self.bundle)
-
-    def basis(self, approx):
-        """``Gamma A.T @ U`` of factors of :attr:`target`, for :meth:`path`."""
-        return self.bundle.sharp_apply(_sharp_image(self.A, approx, self.bundle))
-
-    def path(self, basis, approx, b):
-        return range_tikhonov_path(basis, approx, b, self.bundle)
 
     def block(self, approxes, b, alphas):
         return range_tikhonov_block(self.A, approxes, b, alphas, self.bundle)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_decaying
-from rsvdreg import diagnostics, harness
+from rsvdreg import diagnostics, harness, problems
 from rsvdreg.diagnostics import (
     BoundCheck,
     BoundTrial,
@@ -17,8 +17,8 @@ from rsvdreg.diagnostics import (
 )
 from rsvdreg.linalg import svd_full
 from rsvdreg.problems import InverseProblem, NoiseSpec, generate, make_sourcewise, with_noise
-from rsvdreg.rsvd import from_exact_svd
-from rsvdreg.solvers import tikhonov_solve_direct
+from rsvdreg.rsvd import RsvdConfig, from_exact_svd, rsvd_auto
+from rsvdreg.solvers import Regularization, tikhonov_solve_direct
 
 
 class TestErrorReport:
@@ -62,11 +62,16 @@ def _diag_problem(noise_seed=0):
     return InverseProblem("diag", A, x_true, b_exact, b, 0.0, noise_seed, norm)
 
 
+def _block(solve):
+    """Block solver of a per-alpha ``solve``: one column per alpha."""
+    return lambda alphas: np.column_stack([solve(a) for a in alphas])
+
+
 class TestSelectAlpha:
     def test_matches_fine_grid_scan(self):
         prob = _diag_problem()
         prob = with_noise(prob, NoiseSpec(0.05, 3))
-        solver = lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x
+        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         coarse = (1e-10, 1e2, 60)
         fine = (1e-10, 1e2, 600)
         a_star, _ = select_alpha(prob, solver, coarse)
@@ -77,41 +82,82 @@ class TestSelectAlpha:
 
     def test_noiseless_prefers_lower_boundary(self):
         prob = _diag_problem()
-        solver = lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x
+        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         a_star, curve = select_alpha(prob, solver, (1e-8, 1e2, 40))
         assert a_star == pytest.approx(1e-8)
         assert curve.at_lower_boundary and not curve.at_upper_boundary
 
     def test_tie_breaks_toward_stronger_regularization(self):
         prob = _diag_problem()
-        flat = lambda a: prob.x_true  # error identically zero
+        flat = _block(lambda a: prob.x_true)  # error identically zero
         a_star, _ = select_alpha(prob, flat, (1e-4, 1e2, 13))
         assert a_star == pytest.approx(1e2)
 
     def test_single_point_grid_rejected(self):
         prob = _diag_problem()
         with pytest.raises(ValueError, match="at least 2"):
-            select_alpha(prob, lambda a: prob.x_true, (1e-4, 1e2, 1))
+            select_alpha(prob, _block(lambda a: prob.x_true), (1e-4, 1e2, 1))
 
     def test_nonfinite_points_excluded(self):
         prob = _diag_problem()
 
         def solver(a):
+            if a < 1e-3:
+                return np.full(4, np.inf)
             if a < 1e-2:
                 return np.full(4, np.nan)
             return prob.x_true + a
 
-        a_star, curve = select_alpha(prob, solver, (1e-4, 1e2, 25))
+        a_star, curve = select_alpha(prob, _block(solver), (1e-4, 1e2, 25))
         assert curve.excluded and np.isfinite(a_star)
         assert all(not np.isfinite(curve.errors[j]) for j in curve.excluded)
+        # an infinite error is recorded as NaN, as a NaN one is
+        assert curve.excluded == list(range(8))
+        assert np.isnan(curve.errors[curve.excluded]).all()
 
     def test_deterministic(self):
         prob = _diag_problem()
         prob = with_noise(prob, NoiseSpec(0.05, 3))
-        solver = lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x
+        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         out1 = select_alpha(prob, solver, (1e-8, 1e2, 50))
         out2 = select_alpha(prob, solver, (1e-8, 1e2, 50))
         assert out1[0] == out2[0]
+
+    @pytest.mark.parametrize("name", ["deriv2", "shaw"])
+    @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+    def test_selection_equals_lone_solves(self, name, penalty):
+        # the one block over the grid selects what a loop of lone
+        # range-preserving solves selects, under the same tie rule
+        n = 120
+        prob = problems.make_problem(name, n, NoiseSpec(0.01, 4))
+        reg = Regularization(prob.A, harness.make_penalty(penalty, n))
+        approx = rsvd_auto(reg.target, RsvdConfig(k=40, p=5, seed=6))
+        a_star, curve = harness.alpha_selector(reg, approx)(prob)
+        lo, hi, count = diagnostics.default_alpha_grid(approx.sigma[0])
+        alphas = np.logspace(math.log10(lo), math.log10(hi), count)
+        assert np.array_equal(curve.alphas, alphas)
+        errors = np.array([np.linalg.norm(reg.range(approx, prob.b, a).x - prob.x_true)
+                           for a in alphas])
+        best = 0
+        for j in range(1, count):
+            if errors[j] <= errors[best]:
+                best = j
+        assert a_star == curve.alpha_star == alphas[best]
+        assert curve.at_lower_boundary == (best == 0)
+        assert curve.at_upper_boundary == (best == count - 1)
+        assert curve.excluded == []
+        assert np.all(np.abs(curve.errors - errors) <= 1e-12 * errors)
+
+    @pytest.mark.parametrize("solve", [
+        lambda alphas: np.ones(4),                       # a per-alpha solution
+        lambda alphas: np.ones((4, alphas.size - 1)),    # a column short
+        lambda alphas: np.ones((alphas.size, 4)),        # transposed
+        lambda alphas: np.ones((4, alphas.size)).tolist(),  # not an array
+    ], ids=["vector", "short", "transposed", "list"])
+    def test_malformed_block_is_named(self, solve):
+        prob = _diag_problem()
+        with pytest.raises(ValueError, match=r"shape \(4, 13\)"):
+            select_alpha(prob, solve, (1e-4, 1e2, 13))
 
 
 class TestDecayFit:

@@ -231,7 +231,8 @@ class TestSweepHelpers:
 
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
     def test_one_block_solve_per_repeat(self, monkeypatch, ks):
-        # every rank and policy of a repeat is solved from one stacked block
+        # the selection grid of a repeat is one block, and every rank and
+        # policy is solved from one more, stacked
         calls = []
         block = solvers.range_tikhonov_block
         monkeypatch.setattr(solvers, "range_tikhonov_block",
@@ -241,7 +242,7 @@ class TestSweepHelpers:
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
                                   k_select=8, grid_count=20)
         assert len(rows) == len(ks) * 3 * 2
-        assert calls == [ks, ks]
+        assert calls == [[8], ks, [8], ks]
 
     def test_rows_record_probe_rank(self):
         # shaw's spectrum falls below the rank cutoff long before 45

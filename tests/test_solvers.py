@@ -16,7 +16,6 @@ from rsvdreg.solvers import (
     direct_gram,
     gen_tikhonov_direct,
     range_tikhonov_block,
-    range_tikhonov_path,
     rsvd_gen_tikhonov_projected,
     rsvd_gen_tikhonov_range,
     rsvd_tikhonov_projected,
@@ -387,33 +386,6 @@ class TestAdjointPinvProductWindow:
 
 
 class TestRangePath:
-    def test_matches_single_alpha_solvers(self, rng):
-        A = random_decaying(rng, 14, 12)
-        b = rng.standard_normal(14)
-        ap = rsvd_auto(A, RsvdConfig(k=5, p=3, seed=2))
-        L = first_difference(12)
-        bundle = weighted_pinv(A, L)
-        apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        eye = weighted_pinv(A, identity(12))
-        basis = Regularization(A, identity(12)).basis(ap)
-        path = range_tikhonov_path(basis, ap, b, eye)
-        gen_path = range_tikhonov_path(Regularization(A, L).basis(apB),
-                                       apB, b, bundle)
-        for alpha in (1e-6, 1e-2, 1.0):
-            x = rsvd_tikhonov_range(A, ap, b, alpha).x
-            assert np.linalg.norm(path(alpha) - x) <= 1e-12 * np.linalg.norm(x)
-            x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
-            assert np.linalg.norm(gen_path(alpha) - x) <= 1e-12 * np.linalg.norm(x)
-
-    def test_rejects_nonpositive_alpha(self, rng):
-        A = rng.standard_normal((6, 6))
-        ap = from_exact_svd(A, 3)
-        eye = weighted_pinv(A, identity(6))
-        path = range_tikhonov_path(Regularization(A, identity(6)).basis(ap),
-                                   ap, np.ones(6), eye)
-        with pytest.raises(ValueError, match="alpha"):
-            path(0.0)
-
     def test_block_matches_single_alpha_solvers(self, rng):
         A = random_decaying(rng, 14, 12)
         b = rng.standard_normal(14)
@@ -483,18 +455,17 @@ class TestRegularization:
         alphas = np.array([1e-6, 1e-3, 0.1])
         direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
         rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
-        # Gamma A.T U of tall-path factors is L_sharp V diag(sigma)
-        basis = bundle.sharp_apply(apT.V * apT.sigma)
-        path = range_tikhonov_path(basis, apT, b, bundle)
+        # Gamma A.T U C of tall-path factors is L_sharp V diag(sigma) C
+        C = shifted_gram_coeffs((apT.U.T @ b)[:, None], apT.sigma[:, None], alphas)
+        block = bundle.sharp_solution(apT.V @ (apT.sigma * C.T).T, b)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))
         assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
-        assert np.array_equal(reg.basis(apT), basis)
-        reg_path = reg.path(reg.basis(apT), apT, b)
-        for alpha in alphas:
-            assert np.array_equal(reg_path(alpha), path(alpha))
         [X] = reg.block([apT], b, alphas)
+        assert np.array_equal(X, block)
+        [x] = reg.block([apT], b, [1e-3])
+        assert np.array_equal(x[:, 0], rng_)
         assert np.array_equal(
             X, range_tikhonov_block(A, [apT], b, alphas, bundle)[0])
         if L.order == 0:
@@ -585,27 +556,26 @@ def test_order_zero_bundle_is_the_identity(layout, rng):
 @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
 def test_identity_bundle_path_equals_bundleless_path(name):
     # the identity's bundle degenerates to Gamma = I with no null-space
-    # term, and its path is the bundle-less arithmetic V Sigma (Sigma^2 +
-    # alpha)^-1 U.T b of the tall-path identity A.T U = V Sigma, bit for bit
+    # term, and its block over the alpha grid is the bundle-less arithmetic
+    # V (Sigma (Sigma^2 + alpha)^-1 U.T b) of the tall-path identity
+    # A.T U = V Sigma, bit for bit
     n = 64
     prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 1))
     A, b = prob.A, prob.b
     bundle = weighted_pinv(A, identity(n))
     ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
-    VS, Utb = ap.V * ap.sigma, ap.U.T @ b
-    path = range_tikhonov_path(Regularization(A, identity(n)).basis(ap), ap,
-                               b, bundle)
     lo, hi, count = default_alpha_grid(ap.sigma[0])
-    for alpha in np.logspace(np.log10(lo), np.log10(hi), count):
-        plain = VS @ shifted_gram_coeffs(Utb, ap.sigma, alpha)
-        assert np.array_equal(path(alpha), plain)
+    alphas = np.logspace(np.log10(lo), np.log10(hi), count)
+    [X] = range_tikhonov_block(A, [ap], b, alphas, bundle)
+    C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
+    assert np.array_equal(X, ap.V @ (ap.sigma * C.T).T)
 
 
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
 def test_back_transform_equals_product_form(penalty):
     # on full-rank tall-path sketches, L_sharp V (sigma * c) + W (A W)^+ b
-    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers, the alpha
-    # path's basis and the block.  Below alpha ~ 1e-5 sigma_1^2 the product
+    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers and the block,
+    # of one factorization and of several.  Below alpha ~ 1e-5 sigma_1^2 the product
     # form's own rounding, amplified by 1/(sigma_k^2 + alpha), exceeds
     # 1e-12 with d2 (1.4e-12 at 1e-6 sigma_1^2, 3.4e-12 at 1e-8)
     n = 64
@@ -622,7 +592,7 @@ def test_back_transform_equals_product_form(penalty):
 
     alphas = np.array([1e-5, 1e-3, 1e-1]) * approxes[1].sigma[0] ** 2
     for ap, ap_ref in zip(approxes, ref):
-        assert close(reg.basis(ap), reg.basis(ap_ref))
+        assert close(reg.block([ap], b, alphas)[0], reg.block([ap_ref], b, alphas)[0])
         for alpha in alphas:
             assert close(reg.range(ap, b, alpha).x, reg.range(ap_ref, b, alpha).x)
     for X, X_ref in zip(reg.block(approxes, b, alphas), reg.block(ref, b, alphas)):
@@ -650,7 +620,8 @@ def test_wide_factors_take_the_product(penalty, rng):
         v = solve_shifted_gram(ap.U, ap.sigma, alpha, b)
         assert np.array_equal(reg.range(ap, b, alpha).x,
                               bundle.solution(A.T @ v, b))
-    assert np.array_equal(reg.basis(ap), bundle.gamma_apply((ap.U.T @ A).T))
+        [x] = reg.block([ap], b, [alpha])
+        assert np.array_equal(x[:, 0], bundle.solution(A.T @ v, b))
     Y = ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
                                    alphas)
     [X] = reg.block([ap], b, alphas)
