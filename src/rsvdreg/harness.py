@@ -113,9 +113,10 @@ def alpha_selector(reg, approx, grid=None, grid_count=100):
     error of ``reg``'s range-preserving solve over ``grid`` (by default
     ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
     from the factors ``approx`` of ``reg.target`` shared by every problem
-    it is given.  The whole grid is one :meth:`Regularization.block` solve:
-    for tall-path factors one product ``V (sigma * C)`` (see
-    :mod:`rsvdreg.solvers`), with no product with ``A``."""
+    it is given.  The grid is solved in blocks of consecutive points, each
+    one :meth:`Regularization.block` solve: for tall-path factors one
+    product ``V (sigma * C)`` (see :mod:`rsvdreg.solvers`), with no product
+    with ``A``."""
     if grid is None:
         grid = default_alpha_grid(approx.sigma[0], grid_count)
     return lambda prob: select_alpha(

@@ -8,7 +8,10 @@ input, saving a copy of the sketch), so results are safe to share across
 threads.  The one shared matrix that is mutated is the ``gram`` a direct
 solve borrows: factored in place and restored bit for bit
 (``rsvdreg.solvers.gen_tikhonov_direct``), so no other thread may read it
-meanwhile.  A solve's ``A`` goes through ``as_matrix`` where it is read
+meanwhile.  ``rsvdreg.solvers.direct_gram`` forms it without a dense ``B``:
+BLAS ``dsyrk`` adds the panels of ``B.T`` into its upper triangle in place,
+and ``mirror_upper`` copies that onto the lower one, so it is symmetric bit
+for bit.  A solve's ``A`` goes through ``as_matrix`` where it is read
 densely: ``direct_gram``, the direct solvers when not given its Gram
 matrix, and ``weighted_pinv`` but for the identity.
 

@@ -14,15 +14,22 @@ null-space component is resolved exactly through ``W (A W)^+ b`` while
 the smooth component travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
 The identity's special cases live here: its ``L^+`` is a copy, its bundle
 has no null-space term and is built without reading ``A`` (every other
-penalty's validates ``A``), and its ``B`` is ``A``.
+penalty's validates ``A``), and its ``B`` is ``A``.  No dense ``B`` is ever
+formed by the solvers: the direct reference builds ``B B.T`` from the row
+panels of ``L_sharp.T A.T`` that :meth:`WeightedPinvBundle.sharp_t_panels`
+yields one at a time.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .linalg import as_matrix, default_pinv_rtol, pinv
+
+#: rows of each panel :meth:`WeightedPinvBundle.sharp_t_panels` yields
+_PANEL_ROWS = 128
 
 #: difference order of each penalty kind (``None``: a dense custom matrix)
 _ORDERS = {"identity": 0, "first_difference": 1, "second_difference": 2, "custom": None}
@@ -266,6 +273,65 @@ class WeightedPinvBundle:
             x = x - _outer_t(self.W.T @ x, self.E.T)
         return self.L.pinv_t_apply(x)
 
+    def sharp_t_panels(self, x):
+        """Row panels of ``L_sharp.T @ x`` for a column-major m-by-j ``x``
+        (such as ``A.T``), bottom-up, ``_PANEL_ROWS`` rows each (the top
+        one may have fewer), so that the ell-by-j result is never held
+        whole.  The identity yields ``x`` itself as its one panel; the
+        others yield fresh column-major arrays, which BLAS reads without a
+        copy.
+
+        The difference kinds carry their ``d`` running suffix sums from
+        panel to panel: seeding a panel's last row with the carry before
+        its reversed cumulative sum makes the additions of one sum over all
+        rows, in the same order.  Each panel is first ``x' = x - E.T (W.T
+        x)`` on its rows, less ``W (W.T x')``.  ``W.T x'`` is summed over
+        the panels of ``x'`` in a first pass, O(m j d), so the projection
+        takes out the null-space part that ``x'`` has after rounding, as
+        one projection of the whole ``x'`` does.  Custom kinds take
+        ``(L^+)[:, rows].T x'`` as ``(L^+)[:, rows].T x`` less the oblique
+        term through the d-by-ell ``E L^+``: the cost of one product with
+        the dense ``L^+``, with no m-by-j ``x'``.  Every ``d``-term update
+        is one in-place ``dgemm``, so a panel needs no second array.
+        """
+        L, d = self.L, self.L.order
+        if d == 0:
+            yield x
+            return
+        c = self.W.T @ x
+
+        def less(P, F, y):
+            """``P - F @ y`` in place, for a column-major ``P``."""
+            return blas.dgemm(-1.0, F, y, beta=1.0, c=P, overwrite_c=1)
+
+        if d is None:
+            EL = self.E @ L._dense_pinv
+            for stop in range(L.ell, 0, -_PANEL_ROWS):
+                rows = slice(max(stop - _PANEL_ROWS, 0), stop)
+                P = (x.T @ L._dense_pinv[:, rows]).T
+                if self.null_dim:
+                    P = less(P, EL[:, rows].T, c)
+                yield P
+                del P  # before the next panel is formed
+            return
+
+        def oblique(rows):
+            return less(np.array(x[rows], order="F"), self.E.T[rows], c)
+
+        s = sum(self.W[rows].T @ oblique(rows)
+                for rows in (slice(i, i + _PANEL_ROWS) for i in range(0, L.m, _PANEL_ROWS)))
+        carry = np.zeros((d, x.shape[1]))
+        for stop in range(L.ell, 0, -_PANEL_ROWS):
+            # row i of L_sharp.T x sums rows i + d onwards of the projection
+            rows = slice(max(stop - _PANEL_ROWS, 0) + d, stop + d)
+            P = less(oblique(rows), self.W[rows], s)
+            for k in range(d):
+                P[-1] += carry[k]
+                np.cumsum(P[::-1], axis=0, out=P[::-1])
+                carry[k] = P[0]
+            yield P
+            del P  # before the next panel is formed
+
     def gamma_apply(self, x):
         """Apply ``Gamma = L_sharp @ L_sharp.T`` (symmetric smoother)."""
         return self.sharp_apply(self.sharp_t_apply(x))
@@ -285,7 +351,9 @@ class WeightedPinvBundle:
         if self.L.order == 0:
             return z
         w = self.w_term(b)
-        return self.sharp_apply(z) + (w if z.ndim == 1 else w[:, None])
+        x = self.sharp_apply(z)
+        x += w if z.ndim == 1 else w[:, None]
+        return x
 
 
 def weighted_pinv(A, L):
@@ -390,9 +458,3 @@ def form_B(A, bundle):
     if bundle.L.order == 0:
         return A
     return ProductOperator(A, bundle)
-
-
-def dense_B(A, bundle):
-    """Dense ``B``: ``A`` itself for the identity, else formed in O(n m d)."""
-    B = form_B(A, bundle)
-    return B if B is A else B.toarray()

@@ -17,7 +17,10 @@ closed form for its diagonal k-by-k system (the one identity choice of
 :class:`Regularization`, which the harness solves through).  The direct
 solvers take the dual form, factoring the n-by-n ``B B.T + alpha I``,
 and validate ``A`` unless handed its Gram matrix (``direct_gram`` validated
-it); the range-preserving solvers never read ``A`` densely.
+it); the range-preserving solvers never read ``A`` densely.  No solver
+forms a dense ``B``: ``direct_gram`` sums ``B B.T`` over column panels of
+``B`` with ``dsyrk``, so a penalized direct solve holds the n-by-n arrays
+of an identity one, ``A`` and the Gram matrix.
 
 The range-preserving flavors keep the solution inside ``range(A.T)``
 (resp. ``range(Gamma A.T)``): they map the filter
@@ -32,7 +35,7 @@ solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
 function computes it, :func:`range_tikhonov_block`, for any number of
 factorizations and alphas at once: the single-alpha solvers call it with
-one alpha, and the alpha selection with the whole grid.
+one alpha, and the alpha selection with 24 points of its grid at a time.
 """
 
 import functools
@@ -41,6 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from . import smoothing
 from .linalg import (
@@ -140,15 +144,30 @@ def _sharp_image(A, approx, bundle, C):
 
 
 def _gram(A, bundle):
-    B = smoothing.dense_B(A, bundle)
-    return B @ B.T
+    """``B @ B.T`` of a validated ``A``, summed over the row panels of
+    ``B.T`` in place into one C-ordered array (see :func:`direct_gram`)."""
+    n = A.shape[0]
+    G = np.zeros((n, n))
+    for P in bundle.sharp_t_panels(A.T):
+        # G.T is column-major, so dsyrk adds P.T P to it in place; its
+        # lower triangle is G's upper one
+        blas.dsyrk(1.0, P, beta=1.0, c=G.T, trans=1, lower=1, overwrite_c=1)
+        del P  # before the next panel is formed
+    mirror_upper(G)
+    return G
 
 
 def direct_gram(A, bundle):
     """The unshifted Gram matrix ``B @ B.T`` a direct Tikhonov solve
-    factors, with ``B = A @ L_sharp`` the dense target of ``bundle`` (see
-    :func:`rsvdreg.smoothing.dense_B`): ``A`` for the identity, otherwise
-    formed in O(n m d), so ``B @ B.T`` is the only O(n^3) step.
+    factors, with ``B = A @ L_sharp`` the target of ``bundle``.  No dense
+    ``B`` is formed: ``B.T = L_sharp.T A.T`` comes in row panels of
+    :meth:`rsvdreg.smoothing.WeightedPinvBundle.sharp_t_panels`, O(n m d)
+    in all, and each panel's ``P.T P`` is added in place to one C-ordered
+    n-by-n array by BLAS ``dsyrk``, which fills its upper triangle; the
+    lower one is mirrored from it.  So ``A`` and the result are the only
+    n-by-n arrays, and the panels' ``syrk`` is the only O(n^3) step.  The
+    identity's one panel is ``A.T`` itself, and its result is
+    ``A @ A.T`` bit for bit.
     Forming it is the part of a direct solve that depends neither on
     ``alpha`` nor on the data, so runs that solve one matrix many times
     form it once and pass it to :func:`gen_tikhonov_direct` as ``gram``,

@@ -77,15 +77,17 @@ class TestTableRun:
         assert len(recs) == 8 and not any(r.note for r in recs)
         assert shapes.count((n, n)) == 2 * scans
 
-    def test_peak_memory_two_and_a_half_matrices(self):
+    @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+    def test_peak_memory_two_and_a_half_matrices(self, penalty):
         # A and the Gram matrix, which each direct cell factors in place,
-        # with no n-by-n copy of it (3.2 matrices with the copy); a small
-        # selection rank keeps the n-by-(k+p) probe arrays out of the way
+        # with no n-by-n copy of it (3.2 matrices with the copy) and, for a
+        # penalty, no dense B (3.0 with it); a small selection rank keeps
+        # the n-by-(k+p) probe arrays out of the way
         n = 400
         tracemalloc.start()
         try:
-            harness.table_run(["deriv2"], [0.01, 0.05], n=n, repeats=2,
-                              k_select=20)
+            harness.table_run(["deriv2"], [0.01, 0.05], penalty=penalty, n=n,
+                              repeats=2, k_select=20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,6 +532,16 @@ class TestCli:
         header = out.read_text().splitlines()[0].rstrip("\r").split(",")
         assert header[-4:] == ["note", "alpha_at_lower", "alpha_at_upper",
                                "probe_rank"]
+
+    def test_table_detail_json_flags_are_booleans(self, tmp_path):
+        out = tmp_path / "table.json"
+        rc = main(["table", "--problems", "shaw", "--n", "32", "--deltas",
+                   "0.01", "--k", "4", "--repeats", "1", "--detail",
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        [row] = json.loads(out.read_text())
+        assert type(row["alpha_at_lower"]) is bool
+        assert type(row["alpha_at_upper"]) is bool
 
     def test_sweep_alpha_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -312,6 +312,41 @@ def test_direct_gram_is_symmetric_bit_for_bit(name, penalty):
     assert np.array_equal(gram, gram.T)
 
 
+def _panel_rows(ell, which):
+    """A panel height below ``ell``, equal to it, above it, or below it and
+    not dividing it."""
+    return {"below": ell // 4, "equal": ell, "above": ell + 5,
+            "ragged": next(r for r in range(ell // 3, ell) if ell % r)}[which]
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (60, 40), (30, 50)],
+                         ids=["square", "tall", "wide"])
+@pytest.mark.parametrize("penalty", ["d1", "d2", "custom"])
+@pytest.mark.parametrize("rows", ["below", "equal", "above", "ragged"])
+def test_direct_gram_sums_the_panels_of_B(monkeypatch, shape, penalty, rows):
+    # B.T comes in row panels, bottom-up, and their syrk sum is B @ B.T
+    rng = np.random.default_rng(21)
+    n, m = shape
+    A = rng.standard_normal(shape)
+    # the custom penalty has a three-dimensional null space
+    L = {"d1": first_difference(m), "d2": second_difference(m),
+         "custom": custom(rng.standard_normal((m - 3, m)))}[penalty]
+    bundle = weighted_pinv(A, L)
+    B = form_B(A, bundle).toarray()
+    r = _panel_rows(L.ell, rows)
+    monkeypatch.setattr(smoothing, "_PANEL_ROWS", r)
+    panels = list(bundle.sharp_t_panels(A.T))
+    assert len(panels) == -(-L.ell // r)
+    assert all(P.shape == (r, n) for P in panels[:-1])
+    assert all(P.flags.f_contiguous for P in panels)
+    BT = np.vstack(panels[::-1])
+    assert np.linalg.norm(BT - B.T) <= 1e-13 * np.linalg.norm(B)
+    gram = direct_gram(A, bundle)
+    assert gram.flags.c_contiguous and np.array_equal(gram, gram.T)
+    ref = B @ B.T
+    assert np.linalg.norm(gram - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 class TestGenTikhonovRandomized:
     def test_projected_identity_penalty_consistency(self, rng):
         A = random_decaying(rng, 10, 8)
@@ -550,7 +585,12 @@ def test_order_zero_bundle_is_the_identity(layout, rng):
     assert w.shape == (m,) and not np.any(w)
     assert bundle.solution(x, b) is x
     assert form_B(A, bundle) is A
-    assert np.array_equal(direct_gram(A, bundle), A @ A.T)
+    # one panel, A.T itself
+    AT = A.T
+    [panel] = bundle.sharp_t_panels(AT)
+    assert panel is AT
+    gram = direct_gram(A, bundle)
+    assert gram.flags.c_contiguous and np.array_equal(gram, A @ A.T)
 
 
 @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)

@@ -7,7 +7,7 @@ BLAS pinned to one thread, under ``tracemalloc`` from before the call, so the
 problem the driver builds is counted:
 
 * ``table_run([problem], (0.01, 0.05), penalty, n, k=20, p=5, q=0,
-  repeats=1)`` for the penalties none and d1, one unit of the table
+  repeats=1)`` for the penalties none, d1 and d2, one unit of the table
   workloads;
 * ``rank_sweep(problem, 0.01, ks, n, p=5, q=0, repeats=3)`` over the ranks
   2 to 60 of the rank-sweep workload.
@@ -31,6 +31,8 @@ CALLS = {
     "table none": "harness.table_run([{problem!r}], (0.01, 0.05), penalty='none', "
                   "n={n}, k=20, p=5, q=0, repeats=1)",
     "table d1": "harness.table_run([{problem!r}], (0.01, 0.05), penalty='d1', "
+                "n={n}, k=20, p=5, q=0, repeats=1)",
+    "table d2": "harness.table_run([{problem!r}], (0.01, 0.05), penalty='d2', "
                 "n={n}, k=20, p=5, q=0, repeats=1)",
     "rank_sweep": "harness.rank_sweep({problem!r}, 0.01, " + repr(SWEEP_KS)
                   + ", n={n}, p=5, q=0, repeats=3)",
