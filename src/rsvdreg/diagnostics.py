@@ -104,14 +104,6 @@ def default_alpha_grid(sigma1, count=100):
     return (1e-14 * sigma1**2, sigma1**2, count)
 
 
-#: alphas per block solve of :func:`select_alpha`, so that it holds an
-#: m-by-24 block at a time whatever the grid's size.  Measured with
-#: OpenBLAS's Haswell kernels on the test problems, each column of a block
-#: of a multiple of 8 columns has the bits it has in one block over the
-#: whole grid; blocks of 20 or 25 columns do not, with a penalty.
-_SELECT_COLUMNS = 24
-
-
 def select_alpha(problem, solver, grid):
     """Pick the regularization parameter minimizing the reconstruction
     error over a logarithmic grid.
@@ -120,10 +112,9 @@ def select_alpha(problem, solver, grid):
     ----------
     problem : InverseProblem
     solver : callable
-        Maps an array of alphas to the block of their solutions, an
-        m-by-``alphas.size`` array (column j for ``alphas[j]``), e.g.
-        ``lambda alphas: reg.block([approx], b, alphas)[0]``.  It is called
-        on consecutive runs of ``_SELECT_COLUMNS`` grid points, and each
+        Maps the grid's array of ``count`` alphas to the block of their
+        solutions, an m-by-``count`` array (column j for ``alphas[j]``),
+        e.g. ``lambda alphas: reg.block([approx], b, alphas)[0]``.  The
         block is overwritten with the errors ``X - x_true``.
     grid : (lo, hi, count)
         Log-uniform sampling bounds and count (count >= 2).
@@ -141,18 +132,13 @@ def select_alpha(problem, solver, grid):
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     alphas = np.logspace(math.log10(lo), math.log10(hi), int(count))
-    errors = np.empty(alphas.size)
-    for start in range(0, alphas.size, _SELECT_COLUMNS):
-        part = slice(start, start + _SELECT_COLUMNS)
-        X = solver(alphas[part])
-        shape = (problem.x_true.size, alphas[part].size)
-        if not isinstance(X, np.ndarray) or X.shape != shape:
-            raise ValueError(f"solver must return an array of shape {shape}, one "
-                             f"column per alpha, got a {type(X).__name__} of shape "
-                             f"{np.shape(X)}")
-        X -= problem.x_true[:, None]
-        errors[part] = np.sqrt(np.einsum("ij,ij->j", X, X))
-        del X  # before the next block is formed
+    X = solver(alphas)
+    shape = (problem.x_true.size, alphas.size)
+    if not isinstance(X, np.ndarray) or X.shape != shape:
+        raise ValueError(f"solver must return an array of shape {shape}, one column "
+                         f"per alpha, got a {type(X).__name__} of shape {np.shape(X)}")
+    X -= problem.x_true[:, None]
+    errors = np.sqrt(np.einsum("ij,ij->j", X, X))
     finite = np.isfinite(errors)
     if not finite.any():
         raise RuntimeError("every grid point produced a non-finite error")

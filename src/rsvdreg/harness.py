@@ -113,10 +113,9 @@ def alpha_selector(reg, approx, grid=None, grid_count=100):
     error of ``reg``'s range-preserving solve over ``grid`` (by default
     ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
     from the factors ``approx`` of ``reg.target`` shared by every problem
-    it is given.  The grid is solved in blocks of consecutive points, each
-    one :meth:`Regularization.block` solve: for tall-path factors one
-    product ``V (sigma * C)`` (see :mod:`rsvdreg.solvers`), with no product
-    with ``A``."""
+    it is given.  The whole grid is one :meth:`Regularization.block` solve:
+    for tall-path factors one product ``V (sigma * C)`` (see
+    :mod:`rsvdreg.solvers`), with no product with ``A``."""
     if grid is None:
         grid = default_alpha_grid(approx.sigma[0], grid_count)
     return lambda prob: select_alpha(
@@ -146,16 +145,27 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
     (approx_select, approx_B), t_factor_B = _timed(
         selection_probe, reg, k_select, [k], p, q, seed)
     select = alpha_selector(reg, approx_select, grid_count=grid_count)
+    # every cell selects its alpha before a penalty's A is factored for the
+    # projected column, so no selection block is held beside those factors;
+    # a failed selection fails its cell below, not the repeat
+    picks = []
+    for delta in deltas:
+        try:
+            prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
+            picks.append((prob, *select(prob)))
+        except Exception as exc:  # noqa: BLE001
+            picks.append(exc)
     if reg.target is A:
         approx_A, t_factor_A = approx_B, t_factor_B
     else:
         approx_A, t_factor_A = _timed(rsvd_auto, A,
                                       RsvdConfig(k=k, p=p, q=q, seed=seed))
 
-    def cell(delta):
-        prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
+    def cell(delta, pick):
+        if isinstance(pick, Exception):
+            raise pick
+        prob, alpha_star, curve = pick
         b = prob.b
-        alpha_star, curve = select(prob)
         direct = reg.direct(b, alpha_star, gram=reg.gram)
         hat = reg.projected(approx_A, b, alpha_star)
         tilde = reg.range(approx_B, b, alpha_star)
@@ -173,11 +183,11 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
         )
 
     records = []
-    for delta in deltas:
+    for delta, pick in zip(deltas, picks):
         # a failed cell must not take down the rest of the table; it is
         # reported in its row
         try:
-            records.append(cell(delta))
+            records.append(cell(delta, pick))
         except Exception as exc:  # noqa: BLE001
             records.append(_failed_record(base.name, A.shape[0], delta,
                                           penalty, k, p, q, repeat, base_seed, exc))
@@ -210,7 +220,8 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
     identity's projected column), so these are not independent draws and
     those columns' times charge the whole probe (see :class:`RunRecord`).
     A penalty's projected column factors ``A`` at rank ``k`` with the same
-    seed.  The problems run on ``workers`` threads, each with its own
+    seed, after the repeat has selected the alpha of every noise level.
+    The problems run on ``workers`` threads, each with its own
     :class:`rsvdreg.solvers.Regularization`, whose Gram matrix the direct
     solves of its repeats borrow one at a time (it is factored in place).
     """

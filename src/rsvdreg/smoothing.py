@@ -121,14 +121,23 @@ class SmoothingOperator:
             # this is the layout the seeded outputs were produced with
             X = np.zeros_like(Y, shape=(self.m, Y.shape[1]), order="K" if d < 2 else "C")
             X[d:] = Y
-            for _ in range(d):
-                np.cumsum(X[d:], axis=0, out=X[d:])
-            if d == 1:  # W W.T X for the constant W, as a column mean
-                X -= X.mean(axis=0, keepdims=True)
-            else:
-                W = self.null_basis()
-                X -= W @ (W.T @ X)
+            self.pinv_apply_padded(X)
         return X[:, 0] if y.ndim == 1 else X
+
+    def pinv_apply_padded(self, X):
+        """Form ``L^+ @ y`` in place in the m-by-k ``X`` of a structured
+        kind whose first ``d`` rows are zero and whose rows ``d:`` hold
+        ``y``, so that a caller that writes ``y`` there needs no second
+        block; returns ``X``."""
+        d = self.order
+        for _ in range(d):
+            np.cumsum(X[d:], axis=0, out=X[d:])
+        if d == 1:  # W W.T X for the constant W, as a column mean
+            X -= X.mean(axis=0, keepdims=True)
+        elif d == 2:
+            W = self.null_basis()
+            _subtract_product(X, W, W.T @ X)
+        return X
 
     def pinv_t_apply(self, x):
         """Compute ``(L^+).T @ x``, the adjoint of :meth:`pinv_apply`.
@@ -148,13 +157,40 @@ class SmoothingOperator:
             return self._dense_pinv.T @ x
         if d == 0:  # L^+ = I: a private copy in x's layout
             return x.copy(order="K")
-        if d == 1:  # W W.T x for the constant W, as a column mean
-            Z = x[1:] - x.mean(axis=0)
-        else:
-            W = self.null_basis()
-            Z = x[d:] - _outer_t(W.T @ x, W[d:])
-        for _ in range(d):  # Z[j] <- sum_{i >= j} Z[i], in place
+        Z = np.array(x[d:], order="K")
+        return self._suffix_sums(self._project_rows(Z, self._null_part(x), slice(d, None)))
+
+    # The structured (L^+).T x in steps that also work on row panels of x
+    # (see WeightedPinvBundle.sharp_t_panels): the null-space coefficients
+    # are a sum over rows, the projection and the suffix sums are not.
+
+    def _null_part(self, x, rows=slice(None)):
+        """What rows ``rows`` of an m-row block, given as ``x``, add to its
+        null-space coefficients: their column sums for ``d = 1`` (the
+        column mean once divided by m), ``W[rows].T @ x`` for ``d = 2``."""
+        return x.sum(axis=0) if self.order == 1 else self.null_basis()[rows].T @ x
+
+    def _project_rows(self, Z, coeffs, rows):
+        """Project rows ``rows`` of a block, given as ``Z``, out of the
+        null space in place, from the coefficients :meth:`_null_part`
+        summed over all of its rows."""
+        if self.order == 1:  # W W.T x for the constant W, as a column mean
+            Z -= coeffs / self.m
+            return Z
+        return _subtract_product(Z, self.null_basis()[rows], coeffs)
+
+    def _suffix_sums(self, Z, carry=None):
+        """``d`` reversed cumulative sums of ``Z`` in place: row j becomes
+        the sum of rows j onwards.  ``carry`` (d-by-k) holds the sums of the
+        rows below ``Z`` at each level: a panel's last row is seeded with
+        it, which makes the additions of one sum over all rows in the same
+        order, and it is updated for the panel above."""
+        for k in range(self.order):
+            if carry is not None:
+                Z[-1] += carry[k]
             np.cumsum(Z[::-1], axis=0, out=Z[::-1])
+            if carry is not None:
+                carry[k] = Z[0]
         return Z
 
     @functools.cached_property
@@ -204,6 +240,22 @@ def _outer_t(v, F):
     (``A.T``, ``(X @ A).T``) it is subtracted from: mixed layouts make the
     subtraction several times slower."""
     return (v.T @ F.T).T
+
+
+def _subtract_product(x, F, v):
+    """``x -= F @ v`` in place for a thin ``F`` (rows-by-d), without an
+    x-sized temporary: one BLAS ``dgemm`` into a contiguous ``x`` of two
+    or more rows and columns, which rounds each entry as ``x - F @ v`` and
+    ``x - _outer_t(v, F)`` do.  NumPy takes a vector product for a vector
+    or a single row or column, so those subtract ``_outer_t(v, F)``.
+    Returns ``x``."""
+    if x.ndim == 2 and min(x.shape) > 1 and x.flags.f_contiguous:
+        blas.dgemm(-1.0, F, v, beta=1.0, c=x, overwrite_c=1)
+    elif x.ndim == 2 and min(x.shape) > 1 and x.flags.c_contiguous:
+        blas.dgemm(-1.0, v.T, F.T, beta=1.0, c=x.T, overwrite_c=1)
+    else:
+        x -= _outer_t(v, F)
+    return x
 
 
 def identity(m):
@@ -262,73 +314,68 @@ class WeightedPinvBundle:
 
     def sharp_apply(self, y):
         """``L_sharp @ y = L^+ y - W (E L^+ y)``."""
-        x = self.L.pinv_apply(y)
-        if self.null_dim:
-            x -= self.W @ (self.E @ x)
-        return x
+        return self._less_null(self.L.pinv_apply(y))
+
+    def _less_null(self, x):
+        """``x - W (E x)`` in place."""
+        return _subtract_product(x, self.W, self.E @ x) if self.null_dim else x
+
+    def _oblique(self, x, c, rows=slice(None)):
+        """Rows ``rows`` (given as ``x``) of ``x - E.T c``, ``c = W.T x``
+        of the whole ``x``, as a fresh array in ``x``'s layout: the first
+        factor of ``L_sharp.T``."""
+        return _subtract_product(np.array(x, order="K"), self.E.T[rows], c)
 
     def sharp_t_apply(self, x):
         """``L_sharp.T @ x = (L^+).T (x - E.T (W.T x))``."""
         if self.null_dim:
-            x = x - _outer_t(self.W.T @ x, self.E.T)
+            x = self._oblique(x, self.W.T @ x)
         return self.L.pinv_t_apply(x)
 
     def sharp_t_panels(self, x):
-        """Row panels of ``L_sharp.T @ x`` for a column-major m-by-j ``x``
+        """Row panels of ``L_sharp.T @ x`` for a contiguous m-by-j ``x``
         (such as ``A.T``), bottom-up, ``_PANEL_ROWS`` rows each (the top
         one may have fewer), so that the ell-by-j result is never held
         whole.  The identity yields ``x`` itself as its one panel; the
-        others yield fresh column-major arrays, which BLAS reads without a
-        copy.
+        difference kinds yield fresh arrays in ``x``'s layout and custom
+        kinds column-major ones.  Each is one contiguous array, which
+        BLAS reads without a copy.
 
-        The difference kinds carry their ``d`` running suffix sums from
-        panel to panel: seeding a panel's last row with the carry before
-        its reversed cumulative sum makes the additions of one sum over all
-        rows, in the same order.  Each panel is first ``x' = x - E.T (W.T
-        x)`` on its rows, less ``W (W.T x')``.  ``W.T x'`` is summed over
-        the panels of ``x'`` in a first pass, O(m j d), so the projection
-        takes out the null-space part that ``x'`` has after rounding, as
-        one projection of the whole ``x'`` does.  Custom kinds take
-        ``(L^+)[:, rows].T x'`` as ``(L^+)[:, rows].T x`` less the oblique
-        term through the d-by-ell ``E L^+``: the cost of one product with
-        the dense ``L^+``, with no m-by-j ``x'``.  Every ``d``-term update
-        is one in-place ``dgemm``, so a panel needs no second array.
+        The difference kinds take the steps of :meth:`sharp_t_apply` on
+        the rows of each panel.  The null-space coefficients of ``x - E.T
+        (W.T x)`` are summed over all its rows in a first pass, O(m j d),
+        and the suffix sums carry from panel to panel (see
+        :meth:`SmoothingOperator._suffix_sums`).  So a panel differs from
+        the same rows of :meth:`sharp_t_apply` only in how those
+        coefficients are rounded.  Custom kinds take ``(L^+)[:, rows].T x``
+        less the oblique term through the d-by-ell ``E L^+``: the cost of
+        one product with the dense ``L^+``, with no m-by-j ``x - E.T (W.T
+        x)``.
         """
         L, d = self.L, self.L.order
         if d == 0:
             yield x
             return
         c = self.W.T @ x
-
-        def less(P, F, y):
-            """``P - F @ y`` in place, for a column-major ``P``."""
-            return blas.dgemm(-1.0, F, y, beta=1.0, c=P, overwrite_c=1)
-
         if d is None:
             EL = self.E @ L._dense_pinv
             for stop in range(L.ell, 0, -_PANEL_ROWS):
                 rows = slice(max(stop - _PANEL_ROWS, 0), stop)
                 P = (x.T @ L._dense_pinv[:, rows]).T
-                if self.null_dim:
-                    P = less(P, EL[:, rows].T, c)
-                yield P
+                yield _subtract_product(P, EL[:, rows].T, c) if self.null_dim else P
                 del P  # before the next panel is formed
             return
 
         def oblique(rows):
-            return less(np.array(x[rows], order="F"), self.E.T[rows], c)
+            return self._oblique(x[rows], c, rows)
 
-        s = sum(self.W[rows].T @ oblique(rows)
-                for rows in (slice(i, i + _PANEL_ROWS) for i in range(0, L.m, _PANEL_ROWS)))
+        coeffs = sum(L._null_part(oblique(rows), rows)
+                     for rows in (slice(i, i + _PANEL_ROWS) for i in range(0, L.m, _PANEL_ROWS)))
         carry = np.zeros((d, x.shape[1]))
         for stop in range(L.ell, 0, -_PANEL_ROWS):
             # row i of L_sharp.T x sums rows i + d onwards of the projection
             rows = slice(max(stop - _PANEL_ROWS, 0) + d, stop + d)
-            P = less(oblique(rows), self.W[rows], s)
-            for k in range(d):
-                P[-1] += carry[k]
-                np.cumsum(P[::-1], axis=0, out=P[::-1])
-                carry[k] = P[0]
+            P = L._suffix_sums(L._project_rows(oblique(rows), coeffs, rows), carry)
             yield P
             del P  # before the next panel is formed
 
@@ -350,9 +397,34 @@ class WeightedPinvBundle:
         so ``L_sharp z = Gamma A.T v``; ``z`` itself for the identity."""
         if self.L.order == 0:
             return z
+        return self._plus_w(self.sharp_apply(z), b)
+
+    def solution_block(self, k):
+        """``(X, Z)``: an m-by-k block ``X`` for :meth:`sharp_solution_of`
+        and the ell-by-k block ``Z`` the caller writes ``B.T V`` into.  For
+        the identity and the difference kinds ``Z`` is rows ``d:`` of the
+        row-major ``X`` (its first ``d`` rows zeroed), so that the solution
+        is formed in place with no second block; a custom kind's ``Z`` is
+        ``X`` itself."""
+        L, d = self.L, self.L.order
+        X = np.empty((L.m if d is not None else L.ell, k))
+        if not d:  # the identity, or a custom kind
+            return X, X
+        X[:d] = 0.0
+        return X, X[d:]
+
+    def sharp_solution_of(self, X, b):
+        """:meth:`sharp_solution` of the ``Z`` of ``(X, Z) =
+        solution_block(k)``, formed in ``X`` but for a custom kind."""
+        if self.L.order == 0:
+            return X
+        if self.L.order is None:
+            return self.sharp_solution(X, b)
+        return self._plus_w(self._less_null(self.L.pinv_apply_padded(X)), b)
+
+    def _plus_w(self, x, b):
         w = self.w_term(b)
-        x = self.sharp_apply(z)
-        x += w if z.ndim == 1 else w[:, None]
+        x += w if x.ndim == 1 else w[:, None]
         return x
 
 

@@ -35,7 +35,7 @@ solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
 function computes it, :func:`range_tikhonov_block`, for any number of
 factorizations and alphas at once: the single-alpha solvers call it with
-one alpha, and the alpha selection with 24 points of its grid at a time.
+one alpha, and the alpha selection with the whole grid.
 """
 
 import functools
@@ -133,12 +133,12 @@ def trsvd_solve_range(A, approx, b):
     return _result(X[:, 0], "trsvd_range", None, approx.k, t0)
 
 
-def _sharp_image(A, approx, bundle, C):
+def _sharp_image(A, approx, bundle, C, out=None):
     """``B.T U C`` of factors of ``B = A @ L_sharp`` and k-by-j
-    coefficients ``C``: ``V diag(sigma) C`` for left-sketch factors, else
-    ``L_sharp.T A.T U C``."""
+    coefficients ``C``: ``V diag(sigma) C`` for left-sketch factors, into
+    ``out`` if given, else ``L_sharp.T A.T U C``, a fresh array."""
     if approx.left_sketch:
-        return approx.V @ (approx.sigma * C.T).T
+        return np.matmul(approx.V, (approx.sigma * C.T).T, out=out)
     # A.T @ Y; OpenBLAS is faster with the thin block on the left
     return bundle.sharp_t_apply(((approx.U @ C).T @ A).T)
 
@@ -150,8 +150,12 @@ def _gram(A, bundle):
     G = np.zeros((n, n))
     for P in bundle.sharp_t_panels(A.T):
         # G.T is column-major, so dsyrk adds P.T P to it in place; its
-        # lower triangle is G's upper one
-        blas.dsyrk(1.0, P, beta=1.0, c=G.T, trans=1, lower=1, overwrite_c=1)
+        # lower triangle is G's upper one.  BLAS reads a column-major P,
+        # or the transpose of a row-major one, without a copy.
+        if P.flags.f_contiguous:
+            blas.dsyrk(1.0, P, beta=1.0, c=G.T, trans=1, lower=1, overwrite_c=1)
+        else:
+            blas.dsyrk(1.0, P.T, beta=1.0, c=G.T, trans=0, lower=1, overwrite_c=1)
         del P  # before the next panel is formed
     mirror_upper(G)
     return G
@@ -242,12 +246,26 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle):
 
 def _range_block(A, approxes, b, alphas, bundle):
     """:func:`range_tikhonov_block` of a validated ``b`` without the alpha
-    check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``."""
-    Z = [_sharp_image(A, ap, bundle, shifted_gram_coeffs(
-        (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)) for ap in approxes]
-    if len(Z) == 1:
-        return [bundle.sharp_solution(Z[0], b)]
-    return np.hsplit(bundle.sharp_solution(np.hstack(Z), b), len(Z))
+    check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``.  The
+    images of left-sketch factors are written side by side into the rows
+    that ``L_sharp`` maps in place (see
+    :meth:`rsvdreg.smoothing.WeightedPinvBundle.solution_block`), so the
+    solutions are the only m-by-(factorizations x alphas) block held."""
+    Cs = [shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
+          for ap in approxes]
+    # each factorization's columns (slices, not np.hsplit: this is on the
+    # path of every single-alpha solve)
+    j = len(alphas)
+    parts = [slice(i * j, (i + 1) * j) for i in range(len(approxes))]
+    if all(ap.left_sketch for ap in approxes):
+        X, Z = bundle.solution_block(len(approxes) * j)
+        for ap, C, cols in zip(approxes, Cs, parts):
+            _sharp_image(A, ap, bundle, C, out=Z[:, cols])
+        X = bundle.sharp_solution_of(X, b)
+    else:
+        Z = [_sharp_image(A, ap, bundle, C) for ap, C in zip(approxes, Cs)]
+        X = bundle.sharp_solution(Z[0] if len(Z) == 1 else np.hstack(Z), b)
+    return [X[:, cols] for cols in parts]
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):

@@ -193,6 +193,28 @@ class TestTableRun:
         bad = next(r for r in rows if r["example"] == "phillips")
         assert np.isnan(bad["e"]) and "divisible by 4" in bad["note"]
 
+    def test_cells_select_before_A_is_factored(self, monkeypatch):
+        # every noise level's alpha is selected before a penalty's A is
+        # factored for the projected column, so no selection block is held
+        # beside those factors; a failed selection fails only its cell
+        events = []
+        select, auto = harness.select_alpha, harness.rsvd_auto
+
+        def failing_select(prob, solver, grid):
+            events.append("select")
+            if events.count("select") == 2:
+                raise RuntimeError("selection failed")
+            return select(prob, solver, grid)
+
+        monkeypatch.setattr(harness, "select_alpha", failing_select)
+        monkeypatch.setattr(harness, "rsvd_auto",
+                            lambda A, cfg: events.append("factor A") or auto(A, cfg))
+        recs = harness.table_run(["shaw"], [0.01, 0.02, 0.05], penalty="d1",
+                                 n=32, k=4, repeats=1, k_select=8, grid_count=20)
+        assert events == ["select"] * 3 + ["factor A"]
+        notes = {r.delta: r.note for r in recs}
+        assert notes == {0.01: "", 0.02: "RuntimeError: selection failed", 0.05: ""}
+
 
 class TestSweepHelpers:
     def test_median_curve(self):
