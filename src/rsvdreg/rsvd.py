@@ -64,6 +64,9 @@ class RankKApprox:
     ``left_sketch`` is True when ``A.T @ U == V @ diag(sigma)`` holds
     exactly: for tall-path factors (``U = Q Wt.T`` with the SVD
     ``Q.T @ A = Wt.T diag(s) Z.T``) and the exact SVD, not the wide path.
+    It selects only how a range-preserving solve forms the image ``A.T U
+    C`` it maps back: ``V diag(sigma) C`` when set, else one product with
+    ``A.T``.  Either image is assembled into the solution alike.
 
     ``probe_rank`` is the numerical rank of the (k+p)-row sketch the factors
     were cut from: its singular values above ``default_pinv_rtol`` times

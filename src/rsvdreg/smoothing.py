@@ -14,10 +14,12 @@ null-space component is resolved exactly through ``W (A W)^+ b`` while
 the smooth component travels through ``L_sharp = (I - W (A W)^+ A) L^+``.
 The identity's special cases live here: its ``L^+`` is a copy, its bundle
 has no null-space term and is built without reading ``A`` (every other
-penalty's validates ``A``), and its ``B`` is ``A``.  No dense ``B`` is ever
-formed by the solvers: the direct reference builds ``B B.T`` from the row
-panels of ``L_sharp.T A.T`` that :meth:`WeightedPinvBundle.sharp_t_panels`
-yields one at a time.
+penalty's validates ``A``), and its ``B`` is ``A``.  ``L_sharp.T x`` has one
+implementation, the row panels of :meth:`WeightedPinvBundle.sharp_t_panels`:
+``sharp_t_apply`` writes them into one array, and the direct reference sums
+``B B.T`` over the panels of ``L_sharp.T A.T`` with no dense ``B``.  The
+solution ``L_sharp z + W (A W)^+ b`` has one assembly, in place in a
+:meth:`WeightedPinvBundle.solution_block` (``sharp_solution_of``).
 """
 
 import functools
@@ -139,32 +141,11 @@ class SmoothingOperator:
             _subtract_product(X, W, W.T @ X)
         return X
 
-    def pinv_t_apply(self, x):
-        """Compute ``(L^+).T @ x``, the adjoint of :meth:`pinv_apply`.
+    # (L^+).T x = C.T P x in steps that work on row panels of x (see
+    # WeightedPinvBundle.sharp_t_panels), with C the d-fold cumulative sum
+    # under d zero rows and P the projector out of the null space.
 
-        For the structured kinds ``L^+ = P C``, with ``C`` the ``d``-fold
-        cumulative sum padded by ``d`` leading zero rows and ``P`` the
-        projector out of the null space, so ``(L^+).T x = C.T P x``:
-        project, drop the ``d`` padded rows and take ``d`` reversed
-        cumulative sums.  O(m d) per column; custom kinds use the dense
-        pseudoinverse.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.m:
-            raise ValueError(f"expected leading dimension {self.m}, got {x.shape}")
-        d = self.order
-        if d is None:
-            return self._dense_pinv.T @ x
-        if d == 0:  # L^+ = I: a private copy in x's layout
-            return x.copy(order="K")
-        Z = np.array(x[d:], order="K")
-        return self._suffix_sums(self._project_rows(Z, self._null_part(x), slice(d, None)))
-
-    # The structured (L^+).T x in steps that also work on row panels of x
-    # (see WeightedPinvBundle.sharp_t_panels): the null-space coefficients
-    # are a sum over rows, the projection and the suffix sums are not.
-
-    def _null_part(self, x, rows=slice(None)):
+    def _null_part(self, x, rows):
         """What rows ``rows`` of an m-row block, given as ``x``, add to its
         null-space coefficients: their column sums for ``d = 1`` (the
         column mean once divided by m), ``W[rows].T @ x`` for ``d = 2``."""
@@ -179,18 +160,16 @@ class SmoothingOperator:
             return Z
         return _subtract_product(Z, self.null_basis()[rows], coeffs)
 
-    def _suffix_sums(self, Z, carry=None):
+    def _suffix_sums(self, Z, carry):
         """``d`` reversed cumulative sums of ``Z`` in place: row j becomes
         the sum of rows j onwards.  ``carry`` (d-by-k) holds the sums of the
         rows below ``Z`` at each level: a panel's last row is seeded with
         it, which makes the additions of one sum over all rows in the same
         order, and it is updated for the panel above."""
         for k in range(self.order):
-            if carry is not None:
-                Z[-1] += carry[k]
+            Z[-1] += carry[k]
             np.cumsum(Z[::-1], axis=0, out=Z[::-1])
-            if carry is not None:
-                carry[k] = Z[0]
+            carry[k] = Z[0]
         return Z
 
     @functools.cached_property
@@ -320,64 +299,86 @@ class WeightedPinvBundle:
         """``x - W (E x)`` in place."""
         return _subtract_product(x, self.W, self.E @ x) if self.null_dim else x
 
-    def _oblique(self, x, c, rows=slice(None)):
-        """Rows ``rows`` (given as ``x``) of ``x - E.T c``, ``c = W.T x``
-        of the whole ``x``, as a fresh array in ``x``'s layout: the first
-        factor of ``L_sharp.T``."""
-        return _subtract_product(np.array(x, order="K"), self.E.T[rows], c)
-
     def sharp_t_apply(self, x):
-        """``L_sharp.T @ x = (L^+).T (x - E.T (W.T x))``."""
-        if self.null_dim:
-            x = self._oblique(x, self.W.T @ x)
-        return self.L.pinv_t_apply(x)
+        """``L_sharp.T @ x``: the panels of :meth:`sharp_t_panels` in one
+        fresh array in their layout (``x``'s, row-major for a custom kind),
+        a single fresh panel itself.  A vector goes in as one column."""
+        L = self.L
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != L.m:
+            raise ValueError(f"expected leading dimension {L.m}, got {x.shape}")
+        shape = (L.ell,) + x.shape[1:]
+        # the panels hold the only reference to x, so that a temporary x
+        # (the X @ A of a left product) goes once they are done with it
+        panels = self.sharp_t_panels(x.reshape(L.m, -1))
+        del x
+        out = P = next(panels)
+        if len(P) < L.ell or L.order == 0:
+            out = np.empty_like(P, shape=(L.ell, P.shape[1]))
+            stop = L.ell
+            while P is not None:
+                out[stop - len(P):stop] = P
+                stop -= len(P)
+                P = next(panels, None)
+        return out.reshape(shape)
 
     def sharp_t_panels(self, x):
-        """Row panels of ``L_sharp.T @ x`` for a contiguous m-by-j ``x``
-        (such as ``A.T``), bottom-up, ``_PANEL_ROWS`` rows each (the top
-        one may have fewer), so that the ell-by-j result is never held
-        whole.  The identity yields ``x`` itself as its one panel; the
-        difference kinds yield fresh arrays in ``x``'s layout and custom
-        kinds column-major ones.  Each is one contiguous array, which
-        BLAS reads without a copy.
+        """Row panels of ``L_sharp.T @ x`` for an m-by-j ``x`` (such as
+        ``A.T``), bottom-up: the one implementation of ``L_sharp.T``.  A
+        block wider than ``_PANEL_ROWS`` comes in panels of that many rows
+        (the top one may have fewer), so that its ell-by-j result is never
+        held whole; a thinner one, whose result is no larger than such a
+        panel of a square block, is one panel.  The identity yields ``x``
+        itself; the difference kinds yield fresh arrays in ``x``'s layout
+        and custom kinds row-major ones, contiguous for a contiguous ``x``
+        so that BLAS reads them without a copy.
 
-        The difference kinds take the steps of :meth:`sharp_t_apply` on
-        the rows of each panel.  The null-space coefficients of ``x - E.T
-        (W.T x)`` are summed over all its rows in a first pass, O(m j d),
-        and the suffix sums carry from panel to panel (see
-        :meth:`SmoothingOperator._suffix_sums`).  So a panel differs from
-        the same rows of :meth:`sharp_t_apply` only in how those
-        coefficients are rounded.  Custom kinds take ``(L^+)[:, rows].T x``
-        less the oblique term through the d-by-ell ``E L^+``: the cost of
-        one product with the dense ``L^+``, with no m-by-j ``x - E.T (W.T
-        x)``.
+        The difference kinds take the steps of :class:`SmoothingOperator`
+        on the rows of each panel of ``x - E.T (W.T x)``.  Its null-space
+        coefficients are summed over all its rows in a first pass, O(m j
+        d), and the suffix sums carry from panel to panel, so several
+        panels differ from one in rounding only.  Custom kinds take
+        ``(L^+)[:, rows].T x`` less the oblique term through the d-by-ell
+        ``E L^+``: one product with the dense ``L^+`` and no m-by-j ``x -
+        E.T (W.T x)``.
         """
         L, d = self.L, self.L.order
         if d == 0:
             yield x
             return
+        # a thin block is one panel: a height no panel reaches
+        height = _PANEL_ROWS if x.shape[1] > _PANEL_ROWS else L.m + L.ell
         c = self.W.T @ x
         if d is None:
             EL = self.E @ L._dense_pinv
-            for stop in range(L.ell, 0, -_PANEL_ROWS):
-                rows = slice(max(stop - _PANEL_ROWS, 0), stop)
-                P = (x.T @ L._dense_pinv[:, rows]).T
+            for stop in range(L.ell, 0, -height):
+                rows = slice(max(stop - height, 0), stop)
+                P = L._dense_pinv[:, rows].T @ x
                 yield _subtract_product(P, EL[:, rows].T, c) if self.null_dim else P
                 del P  # before the next panel is formed
             return
 
         def oblique(rows):
-            return self._oblique(x[rows], c, rows)
+            """Rows ``rows`` of ``x - E.T c``, fresh in ``x``'s layout."""
+            return _subtract_product(np.array(x[rows], order="K"), self.E.T[rows], c)
 
-        coeffs = sum(L._null_part(oblique(rows), rows)
-                     for rows in (slice(i, i + _PANEL_ROWS) for i in range(0, L.m, _PANEL_ROWS)))
-        carry = np.zeros((d, x.shape[1]))
-        for stop in range(L.ell, 0, -_PANEL_ROWS):
+        # a single panel forms x - E.T c once, for its coefficients and
+        # itself (a row range formed apart can round differently, as BLAS
+        # takes other kernels for it), and drops x, so a temporary x can go
+        whole = None
+        if height >= L.m:
+            whole, x = oblique(slice(None)), None
+        coeffs = (L._null_part(whole, slice(None)) if whole is not None else
+                  sum(L._null_part(oblique(rows), rows)
+                      for rows in (slice(i, i + height) for i in range(0, L.m, height))))
+        carry = np.zeros(c.shape)  # d-by-j
+        for stop in range(L.ell, 0, -height):
             # row i of L_sharp.T x sums rows i + d onwards of the projection
-            rows = slice(max(stop - _PANEL_ROWS, 0) + d, stop + d)
-            P = L._suffix_sums(L._project_rows(oblique(rows), coeffs, rows), carry)
+            rows = slice(max(stop - height, 0) + d, stop + d)
+            Y = oblique(rows) if whole is None else np.array(whole[rows], order="K")
+            P = L._suffix_sums(L._project_rows(Y, coeffs, rows), carry)
             yield P
-            del P  # before the next panel is formed
+            del P, Y  # before the next panel is formed
 
     def gamma_apply(self, x):
         """Apply ``Gamma = L_sharp @ L_sharp.T`` (symmetric smoother)."""
@@ -389,15 +390,14 @@ class WeightedPinvBundle:
 
     def solution(self, y, b):
         """``Gamma y + W (A W)^+ b`` for ``y = A.T v`` (a vector or columns,
-        all for the data ``b``); ``y`` itself for the identity."""
-        return y if self.L.order == 0 else self.sharp_solution(self.sharp_t_apply(y), b)
-
-    def sharp_solution(self, z, b):
-        """``L_sharp z + W (A W)^+ b`` for ``z = B.T v = L_sharp.T A.T v``,
-        so ``L_sharp z = Gamma A.T v``; ``z`` itself for the identity."""
+        all for the data ``b``), assembled by :meth:`sharp_solution_of`;
+        ``y`` itself for the identity."""
         if self.L.order == 0:
-            return z
-        return self._plus_w(self.sharp_apply(z), b)
+            return y
+        Y = np.reshape(y, (self.L.m, -1))
+        X, Z = self.solution_block(Y.shape[1])
+        Z[...] = self.sharp_t_apply(Y)
+        return self.sharp_solution_of(X, b).reshape(np.shape(y))
 
     def solution_block(self, k):
         """``(X, Z)``: an m-by-k block ``X`` for :meth:`sharp_solution_of`
@@ -414,12 +414,16 @@ class WeightedPinvBundle:
         return X, X[d:]
 
     def sharp_solution_of(self, X, b):
-        """:meth:`sharp_solution` of the ``Z`` of ``(X, Z) =
-        solution_block(k)``, formed in ``X`` but for a custom kind."""
+        """``L_sharp z + W (A W)^+ b`` for the ``z`` in the ``Z`` of ``(X,
+        Z) = solution_block(k)``, such as ``z = B.T v = L_sharp.T A.T v``
+        (so ``L_sharp z = Gamma A.T v``): the one assembly of the penalized
+        solution.  Formed in ``X`` but for a custom kind, whose dense
+        ``L^+`` maps ``X`` into a fresh array; ``X`` itself for the
+        identity."""
         if self.L.order == 0:
             return X
         if self.L.order is None:
-            return self.sharp_solution(X, b)
+            return self._plus_w(self.sharp_apply(X), b)
         return self._plus_w(self._less_null(self.L.pinv_apply_padded(X)), b)
 
     def _plus_w(self, x, b):

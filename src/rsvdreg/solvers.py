@@ -35,7 +35,10 @@ solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
 function computes it, :func:`range_tikhonov_block`, for any number of
 factorizations and alphas at once: the single-alpha solvers call it with
-one alpha, and the alpha selection with the whole grid.
+one alpha, and the alpha selection with the whole grid.  Every penalized
+solution, direct or range-preserving, is assembled in place by the one
+``WeightedPinvBundle.sharp_solution_of``, and every ``L_sharp.T`` is
+taken in the bundle's row panels.
 """
 
 import functools
@@ -133,16 +136,6 @@ def trsvd_solve_range(A, approx, b):
     return _result(X[:, 0], "trsvd_range", None, approx.k, t0)
 
 
-def _sharp_image(A, approx, bundle, C, out=None):
-    """``B.T U C`` of factors of ``B = A @ L_sharp`` and k-by-j
-    coefficients ``C``: ``V diag(sigma) C`` for left-sketch factors, into
-    ``out`` if given, else ``L_sharp.T A.T U C``, a fresh array."""
-    if approx.left_sketch:
-        return np.matmul(approx.V, (approx.sigma * C.T).T, out=out)
-    # A.T @ Y; OpenBLAS is faster with the thin block on the left
-    return bundle.sharp_t_apply(((approx.U @ C).T @ A).T)
-
-
 def _gram(A, bundle):
     """``B @ B.T`` of a validated ``A``, summed over the row panels of
     ``B.T`` in place into one C-ordered array (see :func:`direct_gram`)."""
@@ -164,20 +157,18 @@ def _gram(A, bundle):
 def direct_gram(A, bundle):
     """The unshifted Gram matrix ``B @ B.T`` a direct Tikhonov solve
     factors, with ``B = A @ L_sharp`` the target of ``bundle``.  No dense
-    ``B`` is formed: ``B.T = L_sharp.T A.T`` comes in row panels of
-    :meth:`rsvdreg.smoothing.WeightedPinvBundle.sharp_t_panels`, O(n m d)
-    in all, and each panel's ``P.T P`` is added in place to one C-ordered
-    n-by-n array by BLAS ``dsyrk``, which fills its upper triangle; the
-    lower one is mirrored from it.  So ``A`` and the result are the only
-    n-by-n arrays, and the panels' ``syrk`` is the only O(n^3) step.  The
-    identity's one panel is ``A.T`` itself, and its result is
-    ``A @ A.T`` bit for bit.
-    Forming it is the part of a direct solve that depends neither on
-    ``alpha`` nor on the data, so runs that solve one matrix many times
-    form it once and pass it to :func:`gen_tikhonov_direct` as ``gram``,
-    which borrows it: each solve factors it in place and restores it bit
-    for bit, which needs it symmetric bit for bit, as returned here.
-    Validates ``A``, so solves handed the result do not.
+    ``B`` is formed: each row panel of ``B.T = L_sharp.T A.T`` from
+    :meth:`rsvdreg.smoothing.WeightedPinvBundle.sharp_t_panels` (O(n m d)
+    in all) adds its ``P.T P`` in place to the upper triangle of one
+    C-ordered n-by-n array by BLAS ``dsyrk``, and the lower one is
+    mirrored.  So ``A`` and the result are the only n-by-n arrays, and the
+    ``syrk`` the only O(n^3) step.  The identity's one panel is ``A.T``
+    itself, and its result ``A @ A.T`` bit for bit.  The result depends
+    neither on ``alpha`` nor on the data: runs that solve one matrix many
+    times form it once and pass it to :func:`gen_tikhonov_direct` as
+    ``gram``, which borrows it and restores it bit for bit, so it is
+    returned symmetric bit for bit.  Validates ``A``, so solves handed the
+    result do not.
     """
     return _gram(as_matrix(A), bundle)
 
@@ -247,24 +238,24 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle):
 def _range_block(A, approxes, b, alphas, bundle):
     """:func:`range_tikhonov_block` of a validated ``b`` without the alpha
     check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``.  The
-    images of left-sketch factors are written side by side into the rows
-    that ``L_sharp`` maps in place (see
-    :meth:`rsvdreg.smoothing.WeightedPinvBundle.solution_block`), so the
-    solutions are the only m-by-(factorizations x alphas) block held."""
-    Cs = [shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
-          for ap in approxes]
+    images of all factorizations are written side by side (those of
+    wide-path factors copied) into the rows that ``L_sharp`` maps in place
+    (see :meth:`rsvdreg.smoothing.WeightedPinvBundle.solution_block`), so
+    the solutions are the only m-by-(factorizations x alphas) block held."""
     # each factorization's columns (slices, not np.hsplit: this is on the
     # path of every single-alpha solve)
     j = len(alphas)
     parts = [slice(i * j, (i + 1) * j) for i in range(len(approxes))]
-    if all(ap.left_sketch for ap in approxes):
-        X, Z = bundle.solution_block(len(approxes) * j)
-        for ap, C, cols in zip(approxes, Cs, parts):
-            _sharp_image(A, ap, bundle, C, out=Z[:, cols])
-        X = bundle.sharp_solution_of(X, b)
-    else:
-        Z = [_sharp_image(A, ap, bundle, C) for ap, C in zip(approxes, Cs)]
-        X = bundle.sharp_solution(Z[0] if len(Z) == 1 else np.hstack(Z), b)
+    X, Z = bundle.solution_block(len(approxes) * j)
+    for ap, cols in zip(approxes, parts):
+        C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
+        # the image B.T U C: V diag(sigma) C, or L_sharp.T of A.T U C formed
+        # with the thin block on the left (OpenBLAS is faster that way)
+        if ap.left_sketch:
+            np.matmul(ap.V, (ap.sigma * C.T).T, out=Z[:, cols])
+        else:
+            Z[:, cols] = bundle.sharp_t_apply(((ap.U @ C).T @ A).T)
+    X = bundle.sharp_solution_of(X, b)
     return [X[:, cols] for cols in parts]
 
 

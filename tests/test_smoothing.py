@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from rsvdreg import smoothing
 from rsvdreg.linalg import pinv
 from rsvdreg.smoothing import (
     KINDS,
@@ -88,7 +89,8 @@ class TestStructuredPinv:
         # a transposed block (A.T, (U.T @ A).T) must come back column-major
         # and unchanged, or the products it meets next round differently
         Y = rng.standard_normal((3, 5)).T
-        for got in (identity(5).pinv_apply(Y), identity(5).pinv_t_apply(Y)):
+        bundle = weighted_pinv(rng.standard_normal((4, 5)), identity(5))
+        for got in (identity(5).pinv_apply(Y), bundle.sharp_t_apply(Y)):
             assert got.flags.f_contiguous and np.array_equal(got, Y)
             assert not np.shares_memory(got, Y)
 
@@ -132,9 +134,9 @@ class TestCustomPenalty:
         calls = self._count_svds(monkeypatch)
         L = custom(M)
         L.null_basis()
-        weighted_pinv(A, L)
+        bundle = weighted_pinv(A, L)
         L.pinv_apply(rng.standard_normal(30))
-        L.pinv_t_apply(rng.standard_normal((30, 3)))
+        bundle.sharp_t_apply(rng.standard_normal((30, 3)))
         L.null_basis()
         assert len(calls) == 1
 
@@ -166,11 +168,15 @@ class TestCustomPenalty:
 
     @pytest.mark.parametrize("m", [5, 40, 200])
     def test_square_pinv_equals_linalg_pinv(self, rng, m):
+        # an invertible penalty has no null space: L_sharp.T is (L^+).T
         for M in (np.eye(m) - np.eye(m, k=-1), rng.standard_normal((m, m))):
             L = custom(M)
+            bundle = weighted_pinv(rng.standard_normal((m + 1, m)), L)
+            assert bundle.null_dim == 0
             Y = rng.standard_normal((m, 3))
             assert np.array_equal(L.pinv_apply(Y), pinv(M) @ Y)
-            assert np.array_equal(L.pinv_t_apply(Y), pinv(M).T @ Y)
+            assert np.array_equal(bundle.sharp_t_apply(Y), pinv(M).T @ Y)
+            assert np.array_equal(bundle.sharp_t_apply(Y[:, 0]), pinv(M).T @ Y[:, 0])
 
     @pytest.mark.parametrize("make", [
         lambda rng: np.diff(np.eye(200), axis=0),
@@ -290,10 +296,14 @@ class TestStructuredSharp:
         return A, L, L_pinv, dense, weighted_pinv(A, L)
 
     def test_pinv_t_apply(self, case, rng):
-        _, L, L_pinv, _, _ = case
+        # L_sharp.T = (L^+).T (I - E.T W.T) is (L^+).T on the complement of
+        # the null space, which (L^+).T also annihilates
+        _, L, L_pinv, _, bundle = case
         X = rng.standard_normal((self.m, 3))
-        assert _rel(L.pinv_t_apply(X), L_pinv.T @ X) <= 1e-12
-        assert _rel(L.pinv_t_apply(X[:, 0]), L_pinv.T @ X[:, 0]) <= 1e-12
+        W = L.null_basis()
+        X_perp = X - W @ (W.T @ X)
+        assert _rel(bundle.sharp_t_apply(X_perp), L_pinv.T @ X) <= 1e-12
+        assert _rel(bundle.sharp_t_apply(X_perp[:, 0]), L_pinv.T @ X[:, 0]) <= 1e-12
 
     def test_sharp_applies(self, case, rng):
         _, L, _, dense, bundle = case
@@ -334,3 +344,29 @@ class TestStructuredSharp:
         assert "L_sharp" not in vars(bundle)
         assert bundle.L_sharp.shape == (m, m - d)
         assert "L_sharp" in vars(bundle)
+
+    @pytest.mark.parametrize("rows", ["below", "equal", "above"])
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_sharp_t_apply_stacks_the_panels(self, case, rng, monkeypatch, layout, rows):
+        # sharp_t_apply is the panels of sharp_t_panels in one array, bit
+        # for bit, in x's layout (row-major for a custom kind); a block
+        # wider than the panel height comes in several panels, a thinner
+        # one (and a vector, as one column) in one
+        _, L, _, _, bundle = case
+        r = {"below": L.ell // 4, "equal": L.ell, "above": L.ell + 5}[rows]
+        monkeypatch.setattr(smoothing, "_PANEL_ROWS", r)
+        for width in (L.ell + 6, 3):
+            x = {"vector": rng.standard_normal(self.m),
+                 "C": rng.standard_normal((self.m, width)),
+                 "F": rng.standard_normal((width, self.m)).T}[layout]
+            X = x.reshape(self.m, -1)
+            panels = list(bundle.sharp_t_panels(X))
+            thin = X.shape[1] <= r or L.kind == "identity"
+            assert len(panels) == (1 if thin else -(-L.ell // r))
+            got = bundle.sharp_t_apply(x)
+            assert got.shape == (L.ell,) + x.shape[1:]
+            assert np.array_equal(got.reshape(L.ell, -1), np.vstack(panels[::-1]))
+            assert not np.shares_memory(got, x)
+            if x.ndim == 2:
+                major = "C" if L.kind == "custom" else layout
+                assert got.flags[f"{major}_CONTIGUOUS"]

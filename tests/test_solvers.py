@@ -378,10 +378,17 @@ def test_direct_gram_copies_no_panel(penalty, layout):
         assert np.array_equal(gram, A @ A.T)
 
 
+def _assembled(bundle, Z, b):
+    """``sharp_solution_of`` the images ``Z`` copied into a solution block."""
+    X, out = bundle.solution_block(Z.shape[1])
+    out[...] = Z
+    return bundle.sharp_solution_of(X, b)
+
+
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
 def test_range_block_in_place_is_the_allocating_block(penalty, rng):
     # the images of left-sketch factors are written into the rows L_sharp
-    # maps in place: bit for bit sharp_solution of the stacked images
+    # maps in place: bit for bit the assembly of the images formed apart
     n, m = 60, 50
     A = random_decaying(rng, n, m)
     b = rng.standard_normal(n)
@@ -395,9 +402,12 @@ def test_range_block_in_place_is_the_allocating_block(penalty, rng):
     Z = [ap.V @ (ap.sigma * shifted_gram_coeffs(
         (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas).T).T for ap in approxes]
     X = reg.block(approxes, b, alphas)
-    assert np.array_equal(np.hstack(X), reg.bundle.sharp_solution(np.hstack(Z), b))
+    assert np.array_equal(np.hstack(X), _assembled(reg.bundle, np.hstack(Z), b))
     [x] = reg.block(approxes[:1], b, alphas)
-    assert np.array_equal(x, reg.bundle.sharp_solution(Z[0], b))
+    assert np.array_equal(x, _assembled(reg.bundle, Z[0], b))
+    # and the assembly is L_sharp z + W (A W)^+ b
+    ref = reg.bundle.L_sharp @ np.hstack(Z) + reg.bundle.w_term(b)[:, None]
+    assert np.linalg.norm(np.hstack(X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 1), (1, 5), (7,), (0, 3)])
@@ -561,7 +571,7 @@ class TestRegularization:
         rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
         # Gamma A.T U C of tall-path factors is L_sharp V diag(sigma) C
         C = shifted_gram_coeffs((apT.U.T @ b)[:, None], apT.sigma[:, None], alphas)
-        block = bundle.sharp_solution(apT.V @ (apT.sigma * C.T).T, b)
+        block = _assembled(bundle, apT.V @ (apT.sigma * C.T).T, b)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))
@@ -738,6 +748,32 @@ def test_wide_factors_take_the_product(penalty, rng):
     if penalty == "none":
         assert np.array_equal(trsvd_solve_range(A, ap, b).x,
                               A.T @ solve_shifted_gram(ap.U, ap.sigma, 0.0, b))
+
+
+@pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
+def test_wide_range_block_is_the_product_form_solution(penalty, rng):
+    # the images of wide-path factors are copied into the solution block
+    # and assembled there, as bundle.solution assembles Gamma y: the block
+    # of one factorization is bit for bit the solution of the product form
+    # A.T U C
+    n, m = 30, 50
+    A = random_decaying(rng, n, m)
+    b = rng.standard_normal(n)
+    L = {"none": identity(m), "d1": first_difference(m),
+         "d2": second_difference(m),
+         "custom": custom(rng.standard_normal((m - 2, m)))}[penalty]
+    reg = Regularization(A, L)
+    approxes = [rsvd_auto(reg.target, RsvdConfig(k=k, p=4, seed=3)) for k in (4, 7)]
+    assert not any(ap.left_sketch for ap in approxes)
+    alphas = np.array([1e-4, 1e-2, 1.0])
+    Y = [ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
+         for ap in approxes]
+    stacked = reg.block(approxes, b, alphas)
+    for ap, Yi, Xs in zip(approxes, Y, stacked):
+        [X] = reg.block([ap], b, alphas)
+        assert np.array_equal(X, reg.bundle.solution((Yi.T @ A).T, b))
+        # a stacked block's BLAS products are wider, so it agrees to rounding
+        assert np.linalg.norm(Xs - X) <= 1e-12 * np.linalg.norm(X)
 
 
 @pytest.mark.parametrize("call, penalty, where", [
