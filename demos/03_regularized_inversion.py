@@ -7,16 +7,15 @@ Run:  python3 demos/03_regularized_inversion.py
 from rsvdreg import (
     NoiseSpec,
     RsvdConfig,
-    default_alpha_grid,
     error_report,
     identity,
     make_problem,
     rsvd_auto,
     rsvd_tikhonov_projected,
     rsvd_tikhonov_range,
-    select_alpha,
     tikhonov_solve_direct,
 )
+from rsvdreg.harness import alpha_selector
 from rsvdreg.solvers import Regularization
 
 prob = make_problem("gravity", 500, NoiseSpec(0.01, seed=3))
@@ -24,12 +23,12 @@ A, b = prob.A, prob.b
 print(f"gravity n=500, 1% noise, realized ||e|| = {prob.noise_norm:.4f}")
 
 # Pick the regularization parameter by minimizing the reconstruction error
-# of a generous-rank randomized solver over a log grid, solved as one block
-# with a column per alpha.
+# of a generous-rank randomized solver over a log grid.  The solutions of
+# one factorization lie in one k-dimensional affine space, so each alpha's
+# error comes from its k coefficients, with no solution formed.
 reg = Regularization(A, identity(A.shape[1]))
 approx_sel = rsvd_auto(A, RsvdConfig(k=100, p=5, seed=11))
-solve = lambda alphas: reg.block([approx_sel], b, alphas)[0]
-alpha_star, curve = select_alpha(prob, solve, default_alpha_grid(approx_sel.sigma[0]))
+alpha_star, curve = alpha_selector(reg, approx_sel)(prob)
 print(f"selected alpha* = {alpha_star:.3e} "
       f"(grid of {curve.alphas.size}, boundary hit: "
       f"{curve.at_lower_boundary or curve.at_upper_boundary})")

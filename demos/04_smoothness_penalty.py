@@ -11,7 +11,6 @@ import numpy as np
 from rsvdreg import (
     NoiseSpec,
     RsvdConfig,
-    default_alpha_grid,
     first_difference,
     form_B,
     gen_tikhonov_direct,
@@ -19,8 +18,8 @@ from rsvdreg import (
     rsvd_auto,
     rsvd_gen_tikhonov_projected,
     rsvd_gen_tikhonov_range,
-    select_alpha,
 )
+from rsvdreg.harness import alpha_selector
 from rsvdreg.solvers import Regularization
 
 prob = make_problem("deriv2", 500, NoiseSpec(0.01, seed=5))
@@ -37,9 +36,9 @@ sB = np.linalg.svd(B.toarray(), compute_uv=False)
 print(f"sigma_20/sigma_1:  A: {sA[19] / sA[0]:.2e}   B = A L_sharp: {sB[19] / sB[0]:.2e}")
 
 approx_sel = rsvd_auto(B, RsvdConfig(k=100, p=5, seed=2))
-# the whole alpha grid is one block solve, a column per alpha
-solve = lambda alphas: reg.block([approx_sel], b, alphas)[0]
-alpha_star, _ = select_alpha(prob, solve, default_alpha_grid(approx_sel.sigma[0]))
+# the error of every alpha on the grid from its k coefficients, through the
+# basis L_sharp V of the range-preserving solutions, factored once
+alpha_star, _ = alpha_selector(reg, approx_sel)(prob)
 
 direct = gen_tikhonov_direct(A, L, b, alpha_star, bundle)
 k = 20

@@ -104,27 +104,27 @@ def default_alpha_grid(sigma1, count=100):
     return (1e-14 * sigma1**2, sigma1**2, count)
 
 
-def select_alpha(problem, solver, grid):
+def select_alpha(problem, errors, grid):
     """Pick the regularization parameter minimizing the reconstruction
     error over a logarithmic grid.
 
     Parameters
     ----------
     problem : InverseProblem
-    solver : callable
-        Maps the grid's array of ``count`` alphas to the block of their
-        solutions, an m-by-``count`` array (column j for ``alphas[j]``),
-        e.g. ``lambda alphas: reg.block([approx], b, alphas)[0]``.  The
-        block is overwritten with the errors ``X - x_true``.
+        Named in the failure messages.
+    errors : callable
+        Maps the grid's array of ``count`` alphas to the array of their
+        errors ``||x_alpha - x_true||``, such as the coefficient curve of
+        :func:`rsvdreg.solvers.range_error_curve`.
     grid : (lo, hi, count)
         Log-uniform sampling bounds and count (count >= 2).
 
     Returns
     -------
     (alpha_star, AlphaCurve)
-        The errors are the block's column norms.  Ties are broken toward
-        the larger (more strongly regularizing) value; grid points whose
-        error is not finite are excluded and recorded on the curve.
+        Ties are broken toward the larger (more strongly regularizing)
+        value; grid points whose error is not finite are excluded and
+        recorded on the curve (as NaN).
     """
     lo, hi, count = grid
     if count < 2:
@@ -132,21 +132,20 @@ def select_alpha(problem, solver, grid):
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     alphas = np.logspace(math.log10(lo), math.log10(hi), int(count))
-    X = solver(alphas)
-    shape = (problem.x_true.size, alphas.size)
-    if not isinstance(X, np.ndarray) or X.shape != shape:
-        raise ValueError(f"solver must return an array of shape {shape}, one column "
-                         f"per alpha, got a {type(X).__name__} of shape {np.shape(X)}")
-    X -= problem.x_true[:, None]
-    errors = np.sqrt(np.einsum("ij,ij->j", X, X))
-    finite = np.isfinite(errors)
+    values = errors(alphas)
+    if not isinstance(values, np.ndarray) or values.shape != alphas.shape:
+        raise ValueError(f"errors must return an array of shape {alphas.shape}, one "
+                         f"error per alpha, for {problem.name}, got a "
+                         f"{type(values).__name__} of shape {np.shape(values)}")
+    values = values.astype(float)  # a copy, whose non-finite entries become NaN
+    finite = np.isfinite(values)
     if not finite.any():
-        raise RuntimeError("every grid point produced a non-finite error")
-    errors[~finite] = np.nan
+        raise RuntimeError(f"every grid point of {problem.name} has a non-finite error")
+    values[~finite] = np.nan
     # the last of the minima: ties go to the larger alpha; a Python int, so
     # that the boundary flags are Python bools (JSON booleans)
-    best = int(np.flatnonzero(errors == np.nanmin(errors))[-1])
-    curve = AlphaCurve(alphas=alphas, errors=errors, alpha_star=float(alphas[best]),
+    best = int(np.flatnonzero(values == np.nanmin(values))[-1])
+    curve = AlphaCurve(alphas=alphas, errors=values, alpha_star=float(alphas[best]),
                        at_lower_boundary=best == 0, at_upper_boundary=best == alphas.size - 1,
                        excluded=np.flatnonzero(~finite).tolist())
     return curve.alpha_star, curve

@@ -113,13 +113,14 @@ def alpha_selector(reg, approx, grid=None, grid_count=100):
     error of ``reg``'s range-preserving solve over ``grid`` (by default
     ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
     from the factors ``approx`` of ``reg.target`` shared by every problem
-    it is given.  The whole grid is one :meth:`Regularization.block` solve:
-    for tall-path factors one product ``V (sigma * C)`` (see
-    :mod:`rsvdreg.solvers`), with no product with ``A``."""
+    it is given.  The basis of their solutions is factored once, here
+    (:func:`rsvdreg.solvers.range_error_curve`), and each problem's curve
+    taken from k coefficients per alpha, with no m-by-count block."""
     if grid is None:
         grid = default_alpha_grid(approx.sigma[0], grid_count)
+    errors = solvers.range_error_curve(reg.A, approx, reg.bundle)
     return lambda prob: select_alpha(
-        prob, lambda alphas: reg.block([approx], prob.b, alphas)[0], grid)
+        prob, lambda alphas: errors(prob.b, prob.x_true, alphas), grid)
 
 
 def _map(fn, items, workers):
@@ -145,9 +146,9 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
     (approx_select, approx_B), t_factor_B = _timed(
         selection_probe, reg, k_select, [k], p, q, seed)
     select = alpha_selector(reg, approx_select, grid_count=grid_count)
-    # every cell selects its alpha before a penalty's A is factored for the
-    # projected column, so no selection block is held beside those factors;
-    # a failed selection fails its cell below, not the repeat
+    # every cell selects its alpha, and the selector (an m-by-k_select
+    # basis) is dropped, before a penalty's A is factored for the projected
+    # column; a failed selection fails its cell below, not the repeat
     picks = []
     for delta in deltas:
         try:
@@ -155,6 +156,7 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
             picks.append((prob, *select(prob)))
         except Exception as exc:  # noqa: BLE001
             picks.append(exc)
+    del select
     if reg.target is A:
         approx_A, t_factor_A = approx_B, t_factor_B
     else:

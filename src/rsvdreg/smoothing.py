@@ -18,8 +18,9 @@ penalty's validates ``A``), and its ``B`` is ``A``.  ``L_sharp.T x`` has one
 implementation, the row panels of :meth:`WeightedPinvBundle.sharp_t_panels`:
 ``sharp_t_apply`` writes them into one array, and the direct reference sums
 ``B B.T`` over the panels of ``L_sharp.T A.T`` with no dense ``B``.  The
-solution ``L_sharp z + W (A W)^+ b`` has one assembly, in place in a
-:meth:`WeightedPinvBundle.solution_block` (``sharp_solution_of``).
+solution ``L_sharp z + W (A W)^+ b`` has one assembly,
+:meth:`WeightedPinvBundle.sharp_solution`, into a fresh array from a
+row-major image block ``z``.
 """
 
 import functools
@@ -119,27 +120,19 @@ class SmoothingOperator:
             X = self._dense_pinv @ Y
         else:
             # d = 1 keeps Y's layout (a transposed block stays column-major)
-            # and d = 2 is row-major: later products round by layout, and
-            # this is the layout the seeded outputs were produced with
+            # and d = 2 is row-major: later products round by layout.  The
+            # seeded outputs hold it (a row-major d = 1 moves d1's alpha_star),
+            # as does the d1 rank sweep's 8.3e-13 test reading (row-major 6.9e-13)
             X = np.zeros_like(Y, shape=(self.m, Y.shape[1]), order="K" if d < 2 else "C")
             X[d:] = Y
-            self.pinv_apply_padded(X)
+            for _ in range(d):
+                np.cumsum(X[d:], axis=0, out=X[d:])
+            if d == 1:  # W W.T X for the constant W, as a column mean
+                X -= X.mean(axis=0, keepdims=True)
+            else:
+                W = self.null_basis()
+                _subtract_product(X, W, W.T @ X)
         return X[:, 0] if y.ndim == 1 else X
-
-    def pinv_apply_padded(self, X):
-        """Form ``L^+ @ y`` in place in the m-by-k ``X`` of a structured
-        kind whose first ``d`` rows are zero and whose rows ``d:`` hold
-        ``y``, so that a caller that writes ``y`` there needs no second
-        block; returns ``X``."""
-        d = self.order
-        for _ in range(d):
-            np.cumsum(X[d:], axis=0, out=X[d:])
-        if d == 1:  # W W.T X for the constant W, as a column mean
-            X -= X.mean(axis=0, keepdims=True)
-        elif d == 2:
-            W = self.null_basis()
-            _subtract_product(X, W, W.T @ X)
-        return X
 
     # (L^+).T x = C.T P x in steps that work on row panels of x (see
     # WeightedPinvBundle.sharp_t_panels), with C the d-fold cumulative sum
@@ -293,10 +286,7 @@ class WeightedPinvBundle:
 
     def sharp_apply(self, y):
         """``L_sharp @ y = L^+ y - W (E L^+ y)``."""
-        return self._less_null(self.L.pinv_apply(y))
-
-    def _less_null(self, x):
-        """``x - W (E x)`` in place."""
+        x = self.L.pinv_apply(y)
         return _subtract_product(x, self.W, self.E @ x) if self.null_dim else x
 
     def sharp_t_apply(self, x):
@@ -389,46 +379,22 @@ class WeightedPinvBundle:
         return self.W @ (self.AW_pinv @ b)
 
     def solution(self, y, b):
-        """``Gamma y + W (A W)^+ b`` for ``y = A.T v`` (a vector or columns,
-        all for the data ``b``), assembled by :meth:`sharp_solution_of`;
-        ``y`` itself for the identity."""
+        """``Gamma y + W (A W)^+ b`` for ``y = A.T v`` (a vector or columns):
+        :meth:`sharp_solution` of ``L_sharp.T y`` copied into a row-major
+        block; ``y`` itself for the identity."""
         if self.L.order == 0:
             return y
-        Y = np.reshape(y, (self.L.m, -1))
-        X, Z = self.solution_block(Y.shape[1])
-        Z[...] = self.sharp_t_apply(Y)
-        return self.sharp_solution_of(X, b).reshape(np.shape(y))
+        Z = np.ascontiguousarray(self.sharp_t_apply(np.reshape(y, (self.L.m, -1))))
+        return self.sharp_solution(Z, b).reshape(np.shape(y))
 
-    def solution_block(self, k):
-        """``(X, Z)``: an m-by-k block ``X`` for :meth:`sharp_solution_of`
-        and the ell-by-k block ``Z`` the caller writes ``B.T V`` into.  For
-        the identity and the difference kinds ``Z`` is rows ``d:`` of the
-        row-major ``X`` (its first ``d`` rows zeroed), so that the solution
-        is formed in place with no second block; a custom kind's ``Z`` is
-        ``X`` itself."""
-        L, d = self.L, self.L.order
-        X = np.empty((L.m if d is not None else L.ell, k))
-        if not d:  # the identity, or a custom kind
-            return X, X
-        X[:d] = 0.0
-        return X, X[d:]
-
-    def sharp_solution_of(self, X, b):
-        """``L_sharp z + W (A W)^+ b`` for the ``z`` in the ``Z`` of ``(X,
-        Z) = solution_block(k)``, such as ``z = B.T v = L_sharp.T A.T v``
-        (so ``L_sharp z = Gamma A.T v``): the one assembly of the penalized
-        solution.  Formed in ``X`` but for a custom kind, whose dense
-        ``L^+`` maps ``X`` into a fresh array; ``X`` itself for the
-        identity."""
+    def sharp_solution(self, z, b):
+        """``L_sharp z + W (A W)^+ b`` for an ell-by-k ``z`` such as ``B.T v``:
+        the one assembly of the penalized solution, fresh (``z`` itself for
+        the identity), from row-major blocks (see ``L.pinv_apply``)."""
         if self.L.order == 0:
-            return X
-        if self.L.order is None:
-            return self._plus_w(self.sharp_apply(X), b)
-        return self._plus_w(self._less_null(self.L.pinv_apply_padded(X)), b)
-
-    def _plus_w(self, x, b):
-        w = self.w_term(b)
-        x += w if x.ndim == 1 else w[:, None]
+            return z
+        x = self.sharp_apply(z)
+        x += self.w_term(b)[:, None]
         return x
 
 

@@ -33,12 +33,11 @@ recovers the truncated solver).  Factors of ``B`` cut from a left sketch
 solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 ``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
-function computes it, :func:`range_tikhonov_block`, for any number of
-factorizations and alphas at once: the single-alpha solvers call it with
-one alpha, and the alpha selection with the whole grid.  Every penalized
-solution, direct or range-preserving, is assembled in place by the one
-``WeightedPinvBundle.sharp_solution_of``, and every ``L_sharp.T`` is
-taken in the bundle's row panels.
+function computes it, :func:`range_tikhonov_block`, for any factorizations
+and alphas at once; the alpha selection forms none (:func:`range_error_curve`).
+Every penalized solution is assembled by the one
+``WeightedPinvBundle.sharp_solution``, and every ``L_sharp.T`` is taken in
+the bundle's row panels.
 """
 
 import functools
@@ -47,10 +46,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from . import smoothing
 from .linalg import (
+    _householder,
     as_matrix,
     as_vector,
     default_pinv_rtol,
@@ -217,8 +217,7 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle):
     """Range-preserving Tikhonov solutions of one data vector for every
     factorization in ``approxes`` (each of ``B = A @ L_sharp``) and several
     ``alphas`` at once: the one implementation of the range-preserving
-    filter and its map back, which every range-preserving solve and the
-    alpha selection go through.
+    filter and its map back, which every range-preserving solve goes through.
 
     Returns one m-by-len(alphas) array per factorization, in order; a
     single factorization is a one-element list.  Column j of each is the
@@ -238,15 +237,13 @@ def range_tikhonov_block(A, approxes, b, alphas, bundle):
 def _range_block(A, approxes, b, alphas, bundle):
     """:func:`range_tikhonov_block` of a validated ``b`` without the alpha
     check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``.  The
-    images of all factorizations are written side by side (those of
-    wide-path factors copied) into the rows that ``L_sharp`` maps in place
-    (see :meth:`rsvdreg.smoothing.WeightedPinvBundle.solution_block`), so
-    the solutions are the only m-by-(factorizations x alphas) block held."""
+    images of all factorizations go side by side into one row-major block,
+    which ``bundle.sharp_solution`` maps back."""
     # each factorization's columns (slices, not np.hsplit: this is on the
     # path of every single-alpha solve)
     j = len(alphas)
     parts = [slice(i * j, (i + 1) * j) for i in range(len(approxes))]
-    X, Z = bundle.solution_block(len(approxes) * j)
+    Z = np.empty((bundle.L.ell, len(approxes) * j))
     for ap, cols in zip(approxes, parts):
         C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
         # the image B.T U C: V diag(sigma) C, or L_sharp.T of A.T U C formed
@@ -255,8 +252,43 @@ def _range_block(A, approxes, b, alphas, bundle):
             np.matmul(ap.V, (ap.sigma * C.T).T, out=Z[:, cols])
         else:
             Z[:, cols] = bundle.sharp_t_apply(((ap.U @ C).T @ A).T)
-    X = bundle.sharp_solution_of(X, b)
+    X = bundle.sharp_solution(Z, b)
     return [X[:, cols] for cols in parts]
+
+
+def range_error_curve(A, approx, bundle):
+    """``errors(b, x_true, alphas)``: ``||x - x_true||`` for the
+    range-preserving solution ``x`` of ``b`` at each of ``alphas`` (factors
+    ``approx`` of ``B = A @ L_sharp``), with no solution formed: ``x = M g +
+    W (A W)^+ b`` with k coefficients ``g`` per alpha and ``M = L_sharp V``
+    (``L_sharp B.T U``, one product with ``A``, for wide-path factors).  With
+    ``M = Q R`` factored once (Householder; none for the identity's
+    orthonormal ``V``) and ``r = x_true - W (A W)^+ b``, each error is
+    ``sqrt(||R g - Q.T r||^2 + ||(I - Q Q.T) r||^2)``; the expansion
+    ``||r||^2 - 2 g.T M.T r + g.T M.T M g`` would cancel."""
+    U, sigma, k, left = approx.U, approx.sigma, approx.k, approx.left_sketch
+    orthonormal = bundle.L.order == 0 and left  # M = V: Q = V and R = I
+    if not orthonormal:
+        M = approx.V if left else bundle.sharp_t_apply((U.T @ A).T)
+        qr, tau = _householder(bundle.sharp_apply(M), overwrite=True)
+        R = np.triu(qr[:k])
+
+    def errors(b, x_true, alphas):
+        b = as_vector(b)
+        G = shifted_gram_coeffs((U.T @ b)[:, None], sigma[:, None], alphas)
+        if left:
+            G *= sigma[:, None]
+        r = x_true - bundle.w_term(b)
+        if orthonormal:
+            Qtr = approx.V.T @ r
+            rest = r - approx.V @ Qtr
+        else:  # Q.T r over all m rows (Q m-by-m), its tail (I - Q Q.T) r
+            Qtr = lapack.dormqr("L", "T", qr, tau, r[:, None], lwork=64)[0][:, 0]
+            Qtr, rest, G = Qtr[:k], Qtr[k:], R @ G
+        G -= Qtr[:, None]
+        return np.sqrt(np.einsum("ij,ij->j", G, G) + rest @ rest)
+
+    return errors
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):

@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from rsvdreg.diagnostics import (
 from rsvdreg.linalg import svd_full
 from rsvdreg.problems import InverseProblem, NoiseSpec, generate, make_sourcewise, with_noise
 from rsvdreg.rsvd import RsvdConfig, from_exact_svd, rsvd_auto
+from rsvdreg.smoothing import custom
 from rsvdreg.solvers import Regularization, tikhonov_solve_direct
 
 
@@ -62,16 +65,17 @@ def _diag_problem(noise_seed=0):
     return InverseProblem("diag", A, x_true, b_exact, b, 0.0, noise_seed, norm)
 
 
-def _block(solve):
-    """Block solver of a per-alpha ``solve``: one column per alpha."""
-    return lambda alphas: np.column_stack([solve(a) for a in alphas])
+def _errors(prob, solve):
+    """Error curve of a per-alpha ``solve``: one error per alpha."""
+    return lambda alphas: np.array([np.linalg.norm(solve(a) - prob.x_true)
+                                    for a in alphas])
 
 
 class TestSelectAlpha:
     def test_matches_fine_grid_scan(self):
         prob = _diag_problem()
         prob = with_noise(prob, NoiseSpec(0.05, 3))
-        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
+        solver = _errors(prob, lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         coarse = (1e-10, 1e2, 60)
         fine = (1e-10, 1e2, 600)
         a_star, _ = select_alpha(prob, solver, coarse)
@@ -82,21 +86,21 @@ class TestSelectAlpha:
 
     def test_noiseless_prefers_lower_boundary(self):
         prob = _diag_problem()
-        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
+        solver = _errors(prob, lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         a_star, curve = select_alpha(prob, solver, (1e-8, 1e2, 40))
         assert a_star == pytest.approx(1e-8)
         assert curve.at_lower_boundary and not curve.at_upper_boundary
 
     def test_tie_breaks_toward_stronger_regularization(self):
         prob = _diag_problem()
-        flat = _block(lambda a: prob.x_true)  # error identically zero
+        flat = _errors(prob, lambda a: prob.x_true)  # error identically zero
         a_star, _ = select_alpha(prob, flat, (1e-4, 1e2, 13))
         assert a_star == pytest.approx(1e2)
 
     def test_single_point_grid_rejected(self):
         prob = _diag_problem()
         with pytest.raises(ValueError, match="at least 2"):
-            select_alpha(prob, _block(lambda a: prob.x_true), (1e-4, 1e2, 1))
+            select_alpha(prob, _errors(prob, lambda a: prob.x_true), (1e-4, 1e2, 1))
 
     def test_nonfinite_points_excluded(self):
         prob = _diag_problem()
@@ -108,7 +112,7 @@ class TestSelectAlpha:
                 return np.full(4, np.nan)
             return prob.x_true + a
 
-        a_star, curve = select_alpha(prob, _block(solver), (1e-4, 1e2, 25))
+        a_star, curve = select_alpha(prob, _errors(prob, solver), (1e-4, 1e2, 25))
         assert curve.excluded and np.isfinite(a_star)
         assert all(not np.isfinite(curve.errors[j]) for j in curve.excluded)
         # an infinite error is recorded as NaN, as a NaN one is
@@ -118,7 +122,7 @@ class TestSelectAlpha:
     def test_deterministic(self):
         prob = _diag_problem()
         prob = with_noise(prob, NoiseSpec(0.05, 3))
-        solver = _block(lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
+        solver = _errors(prob, lambda a: tikhonov_solve_direct(prob.A, prob.b, a).x)
         out1 = select_alpha(prob, solver, (1e-8, 1e2, 50))
         out2 = select_alpha(prob, solver, (1e-8, 1e2, 50))
         assert out1[0] == out2[0]
@@ -149,15 +153,60 @@ class TestSelectAlpha:
         assert np.all(np.abs(curve.errors - errors) <= 1e-12 * errors)
 
     @pytest.mark.parametrize("solve", [
-        lambda alphas: np.ones(4),                       # a per-alpha solution
-        lambda alphas: np.ones((4, alphas.size - 1)),    # a column short
-        lambda alphas: np.ones((alphas.size, 4)),        # transposed
-        lambda alphas: np.ones((4, alphas.size)).tolist(),  # not an array
-    ], ids=["vector", "short", "transposed", "list"])
+        lambda alphas: np.ones(4),                       # a solution vector
+        lambda alphas: np.ones(alphas.size - 1),         # an error short
+        lambda alphas: np.ones((alphas.size, 1)),        # a column
+        lambda alphas: np.ones((4, alphas.size)),        # a block of solutions
+        lambda alphas: np.ones(alphas.size).tolist(),    # not an array
+    ], ids=["vector", "short", "transposed", "block", "list"])
     def test_malformed_block_is_named(self, solve):
+        # anything but an array of one error per alpha is named, with the
+        # problem
         prob = _diag_problem()
-        with pytest.raises(ValueError, match=r"shape \(4, 13\)"):
+        with pytest.raises(ValueError, match=r"shape \(13,\), one error per alpha, for diag"):
             select_alpha(prob, solve, (1e-4, 1e2, 13))
+
+
+@functools.cache
+def _base_problem(name, n):
+    return problems.make_problem(name, n)
+
+
+# every problem under every penalty but deriv2 and foxgood under d2, whose
+# ramp x_true lies in the null space of the penalty, so that their curves
+# are rounding; plus wide-path factors (the same factors, flagged off) and
+# a custom penalty with a null space
+_CURVE_CASES = [(name, pen, False) for pen in ("none", "d1", "d2")
+                for name in problems.PROBLEM_NAMES
+                if not (pen == "d2" and name in ("deriv2", "foxgood"))]
+_CURVE_CASES += [("phillips", "d1", True), ("shaw", "custom", False)]
+
+
+@pytest.mark.parametrize("name, penalty, wide", _CURVE_CASES)
+def test_coefficient_curve_matches_the_block(name, penalty, wide):
+    # the curve taken from coefficients agrees with the norms of the
+    # explicitly formed block of solutions wherever the error is above the
+    # rounding of x_true, noise-free data included, and selects its alpha;
+    # the plain expansion ||r||^2 - 2 g.T M.T r + g.T M.T M g does not
+    n = 400
+    base = _base_problem(name, n)
+    L = (custom(np.diff(np.eye(n), 2, axis=0)) if penalty == "custom"
+         else harness.make_penalty(penalty, n))
+    reg = Regularization(base.A, L)
+    [approx] = harness.selection_probe(reg, 100, [], 5, 0, 7)
+    assert approx.left_sketch
+    if wide:
+        approx = replace(approx, left_sketch=False)
+    for delta in (0.0, 1e-6, 1e-2):
+        prob = with_noise(base, NoiseSpec(delta, 3))
+        a_star, curve = harness.alpha_selector(reg, approx)(prob)
+        [X] = reg.block([approx], prob.b, curve.alphas)
+        e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
+        slack = 1e-9 * (e_block + 1e-10 * np.linalg.norm(prob.x_true))
+        worst = np.max(np.abs(curve.errors - e_block) / slack)
+        assert worst <= 1.0, (delta, worst)
+        best = np.flatnonzero(e_block == e_block.min())[-1]
+        assert a_star == curve.alphas[best], delta
 
 
 class TestDecayFit:

@@ -255,18 +255,23 @@ class TestSweepHelpers:
 
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
     def test_one_block_solve_per_repeat(self, monkeypatch, ks):
-        # the selection grid of a repeat is one block, and every rank and
-        # policy is solved from one more, stacked
+        # the selection of a repeat forms no block of solutions, only the
+        # error curve of its widest rank, and every rank and policy is
+        # solved from one block, stacked
         calls = []
-        block = solvers.range_tikhonov_block
+        block, curve = solvers.range_tikhonov_block, solvers.range_error_curve
         monkeypatch.setattr(solvers, "range_tikhonov_block",
                             lambda A, approxes, b, alphas, bundle:
                             calls.append([a.k for a in approxes])
                             or block(A, approxes, b, alphas, bundle))
+        monkeypatch.setattr(solvers, "range_error_curve",
+                            lambda A, approx, bundle:
+                            calls.append(("curve", approx.k))
+                            or curve(A, approx, bundle))
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
                                   k_select=8, grid_count=20)
         assert len(rows) == len(ks) * 3 * 2
-        assert calls == [[8], ks, [8], ks]
+        assert calls == [("curve", 8), ks, ("curve", 8), ks]
 
     def test_rows_record_probe_rank(self):
         # shaw's spectrum falls below the rank cutoff long before 45

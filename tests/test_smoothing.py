@@ -5,6 +5,7 @@ import pytest
 
 from rsvdreg import smoothing
 from rsvdreg.linalg import pinv
+from rsvdreg.problems import generate
 from rsvdreg.smoothing import (
     KINDS,
     ProductOperator,
@@ -370,3 +371,33 @@ class TestStructuredSharp:
             if x.ndim == 2:
                 major = "C" if L.kind == "custom" else layout
                 assert got.flags[f"{major}_CONTIGUOUS"]
+
+
+def _sharp_t_longdouble(bundle, x):
+    """``L_sharp.T x = C.T P (x - E.T W.T x)`` in long double, from the
+    bundle's ``E`` and ``W``: ``P`` projects out of the null space and
+    ``C.T`` takes ``d`` suffix sums and drops the first ``d`` rows."""
+    W, E, x = (np.asarray(v, dtype=np.longdouble) for v in (bundle.W, bundle.E, x))
+    y = x - E.T @ (W.T @ x)
+    y -= W @ (W.T @ y)
+    d = bundle.L.order
+    for _ in range(d):
+        y = np.cumsum(y[::-1], axis=0)[::-1]
+    return y[d:]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("make", [first_difference, second_difference])
+@pytest.mark.parametrize("name", ["baart", "foxgood", "shaw"])
+def test_sharp_t_apply_against_long_double(name, make):
+    # L_sharp.T forms x - E.T (W.T x) and projects it out of the null space
+    # although E W = I: without the projection, or with the coefficients
+    # taken as W.T x - (E W).T (W.T x), the d2 error grows tenfold
+    n = 400
+    A, _, _ = generate(name, n)
+    bundle = weighted_pinv(A, make(n))
+    for x in (A.T, A.T[:, ::16]):  # 128-row panels, then one 25-column panel
+        want = _sharp_t_longdouble(bundle, x)
+        err = np.linalg.norm((bundle.sharp_t_apply(x) - want).astype(float))
+        assert err <= 4e-14 * float(np.linalg.norm(want))

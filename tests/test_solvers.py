@@ -378,17 +378,11 @@ def test_direct_gram_copies_no_panel(penalty, layout):
         assert np.array_equal(gram, A @ A.T)
 
 
-def _assembled(bundle, Z, b):
-    """``sharp_solution_of`` the images ``Z`` copied into a solution block."""
-    X, out = bundle.solution_block(Z.shape[1])
-    out[...] = Z
-    return bundle.sharp_solution_of(X, b)
-
-
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
-def test_range_block_in_place_is_the_allocating_block(penalty, rng):
-    # the images of left-sketch factors are written into the rows L_sharp
-    # maps in place: bit for bit the assembly of the images formed apart
+def test_range_block_is_the_assembly_of_its_images(penalty, rng):
+    # the images of left-sketch factors are written side by side into one
+    # row-major block: the block is bit for bit the one assembly of the
+    # images formed apart, and that assembly is L_sharp z + W (A W)^+ b
     n, m = 60, 50
     A = random_decaying(rng, n, m)
     b = rng.standard_normal(n)
@@ -402,10 +396,10 @@ def test_range_block_in_place_is_the_allocating_block(penalty, rng):
     Z = [ap.V @ (ap.sigma * shifted_gram_coeffs(
         (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas).T).T for ap in approxes]
     X = reg.block(approxes, b, alphas)
-    assert np.array_equal(np.hstack(X), _assembled(reg.bundle, np.hstack(Z), b))
+    assembled = reg.bundle.sharp_solution(np.hstack(Z), b)
+    assert np.array_equal(np.hstack(X), assembled)
     [x] = reg.block(approxes[:1], b, alphas)
-    assert np.array_equal(x, _assembled(reg.bundle, Z[0], b))
-    # and the assembly is L_sharp z + W (A W)^+ b
+    assert np.array_equal(x, reg.bundle.sharp_solution(Z[0], b))
     ref = reg.bundle.L_sharp @ np.hstack(Z) + reg.bundle.w_term(b)[:, None]
     assert np.linalg.norm(np.hstack(X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -571,7 +565,7 @@ class TestRegularization:
         rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
         # Gamma A.T U C of tall-path factors is L_sharp V diag(sigma) C
         C = shifted_gram_coeffs((apT.U.T @ b)[:, None], apT.sigma[:, None], alphas)
-        block = _assembled(bundle, apT.V @ (apT.sigma * C.T).T, b)
+        block = bundle.sharp_solution(apT.V @ (apT.sigma * C.T).T, b)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))

@@ -8,7 +8,9 @@ per command, BLAS on one thread) and writes into ``OUTDIR``:
 * ``table`` at n=400, two repeats, for the penalties none, d1 and d2, as
   CSV and as ``--detail`` JSON;
 * ``sweep-rank`` for shaw without a penalty and deriv2 with d1;
-* ``sweep-alpha`` for deriv2 without a penalty and with d1;
+* ``sweep-alpha`` for deriv2 without a penalty and with d1, for phillips
+  and foxgood without noise (their curves fall far below the data's
+  scale) and for shaw with d2;
 * ``verify --seeds 20`` (n=200) and ``verify --seeds 5 --n 48``;
 * ``solve`` for the six ``tikh_*`` / ``gtikh_*`` methods (d1 for gtikh).
 
@@ -36,10 +38,14 @@ for prob, pen in (("shaw", "none"), ("deriv2", "d1")):
     RUNS[f"sweep-rank-{prob}-{pen}.json"] = [
         "sweep-rank", "--problem", prob, "--n", N, "--penalty", pen,
         "--format", "json"]
-for pen in ("none", "d1"):
-    RUNS[f"sweep-alpha-deriv2-{pen}.json"] = [
-        "sweep-alpha", "--problem", "deriv2", "--n", N, "--penalty", pen,
-        "--format", "json"]
+for name, prob, extra in (
+        ("deriv2-none", "deriv2", ["--penalty", "none"]),
+        ("deriv2-d1", "deriv2", ["--penalty", "d1"]),
+        ("phillips-delta0", "phillips", ["--delta", "0"]),
+        ("foxgood-delta0", "foxgood", ["--delta", "0"]),
+        ("shaw-d2", "shaw", ["--penalty", "d2"])):
+    RUNS[f"sweep-alpha-{name}.json"] = [
+        "sweep-alpha", "--problem", prob, "--n", N, *extra, "--format", "json"]
 RUNS["verify.json"] = ["verify", "--seeds", "20"]
 RUNS["verify-n48.json"] = ["verify", "--seeds", "5", "--n", "48"]
 for method in ("tikh_direct", "tikh_proj", "tikh_range"):
