@@ -292,8 +292,10 @@ def cmd_sweep_rank(args):
 
 
 def cmd_bench(args):
+    ns = _int_list(args.ns)
+    harness.require_count("--ns", len(ns), least=2)  # the slopes need two sizes
     rows = harness.bench_run(
-        name=args.problem, ns=_int_list(args.ns), ks=_int_list(args.ks),
+        name=args.problem, ns=ns, ks=_int_list(args.ks),
         penalty=args.penalty, methods=tuple(args.methods.split(",")),
         delta=args.delta, repeats=args.repeats, base_seed=args.seed,
     )

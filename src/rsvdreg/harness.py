@@ -123,6 +123,13 @@ def alpha_selector(reg, approx, grid=None, grid_count=100):
         prob, lambda alphas: errors(prob.b, prob.x_true, alphas), grid)
 
 
+def require_count(name, count, least=1):
+    """Reject a run with fewer than ``least`` of ``name`` before any work,
+    so it fails instead of producing an empty or meaningless result."""
+    if count < least:
+        raise ValueError(f"{name}: {count} given, at least {least} needed")
+
+
 def _map(fn, items, workers):
     """``[fn(x) for x in items]``, on ``workers`` threads when above one."""
     if workers <= 1:
@@ -227,6 +234,10 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
     :class:`rsvdreg.solvers.Regularization`, whose Gram matrix the direct
     solves of its repeats borrow one at a time (it is factored in place).
     """
+    require_count("names", len(names))
+    require_count("deltas", len(deltas))
+    require_count("repeats", repeats)
+
     def failed(name, delta, rep, exc):
         return _failed_record(name, n, delta, penalty, k, p, q, rep, base_seed, exc)
 
@@ -297,15 +308,16 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     are not independent draws.  A row is reproduced to rounding by a lone
     ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))`` (the
     selection seed) and records ``probe_rank``, the numerical rank of its
-    (k+p)-row sketch.  All ranks and ``policies`` are solved in one
-    :func:`rsvdreg.solvers.range_tikhonov_block`, which maps tall-path
-    factors back through ``V diag(sigma)``: a repeat touches ``A`` in
-    exactly two products, ``A @ Omega`` and ``Q.T @ A``.  The repeats run
-    on ``workers`` threads.
+    (k+p)-row sketch.  Each rank solves its ``policies`` in one
+    ``reg.block``, which maps tall-path factors back through ``V
+    diag(sigma)``: a repeat touches ``A`` in exactly two products, ``A @
+    Omega`` and ``Q.T @ A``.  The repeats run on ``workers`` threads.
     """
     for pol in policies:
         if pol not in ALPHA_POLICIES:
             raise ValueError(f"unknown alpha policy {pol!r}")
+    require_count("ks", len(ks))
+    require_count("repeats", repeats)
     base = problems.make_problem(name, n)
     reg = solvers.Regularization(base.A, make_penalty(penalty, n))
     scales = np.array([ALPHA_POLICIES[pol] for pol in policies])
@@ -317,7 +329,8 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
         alpha_star, _ = alpha_selector(reg, select, grid_count=grid_count)(prob)
         alphas = alpha_star * scales
         rows = []
-        for approx_k, X in zip(approxes, reg.block(approxes, prob.b, alphas)):
+        for approx_k in approxes:
+            X = reg.block(approx_k, prob.b, alphas)
             for j, pol in enumerate(policies):
                 rows.append({
                     "example": name, "n": n, "delta": delta, "penalty": penalty,
@@ -584,6 +597,7 @@ def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0)
     separately, never as failures), the worst relative slack observed and,
     per failure, its seed, both sides and the check's details.
     """
+    require_count("seeds", seeds)
     records = {cid: [] for cid in check_ids}
     for s in range(seeds):
         trial = diagnostics.BoundTrial(base_seed + s, n)

@@ -280,7 +280,7 @@ def shifted_gram_coeffs(Utb, sigma, alpha):
     """Coefficients ``(u_i, b) / (sigma_i^2 + alpha)`` of the spectral sum in
     :func:`solve_shifted_gram`, given ``Utb = U.T @ b``: the filter of the one
     range-preserving solve, which broadcasts a k-by-1 ``Utb`` and ``sigma``
-    against its alphas (:func:`rsvdreg.solvers.range_tikhonov_block`)."""
+    against its alphas (``rsvdreg.solvers._range_block``)."""
     return Utb / (sigma**2 + alpha)
 
 

@@ -8,6 +8,7 @@ identical inputs.
 
 import numpy as np
 import scipy.io
+import scipy.sparse
 
 from .linalg import as_matrix, as_vector
 
@@ -19,9 +20,12 @@ def write_matrix(path, A):
 
 
 def read_matrix(path):
-    """Read a dense matrix from a Matrix Market file."""
+    """Read a Matrix Market file, array or coordinate format, as a dense
+    matrix."""
     A = scipy.io.mmread(str(path))
-    return as_matrix(np.asarray(A))
+    if scipy.sparse.issparse(A):
+        A = A.toarray()
+    return as_matrix(A)
 
 
 def write_vector(path, v):

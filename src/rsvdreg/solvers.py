@@ -11,10 +11,9 @@ Two families, each in a direct flavor and randomized flavors:
   and range-preserving (``rsvd_gen_tikhonov_range``).
 
 The identity is the order-0 penalty (``L_sharp = Gamma = I``, ``B = A``):
-``tikhonov_solve_direct`` and ``rsvd_tikhonov_range`` call the general
-solvers with it.  Only ``rsvd_tikhonov_projected`` has its own code, a
-closed form for its diagonal k-by-k system (the one identity choice of
-:class:`Regularization`, which the harness solves through).  The direct
+``tikhonov_solve_direct``, ``rsvd_tikhonov_projected`` and
+``rsvd_tikhonov_range`` call the general solvers with it, and so does
+:class:`Regularization`, which the harness solves through.  The direct
 solvers take the dual form, factoring the n-by-n ``B B.T + alpha I``,
 and validate ``A`` unless handed its Gram matrix (``direct_gram`` validated
 it); the range-preserving solvers never read ``A`` densely.  No solver
@@ -33,8 +32,8 @@ recovers the truncated solver).  Factors of ``B`` cut from a left sketch
 solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 ``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
-function computes it, :func:`range_tikhonov_block`, for any factorizations
-and alphas at once; the alpha selection forms none (:func:`range_error_curve`).
+function computes it, ``_range_block``, for one factorization and any
+alphas at once; the alpha selection forms none (:func:`range_error_curve`).
 Every penalized solution is assembled by the one
 ``WeightedPinvBundle.sharp_solution``, and every ``L_sharp.T`` is taken in
 the bundle's row panels.
@@ -132,8 +131,8 @@ def trsvd_solve_range(A, approx, b):
     t0 = time.perf_counter()
     _check_positive_spectrum(approx.sigma, "trsvd_solve_range")
     eye = smoothing.weighted_pinv(A, smoothing.identity(A.shape[1]))
-    [X] = _range_block(A, [approx], b, [0.0], eye)
-    return _result(X[:, 0], "trsvd_range", None, approx.k, t0)
+    x = _range_block(A, approx, b, [0.0], eye)[:, 0]
+    return _result(x, "trsvd_range", None, approx.k, t0)
 
 
 def _gram(A, bundle):
@@ -193,14 +192,12 @@ def tikhonov_solve_direct(A, b, alpha, gram=None):
 
 
 def rsvd_tikhonov_projected(approx, b, alpha):
-    """Projected randomized Tikhonov
-    ``(A_k.T A_k + alpha I)^-1 A_k.T b`` computed in factor space."""
-    b = as_vector(b)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    t0 = time.perf_counter()
-    coeff = approx.sigma * (approx.U.T @ b) / (approx.sigma**2 + alpha)
-    return _result(approx.V @ coeff, "tikh_proj", alpha, approx.k, t0)
+    """Projected randomized Tikhonov ``(A_k.T A_k + alpha I)^-1 A_k.T b``:
+    the order-0 entry point of :func:`rsvd_gen_tikhonov_projected`, in
+    factor space."""
+    result = rsvd_gen_tikhonov_projected(
+        approx, smoothing.identity(approx.V.shape[0]), b, alpha)
+    return replace(result, method="tikh_proj")
 
 
 def rsvd_tikhonov_range(A, approx, b, alpha):
@@ -213,47 +210,19 @@ def rsvd_tikhonov_range(A, approx, b, alpha):
     return replace(result, method="tikh_range")
 
 
-def range_tikhonov_block(A, approxes, b, alphas, bundle):
-    """Range-preserving Tikhonov solutions of one data vector for every
-    factorization in ``approxes`` (each of ``B = A @ L_sharp``) and several
-    ``alphas`` at once: the one implementation of the range-preserving
-    filter and its map back, which every range-preserving solve goes through.
-
-    Returns one m-by-len(alphas) array per factorization, in order; a
-    single factorization is a one-element list.  Column j of each is the
-    range-preserving solution at ``alphas[j]``: a one-alpha block is what
-    :func:`rsvd_gen_tikhonov_range` returns, and a wider one agrees with it
-    to rounding (the map back is one matrix product for all columns).  The
-    blocks of several factorizations are stacked, so ``L_sharp`` and the
-    null-space term are applied once each.
-    """
-    b = as_vector(b)
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0):
-        raise ValueError(f"alpha must be positive, got {alphas}")
-    return _range_block(A, approxes, b, alphas, bundle)
-
-
-def _range_block(A, approxes, b, alphas, bundle):
-    """:func:`range_tikhonov_block` of a validated ``b`` without the alpha
-    check, so that :func:`trsvd_solve_range` can pass ``alpha = 0``.  The
-    images of all factorizations go side by side into one row-major block,
-    which ``bundle.sharp_solution`` maps back."""
-    # each factorization's columns (slices, not np.hsplit: this is on the
-    # path of every single-alpha solve)
-    j = len(alphas)
-    parts = [slice(i * j, (i + 1) * j) for i in range(len(approxes))]
-    Z = np.empty((bundle.L.ell, len(approxes) * j))
-    for ap, cols in zip(approxes, parts):
-        C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
-        # the image B.T U C: V diag(sigma) C, or L_sharp.T of A.T U C formed
-        # with the thin block on the left (OpenBLAS is faster that way)
-        if ap.left_sketch:
-            np.matmul(ap.V, (ap.sigma * C.T).T, out=Z[:, cols])
-        else:
-            Z[:, cols] = bundle.sharp_t_apply(((ap.U @ C).T @ A).T)
-    X = bundle.sharp_solution(Z, b)
-    return [X[:, cols] for cols in parts]
+def _range_block(A, approx, b, alphas, bundle):
+    """The one range-preserving solve: for factors ``approx`` of ``B = A @
+    L_sharp``, the m-by-len(alphas) block whose column j is the solution of
+    ``b`` at ``alphas[j]`` (unchecked, so :func:`trsvd_solve_range` can pass
+    ``alpha = 0``).  The image ``B.T U C`` is ``V diag(sigma) C`` for
+    left-sketch factors, which ``bundle.sharp_solution`` maps back, and
+    ``L_sharp.T A.T U C`` for wide-path ones, whose ``A.T U C`` (formed with
+    the thin block on the left: OpenBLAS is faster that way) is mapped back
+    as the direct solve maps its own, by ``bundle.solution``."""
+    C = shifted_gram_coeffs((approx.U.T @ b)[:, None], approx.sigma[:, None], alphas)
+    if approx.left_sketch:
+        return bundle.sharp_solution(approx.V @ (approx.sigma * C.T).T, b)
+    return bundle.solution(((approx.U @ C).T @ A).T, b)
 
 
 def range_error_curve(A, approx, bundle):
@@ -344,27 +313,31 @@ def rsvd_gen_tikhonov_projected(approx_A, L, b, alpha):
 
         ``(diag(sigma^2) + alpha (L V_k).T (L V_k)) z = diag(sigma) U_k.T b``
 
-    with ``x = V_k z``.  Cheap (everything happens in the reduced space)
-    and identical to the projected standard solver when ``L`` is the
-    identity, but the probed subspace is adapted to ``A`` only, so nothing
-    preserves the structure the penalty imposes on the minimizer; that is
-    precisely the failure mode the range-preserving variant avoids.
+    with ``x = V_k z``.  For the identity (order 0) ``(L V_k).T (L V_k) =
+    I``, so the system is diagonal and solved in closed form (a Cholesky
+    solve would round differently).  Cheap (everything happens in the
+    reduced space), but the probed subspace is adapted to ``A`` only, so
+    nothing preserves the structure the penalty imposes on the minimizer;
+    that is precisely the failure mode the range-preserving variant avoids.
     """
     b = as_vector(b)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     t0 = time.perf_counter()
-    LV = L.apply(approx_A.V)
-    M = alpha * (LV.T @ LV)
-    M[np.diag_indices_from(M)] += approx_A.sigma**2
-    rhs = approx_A.sigma * (approx_A.U.T @ b)
-    try:
-        z = scipy.linalg.solve(M, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"projected general Tikhonov system of shape {M.shape} is "
-            f"singular: {exc}"
-        ) from exc
+    sigma = approx_A.sigma
+    if L.order == 0:
+        z = sigma * (approx_A.U.T @ b) / (sigma**2 + alpha)
+    else:
+        LV = L.apply(approx_A.V)
+        M = alpha * (LV.T @ LV)
+        M[np.diag_indices_from(M)] += sigma**2
+        try:
+            z = scipy.linalg.solve(M, sigma * (approx_A.U.T @ b), assume_a="pos")
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"projected general Tikhonov system of shape {M.shape} is "
+                f"singular: {exc}"
+            ) from exc
     return _result(approx_A.V @ z, "gtikh_proj", alpha, approx_A.k, t0)
 
 
@@ -384,8 +357,8 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     if bundle is None:
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
-    [X] = _range_block(A, [approx_B], b, [alpha], bundle)
-    return _result(X[:, 0], "gtikh_range", alpha, approx_B.k, t0)
+    x = _range_block(A, approx_B, b, [alpha], bundle)[:, 0]
+    return _result(x, "gtikh_range", alpha, approx_B.k, t0)
 
 
 class Regularization:
@@ -393,9 +366,9 @@ class Regularization:
 
     The methods call the general solvers with the :attr:`bundle` of
     :func:`rsvdreg.smoothing.weighted_pinv`, built on first use, so a
-    projected solve never pays for it; ``projected`` solves the identity in
-    closed form.  Each method equals its public solver bit for bit;
-    ``projected`` factors ``A``, the others :attr:`target`.
+    projected solve never pays for it.  Each method equals its public
+    solver bit for bit; ``projected`` factors ``A``, the others
+    :attr:`target`.
     """
 
     def __init__(self, A, L):
@@ -424,16 +397,19 @@ class Regularization:
                                    gram=gram)
 
     def projected(self, approx_A, b, alpha):
-        # order 0: (L V_k).T (L V_k) = I, so the k-by-k system is diagonal
-        # and its closed form replaces the Cholesky solve (which would round
-        # differently)
-        if self.L.order == 0:
-            return rsvd_tikhonov_projected(approx_A, b, alpha)
         return rsvd_gen_tikhonov_projected(approx_A, self.L, b, alpha)
 
     def range(self, approx, b, alpha):
         return rsvd_gen_tikhonov_range(self.A, self.L, approx, b, alpha,
                                        self.bundle)
 
-    def block(self, approxes, b, alphas):
-        return range_tikhonov_block(self.A, approxes, b, alphas, self.bundle)
+    def block(self, approx, b, alphas):
+        """The range-preserving solutions of ``b`` at every one of
+        ``alphas`` from the factors ``approx`` of :attr:`target`, as the
+        columns of one m-by-len(alphas) array; column j is
+        :meth:`range` at ``alphas[j]`` to rounding (bit for bit when it is
+        the only one)."""
+        alphas = np.asarray(alphas, dtype=float)
+        if np.any(alphas <= 0):
+            raise ValueError(f"alpha must be positive, got {alphas}")
+        return _range_block(self.A, approx, as_vector(b), alphas, self.bundle)

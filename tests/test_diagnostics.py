@@ -200,7 +200,7 @@ def test_coefficient_curve_matches_the_block(name, penalty, wide):
     for delta in (0.0, 1e-6, 1e-2):
         prob = with_noise(base, NoiseSpec(delta, 3))
         a_star, curve = harness.alpha_selector(reg, approx)(prob)
-        [X] = reg.block([approx], prob.b, curve.alphas)
+        X = reg.block(approx, prob.b, curve.alphas)
         e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
         slack = 1e-9 * (e_block + 1e-10 * np.linalg.norm(prob.x_true))
         worst = np.max(np.abs(curve.errors - e_block) / slack)

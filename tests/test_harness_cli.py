@@ -256,14 +256,14 @@ class TestSweepHelpers:
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
     def test_one_block_solve_per_repeat(self, monkeypatch, ks):
         # the selection of a repeat forms no block of solutions, only the
-        # error curve of its widest rank, and every rank and policy is
-        # solved from one block, stacked
+        # error curve of its widest rank, and each rank solves every policy
+        # in one block
         calls = []
-        block, curve = solvers.range_tikhonov_block, solvers.range_error_curve
-        monkeypatch.setattr(solvers, "range_tikhonov_block",
-                            lambda A, approxes, b, alphas, bundle:
-                            calls.append([a.k for a in approxes])
-                            or block(A, approxes, b, alphas, bundle))
+        block, curve = solvers._range_block, solvers.range_error_curve
+        monkeypatch.setattr(solvers, "_range_block",
+                            lambda A, approx, b, alphas, bundle:
+                            calls.append(approx.k)
+                            or block(A, approx, b, alphas, bundle))
         monkeypatch.setattr(solvers, "range_error_curve",
                             lambda A, approx, bundle:
                             calls.append(("curve", approx.k))
@@ -271,7 +271,7 @@ class TestSweepHelpers:
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
                                   k_select=8, grid_count=20)
         assert len(rows) == len(ks) * 3 * 2
-        assert calls == [("curve", 8), ks, ("curve", 8), ks]
+        assert calls == [("curve", 8), *ks, ("curve", 8), *ks]
 
     def test_rows_record_probe_rank(self):
         # shaw's spectrum falls below the rank cutoff long before 45
@@ -304,6 +304,29 @@ class TestSweepHelpers:
                                                 bundle).x
             e = np.linalg.norm(x - x_true)
             assert abs(row["e_ij"] - e) <= 1e-12 * e
+
+    @pytest.mark.parametrize("penalty", ["none", "d1"])
+    def test_rows_are_the_block_of_their_rank(self, penalty):
+        # each rank's row of every policy is the norm of a column of that
+        # rank's own block, bit for bit
+        n, ks = 64, [4, 10]
+        rows = harness.rank_sweep("deriv2", 0.01, ks, n=n, penalty=penalty,
+                                  repeats=2, base_seed=3, k_select=20,
+                                  grid_count=30)
+        base = problems.make_problem("deriv2", n)
+        reg = solvers.Regularization(base.A, harness.make_penalty(penalty, n))
+        for rep in range(2):
+            noise_seed, seed = harness._cell_seeds(3, rep)
+            prob = problems.with_noise(base, problems.NoiseSpec(0.01, noise_seed))
+            _, *approxes = harness.selection_probe(reg, 20, ks, 5, 0, seed)
+            for approx in approxes:
+                mine = {r["policy"]: r for r in rows
+                        if r["repeat"] == rep and r["k"] == approx.k}
+                policies = ("alpha_star", "10x", "0.1x")
+                X = reg.block(approx, prob.b, [mine[p]["alpha"] for p in policies])
+                for j, pol in enumerate(policies):
+                    e = float(np.linalg.norm(X[:, j] - prob.x_true))
+                    assert mine[pol]["e_ij"] == e
 
     def test_plateau_detector(self):
         assert harness.nonincreasing_to_plateau([5.0, 3.0, 1.1, 1.0, 1.05, 1.0])
@@ -629,6 +652,29 @@ class TestCli:
                    "0.01", "--k", "4", "--repeats", "1", "--out", str(out)])
         assert rc == 1
         assert "divisible by 4" in out.read_text()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["table", "--problems", ""], "names"),
+        (["table", "--deltas", ""], "deltas"),
+        (["table", "--repeats", "0"], "repeats"),
+        (["sweep-rank", "--problem", "shaw", "--ks", ""], "ks"),
+        (["sweep-rank", "--problem", "shaw", "--repeats", "0"], "repeats"),
+        (["verify", "--seeds", "0"], "seeds"),
+        (["bench", "--ns", "250"], "--ns"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_empty_run_is_rejected_before_any_work(self, monkeypatch, capsys,
+                                                   argv, name):
+        # a run that would produce no rows (or no slope) fails at once with
+        # a JSON error naming the argument, before any problem is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(problems, "generate", no_work)
+        monkeypatch.setattr(diagnostics, "BoundTrial", no_work)
+        assert main([*argv, "--n", "32"]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith(f"{name}: ")
 
     def test_bench_small(self, tmp_path):
         out = tmp_path / "bench.csv"

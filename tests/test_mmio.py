@@ -21,6 +21,22 @@ def test_vector_roundtrip(tmp_path, rng):
     assert mmio.read_matrix(path).shape == (7, 1)
 
 
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_coordinate_file_reads_dense(tmp_path, rng, symmetry):
+    import scipy.io
+    import scipy.sparse
+
+    A = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.4)
+    if symmetry == "symmetric":
+        A = A + A.T
+    path = tmp_path / "A.mtx"
+    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(A), symmetry=symmetry)
+    header = path.read_text().splitlines()[0]
+    assert header == f"%%MatrixMarket matrix coordinate real {symmetry}"
+    back = mmio.read_matrix(path)
+    assert type(back) is np.ndarray and np.array_equal(back, A)
+
+
 def test_vector_rejects_matrix(tmp_path, rng):
     path = tmp_path / "M.mtx"
     mmio.write_matrix(path, rng.standard_normal((3, 2)))

@@ -15,8 +15,8 @@ from rsvdreg.smoothing import (custom, first_difference, form_B, identity,
 from rsvdreg.solvers import (
     Regularization,
     direct_gram,
+    _range_block,
     gen_tikhonov_direct,
-    range_tikhonov_block,
     rsvd_gen_tikhonov_projected,
     rsvd_gen_tikhonov_range,
     rsvd_tikhonov_projected,
@@ -380,9 +380,8 @@ def test_direct_gram_copies_no_panel(penalty, layout):
 
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
 def test_range_block_is_the_assembly_of_its_images(penalty, rng):
-    # the images of left-sketch factors are written side by side into one
-    # row-major block: the block is bit for bit the one assembly of the
-    # images formed apart, and that assembly is L_sharp z + W (A W)^+ b
+    # the block of left-sketch factors is bit for bit the one assembly of
+    # their image V diag(sigma) C, and that assembly is L_sharp z + W (A W)^+ b
     n, m = 60, 50
     A = random_decaying(rng, n, m)
     b = rng.standard_normal(n)
@@ -395,13 +394,11 @@ def test_range_block_is_the_assembly_of_its_images(penalty, rng):
     alphas = np.array([1e-4, 1e-2, 1.0])
     Z = [ap.V @ (ap.sigma * shifted_gram_coeffs(
         (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas).T).T for ap in approxes]
-    X = reg.block(approxes, b, alphas)
-    assembled = reg.bundle.sharp_solution(np.hstack(Z), b)
-    assert np.array_equal(np.hstack(X), assembled)
-    [x] = reg.block(approxes[:1], b, alphas)
-    assert np.array_equal(x, reg.bundle.sharp_solution(Z[0], b))
-    ref = reg.bundle.L_sharp @ np.hstack(Z) + reg.bundle.w_term(b)[:, None]
-    assert np.linalg.norm(np.hstack(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for ap, z in zip(approxes, Z):
+        X = reg.block(ap, b, alphas)
+        assert np.array_equal(X, reg.bundle.sharp_solution(z, b))
+        ref = reg.bundle.L_sharp @ z + reg.bundle.w_term(b)[:, None]
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 1), (1, 5), (7,), (0, 3)])
@@ -427,7 +424,7 @@ class TestGenTikhonovRandomized:
         ap = rsvd_auto(A, RsvdConfig(k=4, p=3, seed=6))
         xh1 = rsvd_gen_tikhonov_projected(ap, identity(8), b, 0.3).x
         xh2 = rsvd_tikhonov_projected(ap, b, 0.3).x
-        assert np.linalg.norm(xh1 - xh2) <= 1e-8 * np.linalg.norm(xh2)
+        assert np.array_equal(xh1, xh2)
 
     def test_range_identity_penalty_reduces(self, rng):
         A = random_decaying(rng, 10, 8)
@@ -502,9 +499,9 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        eye = weighted_pinv(A, identity(12))
-        [X] = range_tikhonov_block(A, [ap], b, alphas, eye)
-        [gen_X] = range_tikhonov_block(A, [apB], b, alphas, bundle)
+        eye = Regularization(A, identity(12))
+        X = eye.block(ap, b, alphas)
+        gen_X = Regularization(A, L).block(apB, b, alphas)
         assert X.shape == gen_X.shape == (12, 3)
         for j, alpha in enumerate(alphas):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
@@ -512,31 +509,7 @@ class TestRangePath:
             x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
             assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
         with pytest.raises(ValueError, match="alpha"):
-            range_tikhonov_block(A, [ap], b, (1.0, 0.0), eye)
-
-    @pytest.mark.parametrize("penalty", ["none", "d1"])
-    def test_stacked_block_matches_separate_calls(self, penalty):
-        # one product with A.T for every factorization equals one call per
-        # factorization, column for column: bit for bit for the identity,
-        # to rounding where the penalty's Gamma and null-space term are
-        # applied to the wider block
-        n = 64
-        prob = problems.make_problem("deriv2", n, problems.NoiseSpec(0.01, 3))
-        reg = Regularization(prob.A, harness.make_penalty(penalty, n))
-        approxes = rsvd_nested(reg.target, [2, 5, 9, 20, 5], p=5, seed=1)
-        alphas = np.array([1e-5, 1e-3, 0.1]) * approxes[3].sigma[0] ** 2
-        stacked = range_tikhonov_block(prob.A, approxes, prob.b, alphas,
-                                       reg.bundle)
-        assert len(stacked) == len(approxes)
-        for approx, X in zip(approxes, stacked):
-            [ref] = range_tikhonov_block(prob.A, [approx], prob.b, alphas,
-                                         reg.bundle)
-            assert X.shape == ref.shape == (n, 3)
-            if penalty == "none":
-                assert np.array_equal(X, ref)
-            else:
-                err = np.linalg.norm(X - ref, axis=0)
-                assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=0))
+            eye.block(ap, b, (1.0, 0.0))
 
 
 class TestRegularization:
@@ -570,12 +543,11 @@ class TestRegularization:
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))
         assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
-        [X] = reg.block([apT], b, alphas)
+        X = reg.block(apT, b, alphas)
         assert np.array_equal(X, block)
-        [x] = reg.block([apT], b, [1e-3])
+        x = reg.block(apT, b, [1e-3])
         assert np.array_equal(x[:, 0], rng_)
-        assert np.array_equal(
-            X, range_tikhonov_block(A, [apT], b, alphas, bundle)[0])
+        assert np.array_equal(X, _range_block(A, apT, b, alphas, bundle))
         if L.order == 0:
             # the one identity choice: the projected closed form
             proj = rsvd_tikhonov_projected(ap, b, 1e-3).x
@@ -679,7 +651,7 @@ def test_identity_bundle_path_equals_bundleless_path(name):
     ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
     lo, hi, count = default_alpha_grid(ap.sigma[0])
     alphas = np.logspace(np.log10(lo), np.log10(hi), count)
-    [X] = range_tikhonov_block(A, [ap], b, alphas, bundle)
+    X = _range_block(A, ap, b, alphas, bundle)
     C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
     assert np.array_equal(X, ap.V @ (ap.sigma * C.T).T)
 
@@ -687,8 +659,8 @@ def test_identity_bundle_path_equals_bundleless_path(name):
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
 def test_back_transform_equals_product_form(penalty):
     # on full-rank tall-path sketches, L_sharp V (sigma * c) + W (A W)^+ b
-    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers and the block,
-    # of one factorization and of several.  Below alpha ~ 1e-5 sigma_1^2 the product
+    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers and the block.
+    # Below alpha ~ 1e-5 sigma_1^2 the product
     # form's own rounding, amplified by 1/(sigma_k^2 + alpha), exceeds
     # 1e-12 with d2 (1.4e-12 at 1e-6 sigma_1^2, 3.4e-12 at 1e-8)
     n = 64
@@ -705,11 +677,9 @@ def test_back_transform_equals_product_form(penalty):
 
     alphas = np.array([1e-5, 1e-3, 1e-1]) * approxes[1].sigma[0] ** 2
     for ap, ap_ref in zip(approxes, ref):
-        assert close(reg.block([ap], b, alphas)[0], reg.block([ap_ref], b, alphas)[0])
+        assert close(reg.block(ap, b, alphas), reg.block(ap_ref, b, alphas))
         for alpha in alphas:
             assert close(reg.range(ap, b, alpha).x, reg.range(ap_ref, b, alpha).x)
-    for X, X_ref in zip(reg.block(approxes, b, alphas), reg.block(ref, b, alphas)):
-        assert close(X, X_ref)
     if penalty == "none":
         for ap, ap_ref in zip(approxes, ref):
             assert close(trsvd_solve_range(A, ap, b).x,
@@ -733,11 +703,11 @@ def test_wide_factors_take_the_product(penalty, rng):
         v = solve_shifted_gram(ap.U, ap.sigma, alpha, b)
         assert np.array_equal(reg.range(ap, b, alpha).x,
                               bundle.solution(A.T @ v, b))
-        [x] = reg.block([ap], b, [alpha])
+        x = reg.block(ap, b, [alpha])
         assert np.array_equal(x[:, 0], bundle.solution(A.T @ v, b))
     Y = ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
                                    alphas)
-    [X] = reg.block([ap], b, alphas)
+    X = reg.block(ap, b, alphas)
     assert np.array_equal(X, bundle.solution((Y.T @ A).T, b))
     if penalty == "none":
         assert np.array_equal(trsvd_solve_range(A, ap, b).x,
@@ -746,10 +716,8 @@ def test_wide_factors_take_the_product(penalty, rng):
 
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
 def test_wide_range_block_is_the_product_form_solution(penalty, rng):
-    # the images of wide-path factors are copied into the solution block
-    # and assembled there, as bundle.solution assembles Gamma y: the block
-    # of one factorization is bit for bit the solution of the product form
-    # A.T U C
+    # the block of wide-path factors is bit for bit the solution of the
+    # product form A.T U C, assembled as bundle.solution assembles Gamma y
     n, m = 30, 50
     A = random_decaying(rng, n, m)
     b = rng.standard_normal(n)
@@ -762,12 +730,9 @@ def test_wide_range_block_is_the_product_form_solution(penalty, rng):
     alphas = np.array([1e-4, 1e-2, 1.0])
     Y = [ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
          for ap in approxes]
-    stacked = reg.block(approxes, b, alphas)
-    for ap, Yi, Xs in zip(approxes, Y, stacked):
-        [X] = reg.block([ap], b, alphas)
+    for ap, Yi in zip(approxes, Y):
+        X = reg.block(ap, b, alphas)
         assert np.array_equal(X, reg.bundle.solution((Yi.T @ A).T, b))
-        # a stacked block's BLAS products are wider, so it agrees to rounding
-        assert np.linalg.norm(Xs - X) <= 1e-12 * np.linalg.norm(X)
 
 
 @pytest.mark.parametrize("call, penalty, where", [

@@ -7,12 +7,13 @@ per command, BLAS on one thread) and writes into ``OUTDIR``:
 
 * ``table`` at n=400, two repeats, for the penalties none, d1 and d2, as
   CSV and as ``--detail`` JSON;
-* ``sweep-rank`` for shaw without a penalty and deriv2 with d1;
+* ``sweep-rank`` for shaw without a penalty and with d2, and deriv2 with d1;
 * ``sweep-alpha`` for deriv2 without a penalty and with d1, for phillips
   and foxgood without noise (their curves fall far below the data's
   scale) and for shaw with d2;
 * ``verify --seeds 20`` (n=200) and ``verify --seeds 5 --n 48``;
-* ``solve`` for the six ``tikh_*`` / ``gtikh_*`` methods (d1 for gtikh).
+* ``solve`` for the six ``tikh_*`` / ``gtikh_*`` methods (d1 for gtikh)
+  and the three truncated ones at rank 8.
 
 Wall-time fields (``t_direct``, ``t_proj``, ``t_range``,
 ``wall_time_seconds``) are dropped, so two checkouts that compute the same
@@ -34,7 +35,7 @@ for pen in ("none", "d1", "d2"):
     table = ["table", "--n", N, "--repeats", "2", "--penalty", pen]
     RUNS[f"table-{pen}.csv"] = table
     RUNS[f"table-{pen}-detail.json"] = table + ["--detail", "--format", "json"]
-for prob, pen in (("shaw", "none"), ("deriv2", "d1")):
+for prob, pen in (("shaw", "none"), ("shaw", "d2"), ("deriv2", "d1")):
     RUNS[f"sweep-rank-{prob}-{pen}.json"] = [
         "sweep-rank", "--problem", prob, "--n", N, "--penalty", pen,
         "--format", "json"]
@@ -54,6 +55,10 @@ for method in ("tikh_direct", "tikh_proj", "tikh_range"):
             "solve", "--problem", "shaw", "--n", N, "--delta", "0.01",
             "--seed", "3", "--method", pen_method, "--penalty", pen,
             "--format", "json"]
+for method in ("tsvd", "trsvd_proj", "trsvd_range"):
+    RUNS[f"solve-{method}.json"] = [
+        "solve", "--problem", "shaw", "--n", N, "--delta", "0.01", "--seed",
+        "3", "--method", method, "--k", "8", "--format", "json"]
 
 
 def _drop_times(obj):
