@@ -99,7 +99,7 @@ def _cell_seeds(base_seed, repeat):
 
 
 def selection_probe(reg, k_select, ks, p, q, seed):
-    """``[selection, *rank-k factors]`` of ``reg.target`` from one probe
+    """``[selection, *rank-k views]`` of ``reg.target``'s one sketch
     (:func:`rsvdreg.rsvd.rsvd_nested`), the selection rank ``k_select``
     clamped to ``min(shape) - p``.  Each rank agrees to rounding with a lone
     ``rsvd_auto(reg.target, RsvdConfig(k, p, q, seed))``, the widest bit
@@ -150,8 +150,11 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
     factorizations (see :func:`table_run`)."""
     noise_seed, seed = _cell_seeds(base_seed, repeat)
     A = reg.A
-    (approx_select, approx_B), t_factor_B = _timed(
-        selection_probe, reg, k_select, [k], p, q, seed)
+    # the cells solve vectors from both ranks, so their factors are formed
+    # at once and the sketch, whose basis Q is as large as the selection's
+    # U, is dropped
+    (approx_select, approx_B), t_factor_B = _timed(lambda: [
+        r.factors() for r in selection_probe(reg, k_select, [k], p, q, seed)])
     select = alpha_selector(reg, approx_select, grid_count=grid_count)
     # every cell selects its alpha, and the selector (an m-by-k_select
     # basis) is dropped, before a penalty's A is factored for the projected
@@ -308,10 +311,14 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     are not independent draws.  A row is reproduced to rounding by a lone
     ``rsvd_auto(target, RsvdConfig(k, p, q, row["rsvd_seed"]))`` (the
     selection seed) and records ``probe_rank``, the numerical rank of its
-    (k+p)-row sketch.  Each rank solves its ``policies`` in one
-    ``reg.block``, which maps tall-path factors back through ``V
-    diag(sigma)``: a repeat touches ``A`` in exactly two products, ``A @
-    Omega`` and ``Q.T @ A``.  The repeats run on ``workers`` threads.
+    (k+p)-row sketch, and ``alpha_at_lower`` / ``alpha_at_upper``, set when
+    the repeat's ``alpha_star`` is the first or the last point of its grid.
+    The errors of every rank and policy are taken in the sketch's bases
+    (:func:`rsvdreg.solvers.rank_errors`): ``Q.T b`` once, k coefficients
+    per rank and alpha, and, for a penalty, one QR of ``L_sharp Z`` per
+    repeat; no rank's ``U`` or ``V`` and no solution vector is formed.  So a
+    repeat touches ``A`` in exactly two products, ``A @ Omega`` and ``Q.T @
+    A``.  The repeats run on ``workers`` threads.
     """
     for pol in policies:
         if pol not in ALPHA_POLICIES:
@@ -325,22 +332,19 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     def run_rep(rep):
         noise_seed, seed = _cell_seeds(base_seed, rep)
         prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
-        select, *approxes = selection_probe(reg, k_select, ks, p, q, seed)
-        alpha_star, _ = alpha_selector(reg, select, grid_count=grid_count)(prob)
+        select, *ranks = selection_probe(reg, k_select, ks, p, q, seed)
+        alpha_star, curve = alpha_selector(reg, select, grid_count=grid_count)(prob)
         alphas = alpha_star * scales
-        rows = []
-        for approx_k in approxes:
-            X = reg.block(approx_k, prob.b, alphas)
-            for j, pol in enumerate(policies):
-                rows.append({
-                    "example": name, "n": n, "delta": delta, "penalty": penalty,
-                    "k": approx_k.k, "policy": pol, "alpha": float(alphas[j]),
-                    "repeat": rep, "noise_seed": noise_seed,
-                    "rsvd_seed": seed,
-                    "e_ij": float(np.linalg.norm(X[:, j] - prob.x_true)),
-                    "probe_rank": approx_k.probe_rank,
-                })
-        return rows
+        errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
+        return [{
+            "example": name, "n": n, "delta": delta, "penalty": penalty,
+            "k": rank.k, "policy": pol, "alpha": float(alphas[j]),
+            "repeat": rep, "noise_seed": noise_seed, "rsvd_seed": seed,
+            "e_ij": float(errs[j]),
+            "alpha_at_lower": curve.at_lower_boundary,
+            "alpha_at_upper": curve.at_upper_boundary,
+            "probe_rank": rank.probe_rank,
+        } for rank, errs in zip(ranks, errors) for j, pol in enumerate(policies)]
 
     rows = [row for chunk in _map(run_rep, range(repeats), workers) for row in chunk]
     rows.sort(key=lambda r: (r["policy"], r["k"], r["repeat"]))

@@ -7,6 +7,7 @@ the tall path; the wide path consumes the identical stream transposed, so
 swapped.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +54,20 @@ class RsvdConfig:
             )
 
 
+class _Factors:
+    """What every rank-k factorization offers besides its factors."""
+
+    @property
+    def k(self):
+        return self.sigma.shape[0]
+
+    def matrix(self):
+        """Materialize ``U @ diag(sigma) @ V.T``."""
+        return (self.U * self.sigma) @ self.V.T
+
+
 @dataclass(frozen=True)
-class RankKApprox:
+class RankKApprox(_Factors):
     """Rank-k factors ``A ~= U @ diag(sigma) @ V.T`` plus their provenance.
 
     On the tall path the factors satisfy the projection identity
@@ -72,6 +85,9 @@ class RankKApprox:
     were cut from: its singular values above ``default_pinv_rtol`` times
     the largest.  Below k+p, the probe captured fewer directions than it
     had columns.  None for factors not taken from a probe.
+
+    :func:`rsvd_nested` of a tall matrix returns :class:`SketchRank`
+    views instead, with the same attributes.
     """
 
     U: np.ndarray
@@ -81,13 +97,89 @@ class RankKApprox:
     probe_rank: int | None = None
     left_sketch: bool = False
 
-    @property
-    def k(self):
-        return self.sigma.shape[0]
 
-    def matrix(self):
-        """Materialize ``U @ diag(sigma) @ V.T``."""
-        return (self.U * self.sigma) @ self.V.T
+@dataclass(frozen=True, eq=False)
+class Sketch:
+    """One probe of a tall ``A``, factored once, which every rank of
+    :func:`rsvd_nested` is cut from.
+
+    ``Q`` is the orthonormal n-by-ell basis of the probe (:func:`range_basis`,
+    ``ell = k + p`` of the widest rank ``config``) and ``Z diag(s) Wt`` the
+    SVD of the sketch ``(Q.T @ A).T``: ``Z`` has ``A.shape[1]`` orthonormal
+    rows and ell columns, and every rank's right factor lies in its span.
+    """
+
+    Q: np.ndarray
+    Z: np.ndarray
+    s: np.ndarray
+    Wt: np.ndarray
+    config: RsvdConfig
+
+    def rank(self, cfg):
+        """The rank-``cfg.k`` view of the sketch (``cfg.p`` as the widest
+        rank's).  The widest rank reads the sketch's own SVD; a narrower one
+        takes the SVD of ``diag(s) Wt[:, :ell]``, the leading ``ell = k + p``
+        rows of the sketch in the basis ``Z``, which is O(ell^3)."""
+        ell = cfg.k + cfg.p
+        if cfg.k == self.config.k:
+            Zm, sl, Wtl = None, self.s, self.Wt
+        else:
+            Zm, sl, Wtl = svd_tall(self.s[:, None] * self.Wt[:, :ell])
+        rank = int(np.sum(sl > default_pinv_rtol((ell, self.Z.shape[0])) * sl[0]))
+        return SketchRank(self, cfg, sl[:cfg.k], rank, Zm, Wtl)
+
+
+@dataclass(frozen=True, eq=False)
+class SketchRank(_Factors):
+    """The rank-k factors of a :class:`Sketch`, as a view: ``sigma`` and
+    ``probe_rank`` (see :class:`RankKApprox`) plus the rank's small SVD
+    ``Zm diag(sigma) Wtl`` of the sketch's leading ell rows (``Zm`` None for
+    the widest rank, whose basis is ``Z`` itself).
+
+    ``U = Q[:, :ell] @ Wtl[:k].T`` and ``V = Z @ Zm[:, :k]`` (``Z[:, :k]``
+    for the widest rank) are formed when first read and then kept.
+    :meth:`left_coefficients` and :meth:`lift` give ``U.T @ b`` and ``V @
+    g`` in coefficients of ``Q`` and ``Z`` without either, so that many
+    ranks of one sketch are solved in the sketch's bases.
+    """
+
+    sketch: Sketch = field(repr=False)
+    config: RsvdConfig = field(repr=False)
+    sigma: np.ndarray
+    probe_rank: int
+    Zm: np.ndarray | None = field(repr=False)
+    Wtl: np.ndarray = field(repr=False)
+
+    left_sketch = True
+
+    @functools.cached_property
+    def U(self):
+        ell = self.config.k + self.config.p
+        return self.sketch.Q[:, :ell] @ self.Wtl[:self.k].T
+
+    @functools.cached_property
+    def V(self):
+        Z = self.sketch.Z
+        return Z[:, :self.k] if self.Zm is None else Z @ self.Zm[:, :self.k]
+
+    def factors(self):
+        """The explicit :class:`RankKApprox` of this rank: its ``U`` and
+        ``V``, without the sketch."""
+        return RankKApprox(self.U, self.sigma, self.V, self.config, self.probe_rank,
+                           left_sketch=True)
+
+    def left_coefficients(self, Qtb):
+        """``U.T @ b`` from the sketch's ``Qtb = Q.T @ b``, without ``U``."""
+        return self.Wtl[:self.k] @ Qtb[:self.config.k + self.config.p]
+
+    def lift(self, g):
+        """The coefficients of ``V @ g`` in the sketch's basis ``Z``, for a
+        k-by-j ``g``, without ``V``."""
+        if self.Zm is not None:
+            return self.Zm[:, :self.k] @ g
+        t = np.zeros((self.sketch.Z.shape[1], g.shape[1]))
+        t[:self.k] = g
+        return t
 
 
 def from_exact_svd(A, k, seed=0):
@@ -141,8 +233,9 @@ def range_basis(A, k, p, seed, q=0):
 
 
 def _rsvd_tall_nested(A, cfgs):
-    """Rank-``k`` factors of a tall ``A`` for every config in ``cfgs`` (one
-    seed, ``p`` and ``q``), all from one probe of the widest rank.
+    """Rank-``k`` views of one :class:`Sketch` of a tall ``A`` for every
+    config in ``cfgs`` (one seed, ``p`` and ``q``), all from one probe of the
+    widest rank.
 
     The probe is filled column-major, column j of the sample depends only
     on the leading j+1 probe columns (on column j alone when ``q <= 2``) and
@@ -159,27 +252,18 @@ def _rsvd_tall_nested(A, cfgs):
     call.  Then ``B[:l].T = Z M`` with the small
     ``M = diag(s) Wt[:, :l]``, and ``Z`` has orthonormal columns, so a
     narrower rank takes the SVD of ``M`` (O((k+p)^3) instead of O(m (k+p)^2))
-    and maps its left factor back through ``Z``.
+    and maps its left factor back through ``Z`` (:meth:`Sketch.rank`).
     """
     n, m = A.shape
     widest = max(cfgs, key=lambda c: c.k)
     widest.validate_shape((n, m))
     Q = range_basis(A, widest.k, widest.p, widest.seed, widest.q)
     # the wide sketch B = Q.T @ A, factored through its tall transpose
-    Z, s, Wt = svd_tall((Q.T @ A).T)
+    sketch = Sketch(Q, *svd_tall((Q.T @ A).T), widest)
     out = {}
     for cfg in cfgs:
-        if cfg.k in out:
-            continue
-        ell = cfg.k + cfg.p
-        if cfg.k == widest.k:
-            V, sl, Wtl = Z[:, :cfg.k], s, Wt
-        else:
-            Zm, sl, Wtl = svd_tall(s[:, None] * Wt[:, :ell])
-            V = Z @ Zm[:, :cfg.k]
-        rank = int(np.sum(sl > default_pinv_rtol((ell, m)) * sl[0]))
-        U = Q[:, :ell] @ Wtl[:cfg.k].T
-        out[cfg.k] = RankKApprox(U, sl[:cfg.k], V, cfg, rank, True)
+        if cfg.k not in out:
+            out[cfg.k] = sketch.rank(cfg)
     return [out[cfg.k] for cfg in cfgs]
 
 
@@ -194,7 +278,8 @@ def rsvd_tall(A, cfg):
     Pipeline: Gaussian probe, optional power iterations, thin QR of the
     sample (:func:`range_basis`), exact SVD of the small projected matrix
     ``Q.T @ A``, truncation of the oversampled factors from k+p down to k.
-    This is the one-rank case of :func:`rsvd_nested`.
+    This is the one-rank case of :func:`rsvd_nested`, returned as explicit
+    factors: a lone rank's view would hold ``Q``, wider than its ``U``.
 
     ``A`` may be any object supporting ``shape``, ``.T`` and products with
     arrays on either side (dense ndarray or a lazy product operator).
@@ -202,7 +287,7 @@ def rsvd_tall(A, cfg):
     n, m = A.shape
     if n < m:
         raise ValueError(f"rsvd_tall needs rows >= cols, got shape {A.shape}")
-    return _rsvd_tall_nested(A, [cfg])[0]
+    return _rsvd_tall_nested(A, [cfg])[0].factors()
 
 
 def rsvd_wide(A, cfg):
@@ -234,10 +319,12 @@ def rsvd_nested(A, ks, p=5, q=0, seed=0):
     The rank-k factors come from the leading k+p columns of that basis, so
     the ranks' subspaces are nested, and each agrees to rounding with the
     lone ``rsvd_auto(A, RsvdConfig(k, p, q, seed))`` (the widest rank bit
-    for bit).  Returns one :class:`RankKApprox` per entry of ``ks``, in
-    input order (duplicates included).  Raises ``ValueError`` for an empty
-    ``ks`` and, like the lone call, when ``max(ks) + p`` exceeds
-    ``min(A.shape)``.
+    for bit).  Returns one rank per entry of ``ks``, in input order
+    (duplicates included): for a tall ``A`` the :class:`SketchRank` views of
+    its one :class:`Sketch`, which form ``U`` and ``V`` only when read; for a
+    wide one the explicit factors of those of ``A.T``, swapped.  Raises
+    ``ValueError`` for an empty ``ks`` and, like the lone call, when
+    ``max(ks) + p`` exceeds ``min(A.shape)``.
     """
     cfgs = [RsvdConfig(k=k, p=p, q=q, seed=seed) for k in ks]
     if not cfgs:

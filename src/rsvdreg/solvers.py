@@ -33,10 +33,13 @@ solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 ``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
 function computes it, ``_range_block``, for one factorization and any
-alphas at once; the alpha selection forms none (:func:`range_error_curve`).
-Every penalized solution is assembled by the one
-``WeightedPinvBundle.sharp_solution``, and every ``L_sharp.T`` is taken in
-the bundle's row panels.
+alphas at once.  Where only the errors of the solutions are wanted, none is
+formed: the alpha selection takes them from k coefficients per alpha
+(:func:`range_error_curve`), and a rank sweep takes every rank's from the
+coefficients of its solutions in the bases of the one sketch the ranks
+are cut from (:func:`rank_errors`).  Every penalized solution is assembled
+by the one ``WeightedPinvBundle.sharp_solution``, and every ``L_sharp.T``
+is taken in the bundle's row panels.
 """
 
 import functools
@@ -225,39 +228,93 @@ def _range_block(A, approx, b, alphas, bundle):
     return bundle.solution(((approx.U @ C).T @ A).T, b)
 
 
+def _split_distances(M, orthonormal):
+    """``distances(r) -> norms(G)``: ``||M g - r||`` for every column ``g``
+    of ``G`` (overwritten), for an m-by-k ``M``.  With ``M = Q R`` factored
+    once (Householder; none for an orthonormal ``M``, ``Q = M`` and ``R =
+    I``) and ``Q.T r`` taken once per ``r``, each norm is ``sqrt(||R g -
+    Q.T r||^2 + ||(I - Q Q.T) r||^2)``; the expansion ``||r||^2 - 2 g.T M.T
+    r + g.T M.T M g`` would cancel."""
+    k = M.shape[1]
+    if orthonormal:
+        Q = M
+    else:
+        qr, tau = _householder(M, overwrite=True)
+        del M  # dgeqrf's copy of a row-major M is all that is kept
+        R = np.triu(qr[:k])
+
+    def distances(r):
+        if orthonormal:
+            Qtr = Q.T @ r
+            rest = r - Q @ Qtr
+        else:  # Q.T r over all m rows (Q m-by-m), its tail (I - Q Q.T) r
+            Qtr = lapack.dormqr("L", "T", qr, tau, r[:, None], lwork=64)[0][:, 0]
+            Qtr, rest = Qtr[:k], Qtr[k:]
+        tail = rest @ rest
+
+        def norms(G):
+            if not orthonormal:
+                G = R @ G
+            G -= Qtr[:, None]
+            return np.sqrt(np.einsum("ij,ij->j", G, G) + tail)
+
+        return norms
+
+    return distances
+
+
 def range_error_curve(A, approx, bundle):
     """``errors(b, x_true, alphas)``: ``||x - x_true||`` for the
     range-preserving solution ``x`` of ``b`` at each of ``alphas`` (factors
     ``approx`` of ``B = A @ L_sharp``), with no solution formed: ``x = M g +
     W (A W)^+ b`` with k coefficients ``g`` per alpha and ``M = L_sharp V``
-    (``L_sharp B.T U``, one product with ``A``, for wide-path factors).  With
-    ``M = Q R`` factored once (Householder; none for the identity's
-    orthonormal ``V``) and ``r = x_true - W (A W)^+ b``, each error is
-    ``sqrt(||R g - Q.T r||^2 + ||(I - Q Q.T) r||^2)``; the expansion
-    ``||r||^2 - 2 g.T M.T r + g.T M.T M g`` would cancel."""
-    U, sigma, k, left = approx.U, approx.sigma, approx.k, approx.left_sketch
-    orthonormal = bundle.L.order == 0 and left  # M = V: Q = V and R = I
-    if not orthonormal:
-        M = approx.V if left else bundle.sharp_t_apply((U.T @ A).T)
-        qr, tau = _householder(bundle.sharp_apply(M), overwrite=True)
-        R = np.triu(qr[:k])
+    (``L_sharp B.T U``, one product with ``A``, for wide-path factors),
+    factored once, and each error taken from ``g`` and ``r = x_true - W (A
+    W)^+ b`` in split form (:func:`_split_distances`)."""
+    U, sigma, left = approx.U, approx.sigma, approx.left_sketch
+    if bundle.L.order == 0 and left:  # M = V: Q = V and R = I
+        distances = _split_distances(approx.V, orthonormal=True)
+    else:  # M is not held here, so that it goes once factored
+        distances = _split_distances(bundle.sharp_apply(
+            approx.V if left else bundle.sharp_t_apply((U.T @ A).T)),
+            orthonormal=False)
 
     def errors(b, x_true, alphas):
         b = as_vector(b)
         G = shifted_gram_coeffs((U.T @ b)[:, None], sigma[:, None], alphas)
         if left:
             G *= sigma[:, None]
-        r = x_true - bundle.w_term(b)
-        if orthonormal:
-            Qtr = approx.V.T @ r
-            rest = r - approx.V @ Qtr
-        else:  # Q.T r over all m rows (Q m-by-m), its tail (I - Q Q.T) r
-            Qtr = lapack.dormqr("L", "T", qr, tau, r[:, None], lwork=64)[0][:, 0]
-            Qtr, rest, G = Qtr[:k], Qtr[k:], R @ G
-        G -= Qtr[:, None]
-        return np.sqrt(np.einsum("ij,ij->j", G, G) + rest @ rest)
+        return distances(x_true - bundle.w_term(b))(G)
 
     return errors
+
+
+def rank_errors(ranks, bundle, b, x_true, alphas):
+    """``||x - x_true||`` for the range-preserving solution ``x`` of ``b``
+    at each of ``alphas`` from each of ``ranks``, the
+    :class:`rsvdreg.rsvd.SketchRank` views of one sketch of ``B = A @
+    L_sharp``, as a len(ranks)-by-len(alphas) array, with no factor or
+    solution formed.
+
+    Every rank's solution is ``L_sharp Z t + W (A W)^+ b`` with ``Z`` the
+    sketch's right basis and ``t = Zm[:, :k] (sigma * c)`` (``rank.lift``)
+    the coefficients of ``V (sigma * c)``, where ``c`` is the filter of
+    ``U.T b = Wtl[:k] (Q.T b)[:ell]`` (``rank.left_coefficients``).  So the
+    sketch's ``M = L_sharp Z`` is factored once for all ranks (``Z`` itself
+    for the identity), ``Q.T b`` and ``Q.T r`` are taken once, and each
+    rank costs O(ell^2) per alpha (:func:`_split_distances`)."""
+    sketch = ranks[0].sketch
+    b = as_vector(b)
+    orthonormal = bundle.L.order == 0
+    norms = _split_distances(sketch.Z if orthonormal else bundle.sharp_apply(sketch.Z),
+                             orthonormal)(x_true - bundle.w_term(b))
+    Qtb = sketch.Q.T @ b
+    out = np.empty((len(ranks), len(alphas)))
+    for i, rank in enumerate(ranks):
+        sigma = rank.sigma[:, None]
+        C = shifted_gram_coeffs(rank.left_coefficients(Qtb)[:, None], sigma, alphas)
+        out[i] = norms(rank.lift(sigma * C))
+    return out
 
 
 def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):

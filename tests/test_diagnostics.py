@@ -196,7 +196,7 @@ def test_coefficient_curve_matches_the_block(name, penalty, wide):
     [approx] = harness.selection_probe(reg, 100, [], 5, 0, 7)
     assert approx.left_sketch
     if wide:
-        approx = replace(approx, left_sketch=False)
+        approx = replace(approx.factors(), left_sketch=False)
     for delta in (0.0, 1e-6, 1e-2):
         prob = with_noise(base, NoiseSpec(delta, 3))
         a_star, curve = harness.alpha_selector(reg, approx)(prob)

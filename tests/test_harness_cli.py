@@ -253,25 +253,34 @@ class TestSweepHelpers:
         assert calls == [("nested", s) for s in seeds]
         assert sorted({r["rsvd_seed"] for r in rows}) == seeds
 
+    @pytest.mark.parametrize("penalty", ["none", "d1"])
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
-    def test_one_block_solve_per_repeat(self, monkeypatch, ks):
-        # the selection of a repeat forms no block of solutions, only the
-        # error curve of its widest rank, and each rank solves every policy
-        # in one block
-        calls = []
-        block, curve = solvers._range_block, solvers.range_error_curve
+    def test_sweep_solves_no_block(self, monkeypatch, ks, penalty):
+        # the selection of a repeat takes the error curve of its widest
+        # rank, and every rank's errors come from one coefficient-space call
+        # per repeat: no block of solutions, and no rank forms its U or V
+        calls, views = [], []
+        curve, errors = solvers.range_error_curve, solvers.rank_errors
         monkeypatch.setattr(solvers, "_range_block",
-                            lambda A, approx, b, alphas, bundle:
-                            calls.append(approx.k)
-                            or block(A, approx, b, alphas, bundle))
+                            lambda *args: calls.append("block"))
         monkeypatch.setattr(solvers, "range_error_curve",
                             lambda A, approx, bundle:
                             calls.append(("curve", approx.k))
                             or curve(A, approx, bundle))
-        rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
-                                  k_select=8, grid_count=20)
+
+        def rank_errors(ranks, *args):
+            calls.append([rank.k for rank in ranks])
+            views.extend(ranks)
+            return errors(ranks, *args)
+
+        monkeypatch.setattr(solvers, "rank_errors", rank_errors)
+        rows = harness.rank_sweep("shaw", 0.01, ks, n=32, penalty=penalty,
+                                  repeats=2, k_select=8, grid_count=20)
         assert len(rows) == len(ks) * 3 * 2
-        assert calls == [("curve", 8), *ks, ("curve", 8), *ks]
+        assert calls == [("curve", 8), ks, ("curve", 8), ks]
+        # only a rank equal to the selection's is its view, which the
+        # selection read
+        assert {view.k for view in views if {"U", "V"} & vars(view).keys()} <= {8}
 
     def test_rows_record_probe_rank(self):
         # shaw's spectrum falls below the rank cutoff long before 45
@@ -306,27 +315,66 @@ class TestSweepHelpers:
             assert abs(row["e_ij"] - e) <= 1e-12 * e
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
-    def test_rows_are_the_block_of_their_rank(self, penalty):
-        # each rank's row of every policy is the norm of a column of that
-        # rank's own block, bit for bit
+    def test_rows_are_the_coefficient_errors_of_their_rank(self, penalty):
+        # each rank's row of every policy is its error from the repeat's
+        # sketch in coefficient space (rank_errors) bit for bit, and within
+        # 1e-12 of the norm of that rank's explicitly formed solution
         n, ks = 64, [4, 10]
         rows = harness.rank_sweep("deriv2", 0.01, ks, n=n, penalty=penalty,
                                   repeats=2, base_seed=3, k_select=20,
                                   grid_count=30)
         base = problems.make_problem("deriv2", n)
         reg = solvers.Regularization(base.A, harness.make_penalty(penalty, n))
+        policies = ("alpha_star", "10x", "0.1x")
         for rep in range(2):
             noise_seed, seed = harness._cell_seeds(3, rep)
             prob = problems.with_noise(base, problems.NoiseSpec(0.01, noise_seed))
-            _, *approxes = harness.selection_probe(reg, 20, ks, 5, 0, seed)
-            for approx in approxes:
-                mine = {r["policy"]: r for r in rows
-                        if r["repeat"] == rep and r["k"] == approx.k}
-                policies = ("alpha_star", "10x", "0.1x")
-                X = reg.block(approx, prob.b, [mine[p]["alpha"] for p in policies])
+            _, *ranks = harness.selection_probe(reg, 20, ks, 5, 0, seed)
+            mine = {(r["k"], r["policy"]): r for r in rows if r["repeat"] == rep}
+            alphas = [mine[ks[0], pol]["alpha"] for pol in policies]
+            errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
+            for rank, errs in zip(ranks, errors):
+                X = reg.block(rank, prob.b, alphas)
+                e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
                 for j, pol in enumerate(policies):
-                    e = float(np.linalg.norm(X[:, j] - prob.x_true))
-                    assert mine[pol]["e_ij"] == e
+                    assert mine[rank.k, pol]["alpha"] == alphas[j]
+                    assert mine[rank.k, pol]["e_ij"] == errs[j]
+                    assert abs(errs[j] - e_block[j]) <= 1e-12 * e_block[j]
+
+    def test_rows_record_alpha_boundary_flags(self, monkeypatch):
+        # every row of a repeat carries the flags of that repeat's selection
+        flags = iter([(True, False), (False, True)])
+        select = harness.select_alpha
+
+        def flagged(*args):
+            alpha_star, curve = select(*args)
+            lower, upper = next(flags)
+            return alpha_star, replace(curve, at_lower_boundary=lower,
+                                       at_upper_boundary=upper)
+
+        monkeypatch.setattr(harness, "select_alpha", flagged)
+        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=2,
+                                  k_select=8, grid_count=20)
+        assert {(r["repeat"], r["alpha_at_lower"], r["alpha_at_upper"])
+                for r in rows} == {(0, True, False), (1, False, True)}
+        assert list(rows[0])[-3:] == ["alpha_at_lower", "alpha_at_upper", "probe_rank"]
+
+    @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+    def test_peak_memory_holds_no_rank_factors(self, penalty):
+        # the workload's 13 ranks at n=400: A, the sketch (Q, Z and the
+        # ranks' small SVDs), the selection's U and, for a penalty, L_sharp
+        # Z and its QR stay under 3 matrices; each rank's own U and V would
+        # add about 1.5 more (3.5 to 3.7 in all)
+        n = 400
+        tracemalloc.start()
+        try:
+            harness.rank_sweep("deriv2", 0.01, (2, 4, 6, 8, 10, 15, 20, 25, 30,
+                                                35, 40, 50, 60),
+                               n=n, penalty=penalty, repeats=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 3.0
 
     def test_plateau_detector(self):
         assert harness.nonincreasing_to_plateau([5.0, 3.0, 1.1, 1.0, 1.05, 1.0])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_decaying
 
 from rsvdreg import problems
-from rsvdreg.linalg import svd_full
+from rsvdreg.linalg import svd_full, svd_tall
 from rsvdreg.rsvd import (
     RankKApprox,
     RsvdConfig,
@@ -191,6 +191,34 @@ class TestNested:
         for name in ("U", "sigma", "V"):
             assert np.array_equal(getattr(widest, name), getattr(lone, name))
         assert widest.probe_rank == lone.probe_rank == 17
+
+    @pytest.mark.parametrize("kind", ["tall", "form_B"])
+    def test_views_form_the_nested_factors(self, kind, rng):
+        # each view's U and V are, bit for bit, the leading-rows factors of
+        # the widest sketch: Q[:, :l] Wtl[:k].T and Z Zm[:, :k] from the SVD
+        # of diag(s) Wt[:, :l], and the widest sketch's own for its rank; its
+        # coefficient forms give U.T b and V g to rounding
+        M = self.target(kind)
+        out = rsvd_nested(M, self.KS, p=5, q=1, seed=4)
+        Q = range_basis(M, 12, 5, 4, q=1)
+        Z, s, Wt = svd_tall((Q.T @ M).T)
+        b, g = rng.standard_normal(M.shape[0]), rng.standard_normal((12, 3))
+        assert not any({"U", "V"} & vars(view).keys() for view in out)
+        for k, view in zip(self.KS, out):
+            ell = k + 5
+            if k == 12:
+                sigma, U, V = s[:k], Q[:, :ell] @ Wt[:k].T, Z[:, :k]
+            else:
+                Zm, sl, Wtl = svd_tall(s[:, None] * Wt[:, :ell])
+                sigma, U, V = sl[:k], Q[:, :ell] @ Wtl[:k].T, Z @ Zm[:, :k]
+            assert np.array_equal(view.sigma, sigma)
+            assert np.array_equal(view.U, U) and np.array_equal(view.V, V)
+            assert view.U is view.U and view.V is view.V
+            assert rel(view.left_coefficients(Q.T @ b), U.T @ b) <= 1e-13
+            assert rel(Z @ view.lift(g[:k]), V @ g[:k]) <= 1e-13
+            factors = view.factors()
+            assert factors.U is view.U and factors.V is view.V
+            assert factors.left_sketch and factors.probe_rank == view.probe_rank
 
     def test_duplicates_and_order(self):
         out = rsvd_nested(self.target("tall"), [5, 2, 5], p=2, seed=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_decaying
-from rsvdreg import harness, problems, smoothing
+from rsvdreg import harness, problems, smoothing, solvers
 from rsvdreg.diagnostics import default_alpha_grid
 from rsvdreg.linalg import shifted_gram_coeffs, solve_shifted_gram, svd_full
 from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
@@ -670,7 +670,7 @@ def test_back_transform_equals_product_form(penalty):
     approxes = rsvd_nested(reg.target, [6, 20], p=5, seed=3)
     assert all(ap.left_sketch and ap.probe_rank == ap.k + 5 for ap in approxes)
     # the same factors without the flag take the product with A.T
-    ref = [replace(ap, left_sketch=False) for ap in approxes]
+    ref = [replace(ap.factors(), left_sketch=False) for ap in approxes]
 
     def close(x, y):
         return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
@@ -684,6 +684,28 @@ def test_back_transform_equals_product_form(penalty):
         for ap, ap_ref in zip(approxes, ref):
             assert close(trsvd_solve_range(A, ap, b).x,
                          trsvd_solve_range(A, ap_ref, b).x)
+
+
+@pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
+def test_rank_errors_match_explicit_solutions(penalty):
+    # the errors of every rank of a sketch, taken in its bases, agree with
+    # the norms of the explicitly formed solutions at the sweep's scalings
+    # of the selected alpha and three decades beyond them
+    n = 200
+    ks = [2, 4, 6, 8, 10, 15, 20, 25, 30, 35, 40, 50, 60]
+    base = problems.make_problem("deriv2", n)
+    reg = Regularization(base.A, harness.make_penalty(penalty, n))
+    for seed in range(2):
+        prob = problems.with_noise(base, problems.NoiseSpec(0.01, seed))
+        select, *ranks = harness.selection_probe(reg, 100, ks, 5, 0, seed + 7)
+        alpha_star, _ = harness.alpha_selector(reg, select)(prob)
+        alphas = alpha_star * np.array([1.0, 10.0, 0.1, 1e3, 1e-3])
+        errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
+        assert errors.shape == (len(ks), alphas.size)
+        for rank, errs in zip(ranks, errors):
+            X = reg.block(rank, prob.b, alphas)
+            e = np.linalg.norm(X - prob.x_true[:, None], axis=0)
+            assert np.all(np.abs(errs - e) <= 1e-12 * e), (seed, rank.k)
 
 
 @pytest.mark.parametrize("penalty", ["none", "d1"])
