@@ -10,12 +10,12 @@ from rsvdreg import (
     RsvdConfig,
     dual_maximizer,
     dual_objective,
-    dual_solve,
     form_B,
     gen_tikhonov_direct,
     iterative_refine,
     primal_objective,
     rsvd_auto,
+    rsvd_gen_tikhonov_range,
     weighted_pinv,
 )
 from rsvdreg.smoothing import custom
@@ -38,8 +38,10 @@ x_star = gen_tikhonov_direct(A, L, b, alpha, bundle).x
 approx = rsvd_auto(B, RsvdConfig(k=k, p=5, seed=1))
 
 # Solving through the dual: maximize the concave dual in closed form, then
-# map back through the reduced duality relation.
-sol = dual_solve(A, bundle, approx, b, alpha)
+# map back through the reduced duality relation alpha L x = B_k.T xi.  For
+# factors of a left sketch (B.T U = V diag(sigma)) that map is the
+# range-preserving solver's back-transform, so that solver is the dual solve.
+sol = rsvd_gen_tikhonov_range(A, L, approx, b, alpha, bundle)
 xi = dual_maximizer(approx, b, alpha)
 gap = primal_objective(A, L, b, alpha, sol.x) - dual_objective(approx, b, alpha, xi)
 print(f"rank-{k} dual solve:  ||x - x_star|| / ||x_star|| = "
@@ -50,7 +52,7 @@ print(f"primal-dual objective mismatch at rank {k}: {gap:.3e}")
 from rsvdreg import from_exact_svd
 
 exact = from_exact_svd(B.toarray(), n)
-x_exact = dual_solve(A, bundle, exact, b, alpha).x
+x_exact = rsvd_gen_tikhonov_range(A, L, exact, b, alpha, bundle).x
 xi_exact = dual_maximizer(exact, b, alpha)
 gap0 = primal_objective(A, L, b, alpha, x_exact) - dual_objective(exact, b, alpha, xi_exact)
 print(f"with exact factors the gap closes: {gap0:.3e}")

@@ -58,7 +58,6 @@ from .refine import (
     RefineState,
     dual_maximizer,
     dual_objective,
-    dual_solve,
     iterative_refine,
     primal_objective,
 )

@@ -196,7 +196,7 @@ def cmd_solve(args):
     alpha = args.alpha
     if alpha is None and method not in _NO_ALPHA:
         approx_select, approx_k = harness.selection_probe(
-            reg, 100, [args.k], args.p, args.q, seed)
+            reg, harness.K_SELECT, [args.k], args.p, args.q, seed)
         select = harness.alpha_selector(reg, approx_select,
                                         grid=_alpha_grid(args.alpha_grid))
         alpha, _ = select(prob)
@@ -294,14 +294,15 @@ def cmd_sweep_rank(args):
 def cmd_bench(args):
     ns = _int_list(args.ns)
     harness.require_count("--ns", len(ns), least=2)  # the slopes need two sizes
+    methods = [v for v in args.methods.split(",") if v]
     rows = harness.bench_run(
         name=args.problem, ns=ns, ks=_int_list(args.ks),
-        penalty=args.penalty, methods=tuple(args.methods.split(",")),
+        penalty=args.penalty, methods=methods,
         delta=args.delta, repeats=args.repeats, base_seed=args.seed,
     )
     slopes = {
         method: harness.loglog_slope(rows, method)
-        for method in args.methods.split(",")
+        for method in methods
     }
     if args.format == "json":
         harness.write_output({"rows": rows, "slopes": slopes}, args.out, "json")

@@ -98,10 +98,14 @@ class AlphaCurve:
     excluded: list = field(default_factory=list)
 
 
-def default_alpha_grid(sigma1, count=100):
-    """Log grid spanning [1e-14 sigma1^2, sigma1^2]: from numerically zero
-    regularization to penalty-dominated."""
-    return (1e-14 * sigma1**2, sigma1**2, count)
+#: Points of the Table-1 protocol's alpha grid (:func:`default_alpha_grid`).
+ALPHA_GRID_COUNT = 100
+
+
+def default_alpha_grid(sigma1):
+    """Log grid of ``ALPHA_GRID_COUNT`` points spanning [1e-14 sigma1^2,
+    sigma1^2]: from numerically zero regularization to penalty-dominated."""
+    return (1e-14 * sigma1**2, sigma1**2, ALPHA_GRID_COUNT)
 
 
 def select_alpha(problem, errors, grid):

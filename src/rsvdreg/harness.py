@@ -6,6 +6,10 @@ sweep are independent; when run concurrently the output ordering is still
 deterministic (records are sorted by their keys, not completion order).
 The drivers solve through one :class:`rsvdreg.solvers.Regularization` per
 problem and factor through this module's ``rsvd_auto`` and ``rsvd_nested``.
+Tables, rank sweeps and ``solve`` select alpha by the paper's Table-1
+protocol: a rank-``K_SELECT`` range-preserving solve scanned over
+:func:`rsvdreg.diagnostics.default_alpha_grid`.  A run that would do
+nothing is refused before any work (:func:`require_count`).
 """
 
 import contextlib
@@ -31,6 +35,9 @@ from .rsvd import RsvdConfig, rsvd_auto, rsvd_nested
 
 PENALTIES = {"none": "identity", "d1": "first_difference", "d2": "second_difference"}
 
+#: Rank of the range-preserving solve that selects alpha (Table-1 protocol)
+K_SELECT = 100
+
 
 def make_penalty(code, m):
     """Penalty operator from its CLI code (none / d1 / d2)."""
@@ -48,7 +55,7 @@ class RunRecord:
     ``t_proj`` and ``t_range`` include the factorization they use; a table
     charges a shared cost in full to every cell that uses it.  The range
     factors are cut from the selection probe (:func:`selection_probe`,
-    ``k_select + p`` columns), so ``t_range``, and ``t_proj`` for the
+    ``K_SELECT + p`` columns), so ``t_range``, and ``t_proj`` for the
     identity, charge that whole probe, not a lone rank-k factorization,
     while ``t_direct`` charges no selection: they compare neither with
     ``t_direct`` nor with tables from before the probe was shared.
@@ -108,16 +115,17 @@ def selection_probe(reg, k_select, ks, p, q, seed):
     return rsvd_nested(reg.target, [k_sel, *ks], p=p, q=q, seed=seed)
 
 
-def alpha_selector(reg, approx, grid=None, grid_count=100):
+def alpha_selector(reg, approx, grid=None):
     """``select(problem) -> (alpha_star, curve)``: the alpha minimizing the
     error of ``reg``'s range-preserving solve over ``grid`` (by default
-    ``grid_count`` points, see :func:`rsvdreg.diagnostics.select_alpha`),
+    :func:`rsvdreg.diagnostics.default_alpha_grid`, see
+    :func:`rsvdreg.diagnostics.select_alpha`),
     from the factors ``approx`` of ``reg.target`` shared by every problem
     it is given.  The basis of their solutions is factored once, here
     (:func:`rsvdreg.solvers.range_error_curve`), and each problem's curve
     taken from k coefficients per alpha, with no m-by-count block."""
     if grid is None:
-        grid = default_alpha_grid(approx.sigma[0], grid_count)
+        grid = default_alpha_grid(approx.sigma[0])
     errors = solvers.range_error_curve(reg.A, approx, reg.bundle)
     return lambda prob: select_alpha(
         prob, lambda alphas: errors(prob.b, prob.x_true, alphas), grid)
@@ -145,7 +153,7 @@ def _timed(fn, *args):
 
 
 def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
-                  base_seed, k_select, grid_count):
+                  base_seed):
     """The cells of one repeat, one per noise level, which share its
     factorizations (see :func:`table_run`)."""
     noise_seed, seed = _cell_seeds(base_seed, repeat)
@@ -154,9 +162,9 @@ def _table_repeat(base, reg, t_gram, deltas, penalty, k, p, q, repeat,
     # at once and the sketch, whose basis Q is as large as the selection's
     # U, is dropped
     (approx_select, approx_B), t_factor_B = _timed(lambda: [
-        r.factors() for r in selection_probe(reg, k_select, [k], p, q, seed)])
-    select = alpha_selector(reg, approx_select, grid_count=grid_count)
-    # every cell selects its alpha, and the selector (an m-by-k_select
+        r.factors() for r in selection_probe(reg, K_SELECT, [k], p, q, seed)])
+    select = alpha_selector(reg, approx_select)
+    # every cell selects its alpha, and the selector (an m-by-K_SELECT
     # basis) is dropped, before a penalty's A is factored for the projected
     # column; a failed selection fails its cell below, not the repeat
     picks = []
@@ -219,11 +227,11 @@ def _failed_record(name, n, delta, penalty, k, p, q, repeat, base_seed, exc):
 
 
 def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
-              repeats=5, base_seed=0, k_select=100, grid_count=100, workers=1):
+              repeats=5, base_seed=0, workers=1):
     """Error table over (example, noise level) cells, ``repeats`` seeds each.
 
     Alpha is selected per cell by minimizing the error of a rank
-    ``k_select`` range-preserving solve over a logarithmic grid; the
+    ``K_SELECT`` range-preserving solve over a logarithmic grid; the
     reported solutions use rank ``k``.  Each problem is generated once, with
     its penalty reduction and the direct solver's Gram matrix.  Each repeat
     factors ``B = A @ L_sharp`` once for all noise levels, in one probe at
@@ -260,7 +268,7 @@ def table_run(names, deltas, penalty="none", n=1000, k=20, p=5, q=0,
         for rep in range(repeats):
             try:
                 records += _table_repeat(base, reg, t_gram, deltas, penalty, k,
-                                         p, q, rep, base_seed, k_select, grid_count)
+                                         p, q, rep, base_seed)
             except Exception as exc:  # noqa: BLE001
                 records += [failed(name, delta, rep, exc) for delta in deltas]
         return records
@@ -299,8 +307,7 @@ ALPHA_POLICIES = {"alpha_star": 1.0, "10x": 10.0, "0.1x": 0.1}
 
 
 def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", "10x", "0.1x"),
-               repeats=3, base_seed=0, p=5, q=0, k_select=100, grid_count=100,
-               workers=1):
+               repeats=3, base_seed=0, p=5, q=0, workers=1):
     """Reconstruction error of the range-preserving solver as a function of
     the factorization rank, at the selected parameter and scalings of it.
 
@@ -324,6 +331,7 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
         if pol not in ALPHA_POLICIES:
             raise ValueError(f"unknown alpha policy {pol!r}")
     require_count("ks", len(ks))
+    require_count("policies", len(policies))
     require_count("repeats", repeats)
     base = problems.make_problem(name, n)
     reg = solvers.Regularization(base.A, make_penalty(penalty, n))
@@ -332,8 +340,8 @@ def rank_sweep(name, delta, ks, n=1000, penalty="none", policies=("alpha_star", 
     def run_rep(rep):
         noise_seed, seed = _cell_seeds(base_seed, rep)
         prob = problems.with_noise(base, problems.NoiseSpec(delta, noise_seed))
-        select, *ranks = selection_probe(reg, k_select, ks, p, q, seed)
-        alpha_star, curve = alpha_selector(reg, select, grid_count=grid_count)(prob)
+        select, *ranks = selection_probe(reg, K_SELECT, ks, p, q, seed)
+        alpha_star, curve = alpha_selector(reg, select)(prob)
         alphas = alpha_star * scales
         errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
         return [{
@@ -362,40 +370,44 @@ def median_curve(rows, policy):
     return np.array(ks), np.array(med)
 
 
-def nonincreasing_to_plateau(errors, tol=0.10):
-    """True when the curve decreases (within ``tol`` noise) until it enters
-    its terminal plateau and stays there."""
+#: relative noise the rank-curve shape tests tolerate
+_PLATEAU_TOL = 0.10
+
+
+def nonincreasing_to_plateau(errors):
+    """True when the curve decreases (within 10% noise) until it enters its
+    terminal plateau and stays there."""
     e = np.asarray(errors, dtype=float)
     plateau = float(np.median(e[-3:])) if e.size >= 3 else float(e[-1])
     entered = False
     run_min = math.inf
     for v in e:
-        if not entered and v <= (1.0 + tol) * plateau:
+        if not entered and v <= (1.0 + _PLATEAU_TOL) * plateau:
             entered = True
         if entered:
-            if v > (1.0 + tol) * plateau:
+            if v > (1.0 + _PLATEAU_TOL) * plateau:
                 return False
         else:
-            if v > (1.0 + tol) * run_min:
+            if v > (1.0 + _PLATEAU_TOL) * run_min:
                 return False
         run_min = min(run_min, v)
     return True
 
 
-def dip_rise_plateau(errors, tol=0.10, rise=1.15):
-    """True when the curve first decreases, then increases by at least
-    ``rise`` relative to its minimum, and finally levels off."""
+def dip_rise_plateau(errors):
+    """True when the curve first decreases, then rises at least 15% above
+    its minimum, and finally levels off (within 10%)."""
     e = np.asarray(errors, dtype=float)
     if e.size < 4:
         return False
     jmin = int(np.argmin(e))
     if jmin == 0 or jmin >= e.size - 2:
         return False
-    plateau = float(np.median(e[-3:])) if e.size >= 3 else float(e[-1])
-    if plateau < rise * e[jmin]:
+    plateau = float(np.median(e[-3:]))
+    if plateau < 1.15 * e[jmin]:
         return False
     tail = e[-3:]
-    return bool(np.all(np.abs(tail - plateau) <= tol * plateau))
+    return bool(np.all(np.abs(tail - plateau) <= _PLATEAU_TOL * plateau))
 
 
 def optimal_rank(ks, errors):
@@ -532,6 +544,8 @@ def bench_run(name="deriv2", ns=(250, 500, 1000, 2000), ks=(20,), penalty="none"
     records ``blas_threads``, the thread count read back from the pin
     (None when it could not be confirmed).
     """
+    require_count("ks", len(ks))
+    require_count("methods", len(methods))
     with _single_thread_blas() as blas_threads:
         cells = _bench_cells(name, ns, ks, penalty, methods, delta, base_seed, p, q)
         times = _interleaved_best_of([make for _, make in cells], repeats)
@@ -601,6 +615,7 @@ def verify_run(check_ids, seeds=50, n=diagnostics.VERIFY_DEFAULT_N, base_seed=0)
     separately, never as failures), the worst relative slack observed and,
     per failure, its seed, both sides and the check's details.
     """
+    require_count("check_ids", len(check_ids))
     require_count("seeds", seeds)
     records = {cid: [] for cid in check_ids}
     for s in range(seeds):

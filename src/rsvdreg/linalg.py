@@ -196,19 +196,15 @@ def default_pinv_rtol(shape):
     return max(shape) * np.finfo(float).eps
 
 
-def pinv(A, rtol=None):
+def pinv(A):
     """Moore-Penrose pseudoinverse with a relative singular value cutoff.
 
-    Singular values below ``rtol * sigma_1`` are treated as zero.  The
-    default ``rtol`` is ``max(n, m) * eps`` (the usual numerical-rank
-    convention).
+    Singular values below ``default_pinv_rtol(A.shape) * sigma_1``, that is
+    ``max(n, m) * eps * sigma_1`` (the usual numerical-rank convention),
+    are treated as zero.
     """
     A = as_matrix(A)
-    if rtol is None:
-        rtol = default_pinv_rtol(A.shape)
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
-    return np.linalg.pinv(A, rcond=rtol)
+    return np.linalg.pinv(A, rcond=default_pinv_rtol(A.shape))
 
 
 def spectral_norm(A):

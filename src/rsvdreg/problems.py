@@ -153,8 +153,9 @@ def _foxgood(n):
     return A, t.copy()
 
 
-def _gravity(n, depth=0.25):
+def _gravity(n):
     h = 1.0 / n
+    depth = 0.25
     t = (np.arange(n) + 0.5) * h
     # h * depth / (depth^2 + (t_i - t_j)^2)^1.5, in place
     A = np.subtract.outer(t, t)
@@ -166,10 +167,11 @@ def _gravity(n, depth=0.25):
     return A, x
 
 
-def _heat(n, kappa=1.0):
+def _heat(n):
     if n % 2:
         raise ValueError(f"heat needs an even dimension, got n={n}")
     h = 1.0 / n
+    kappa = 1.0
     t = (np.arange(n) + 0.5) * h
     kernel = h / (2.0 * kappa * math.sqrt(math.pi)) * t**-1.5 * np.exp(
         -1.0 / (4.0 * kappa**2 * t)

@@ -6,21 +6,26 @@ maximizing the concave dual
 ``-(2 alpha)^-1 ||B.T xi||^2 - 1/2 ||xi - b||^2`` over the data-space
 variable ``xi``, with ``B = A L^+``; the primal is recovered through
 ``x = alpha^-1 Gamma A.T xi``.  Substituting the rank-k factors of ``B``
-into the dual and recovering the primal through the reduced duality
-relation reproduces the range-preserving solver exactly.
+into the dual gives its maximizer in closed form (:func:`dual_maximizer`),
+at which ``B_k.T xi = alpha V (sigma * c)`` with ``c_i = (u_i, b) /
+(sigma_i^2 + alpha)``.  The reduced duality relation ``alpha L x = B_k.T
+xi`` then gives ``x = L_sharp V (sigma * c)``: for left-sketch factors,
+whose ``B.T U = V diag(sigma)`` holds exactly, the back-transform of
+:func:`rsvdreg.solvers.rsvd_gen_tikhonov_range`, which is therefore the
+dual solve.  :func:`dual_objective` and :func:`primal_objective` measure
+the gap between the two problems.
 
 The refinement loop then improves the rank-k solution by solving, at each
 step, the correction problem projected onto the captured right subspace;
 the full-accuracy minimizer is a fixed point of the update.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import as_matrix, as_vector
-from .solvers import rsvd_gen_tikhonov_range
 
 
 def _require_trivial_null_space(bundle, who):
@@ -43,22 +48,6 @@ def dual_maximizer(approx_B, b, alpha):
     # Spectral resolvent: alpha/(sigma^2+alpha) on the captured range,
     # identity on its complement.
     return U @ (alpha * coeff / (sigma**2 + alpha) - coeff) + b
-
-
-def dual_solve(A, bundle, approx_B, b, alpha):
-    """Solve the regularized problem through its dual.
-
-    Maximizes the rank-k dual in closed form and maps back to the primal
-    via the reduced duality relation ``alpha L x = B_k.T xi``.  For any
-    factors ``B_k.T U = V diag(sigma)``, so at the maximizer this is
-    ``V (sigma * c)``, ``c_i = (u_i, b) / (sigma_i^2 + alpha)``: the range
-    solver's back-transform, for wide-path factors too.
-    """
-    A = as_matrix(A)
-    _require_trivial_null_space(bundle, "dual_solve")
-    approx = replace(approx_B, left_sketch=True)  # B_k.T U = V diag(sigma)
-    result = rsvd_gen_tikhonov_range(A, bundle.L, approx, b, alpha, bundle)
-    return replace(result, method="dual")
 
 
 def dual_objective(approx_B, b, alpha, xi):

@@ -15,11 +15,12 @@ The identity is the order-0 penalty (``L_sharp = Gamma = I``, ``B = A``):
 ``rsvd_tikhonov_range`` call the general solvers with it, and so does
 :class:`Regularization`, which the harness solves through.  The direct
 solvers take the dual form, factoring the n-by-n ``B B.T + alpha I``,
-and validate ``A`` unless handed its Gram matrix (``direct_gram`` validated
-it); the range-preserving solvers never read ``A`` densely.  No solver
-forms a dense ``B``: ``direct_gram`` sums ``B B.T`` over column panels of
-``B`` with ``dsyrk``, so a penalized direct solve holds the n-by-n arrays
-of an identity one, ``A`` and the Gram matrix.
+and validate ``A`` unless ``gen_tikhonov_direct`` is handed its Gram matrix
+(``direct_gram`` validated it); the range-preserving solvers never read
+``A`` densely.  No solver forms a dense ``B``: ``direct_gram`` sums ``B
+B.T`` over column panels of ``B`` with ``dsyrk``, so a penalized direct
+solve holds the n-by-n arrays of an identity one, ``A`` and the Gram
+matrix.
 
 The range-preserving flavors keep the solution inside ``range(A.T)``
 (resp. ``range(Gamma A.T)``): they map the filter
@@ -32,8 +33,8 @@ recovers the truncated solver).  Factors of ``B`` cut from a left sketch
 solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
 ``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
 with ``A``.  Wide-path factors take one product with ``A.T``.  One
-function computes it, ``_range_block``, for one factorization and any
-alphas at once.  Where only the errors of the solutions are wanted, none is
+function computes it, ``_range_block``, which both range-preserving
+solvers call.  Where only the errors of the solutions are wanted, none is
 formed: the alpha selection takes them from k coefficients per alpha
 (:func:`range_error_curve`), and a rank sweep takes every rank's from the
 coefficients of its solutions in the bases of the one sketch the ranks
@@ -44,7 +45,7 @@ is taken in the bundle's row panels.
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -79,14 +80,13 @@ class SolverResult:
     """Solution vector plus the knobs that produced it."""
 
     x: np.ndarray
-    method: str
     alpha: float | None
     k: int | None
     wall_time: float
 
 
-def _result(x, method, alpha, k, t0):
-    return SolverResult(x, method, alpha, k, time.perf_counter() - t0)
+def _result(x, alpha, k, t0):
+    return SolverResult(x, alpha, k, time.perf_counter() - t0)
 
 
 def _check_positive_spectrum(sigma, what):
@@ -99,9 +99,12 @@ def _check_positive_spectrum(sigma, what):
 def tsvd_solve(svd, k, b):
     """Truncated SVD solution ``sum_{i<=k} (u_i, b)/sigma_i * v_i``.
 
-    ``k`` must not exceed the numerical rank of the factored matrix.
+    ``k`` must be at least 1 and must not exceed the numerical rank of the
+    factored matrix.
     """
     b = as_vector(b)
+    if k < 1:
+        raise ValueError(f"truncation level k must be at least 1, got k={k}")
     t0 = time.perf_counter()
     sigma = svd.sigma
     cutoff = default_pinv_rtol((svd.U.shape[0], svd.V.shape[0])) * sigma[0]
@@ -113,7 +116,7 @@ def tsvd_solve(svd, k, b):
             f"cutoff {cutoff:.3e})"
         )
     coeff = (svd.U[:, :k].T @ b) / sigma[:k]
-    return _result(svd.V[:, :k] @ coeff, "tsvd", None, k, t0)
+    return _result(svd.V[:, :k] @ coeff, None, k, t0)
 
 
 def trsvd_solve_projected(approx, b):
@@ -123,7 +126,7 @@ def trsvd_solve_projected(approx, b):
     t0 = time.perf_counter()
     _check_positive_spectrum(approx.sigma, "trsvd_solve_projected")
     coeff = (approx.U.T @ b) / approx.sigma
-    return _result(approx.V @ coeff, "trsvd_proj", None, approx.k, t0)
+    return _result(approx.V @ coeff, None, approx.k, t0)
 
 
 def trsvd_solve_range(A, approx, b):
@@ -135,7 +138,7 @@ def trsvd_solve_range(A, approx, b):
     _check_positive_spectrum(approx.sigma, "trsvd_solve_range")
     eye = smoothing.weighted_pinv(A, smoothing.identity(A.shape[1]))
     x = _range_block(A, approx, b, [0.0], eye)[:, 0]
-    return _result(x, "trsvd_range", None, approx.k, t0)
+    return _result(x, None, approx.k, t0)
 
 
 def _gram(A, bundle):
@@ -175,32 +178,21 @@ def direct_gram(A, bundle):
     return _gram(as_matrix(A), bundle)
 
 
-def _direct_matrix(A, gram):
-    """``A`` as an array, validated unless ``gram`` is given: the
-    :func:`direct_gram` that formed it validated ``A``."""
-    return as_matrix(A) if gram is None else np.asarray(A, dtype=float)
-
-
-def tikhonov_solve_direct(A, b, alpha, gram=None):
+def tikhonov_solve_direct(A, b, alpha):
     """Classical Tikhonov solution of ``(A.T A + alpha I) x = A.T b``: the
     order-0 entry point of :func:`gen_tikhonov_direct`, in the dual form
-    ``A.T (A A.T + alpha I)^-1 b`` whatever the shape of ``A``.  ``gram`` is
-    ``A @ A.T``, formed here when not given, and borrowed as
-    :func:`gen_tikhonov_direct` borrows it.
+    ``A.T (A A.T + alpha I)^-1 b`` whatever the shape of ``A``.
     """
-    A = _direct_matrix(A, gram)
-    result = gen_tikhonov_direct(A, smoothing.identity(A.shape[1]), b, alpha,
-                                 gram=gram)
-    return replace(result, method="tikh_direct")
+    A = as_matrix(A)
+    return gen_tikhonov_direct(A, smoothing.identity(A.shape[1]), b, alpha)
 
 
 def rsvd_tikhonov_projected(approx, b, alpha):
     """Projected randomized Tikhonov ``(A_k.T A_k + alpha I)^-1 A_k.T b``:
     the order-0 entry point of :func:`rsvd_gen_tikhonov_projected`, in
     factor space."""
-    result = rsvd_gen_tikhonov_projected(
+    return rsvd_gen_tikhonov_projected(
         approx, smoothing.identity(approx.V.shape[0]), b, alpha)
-    return replace(result, method="tikh_proj")
 
 
 def rsvd_tikhonov_range(A, approx, b, alpha):
@@ -208,9 +200,8 @@ def rsvd_tikhonov_range(A, approx, b, alpha):
     ``A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i``: the order-0 entry
     point of :func:`rsvd_gen_tikhonov_range`, O(nk) after a tall-path
     factorization."""
-    result = rsvd_gen_tikhonov_range(A, smoothing.identity(A.shape[1]),
-                                     approx, b, alpha)
-    return replace(result, method="tikh_range")
+    return rsvd_gen_tikhonov_range(A, smoothing.identity(A.shape[1]),
+                                   approx, b, alpha)
 
 
 def _range_block(A, approx, b, alphas, bundle):
@@ -341,7 +332,7 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
     writable and must not be read concurrently, by another solve or
     otherwise.  ``A`` is then trusted, as :func:`direct_gram` validated it.
     """
-    A = _direct_matrix(A, gram)
+    A = as_matrix(A) if gram is None else np.asarray(A, dtype=float)
     b = as_vector(b)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -360,7 +351,7 @@ def gen_tikhonov_direct(A, L, b, alpha, bundle=None, gram=None):
             M[np.diag_indices_from(M)] = diag
             mirror_upper(M)
     x = bundle.solution(A.T @ xi, b)
-    return _result(x, "gtikh_direct", alpha, None, t0)
+    return _result(x, alpha, None, t0)
 
 
 def rsvd_gen_tikhonov_projected(approx_A, L, b, alpha):
@@ -395,7 +386,7 @@ def rsvd_gen_tikhonov_projected(approx_A, L, b, alpha):
                 f"projected general Tikhonov system of shape {M.shape} is "
                 f"singular: {exc}"
             ) from exc
-    return _result(approx_A.V @ z, "gtikh_proj", alpha, approx_A.k, t0)
+    return _result(approx_A.V @ z, alpha, approx_A.k, t0)
 
 
 def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
@@ -415,7 +406,7 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
     x = _range_block(A, approx_B, b, [alpha], bundle)[:, 0]
-    return _result(x, "gtikh_range", alpha, approx_B.k, t0)
+    return _result(x, alpha, approx_B.k, t0)
 
 
 class Regularization:
@@ -459,14 +450,3 @@ class Regularization:
     def range(self, approx, b, alpha):
         return rsvd_gen_tikhonov_range(self.A, self.L, approx, b, alpha,
                                        self.bundle)
-
-    def block(self, approx, b, alphas):
-        """The range-preserving solutions of ``b`` at every one of
-        ``alphas`` from the factors ``approx`` of :attr:`target`, as the
-        columns of one m-by-len(alphas) array; column j is
-        :meth:`range` at ``alphas[j]`` to rounding (bit for bit when it is
-        the only one)."""
-        alphas = np.asarray(alphas, dtype=float)
-        if np.any(alphas <= 0):
-            raise ValueError(f"alpha must be positive, got {alphas}")
-        return _range_block(self.A, approx, as_vector(b), alphas, self.bundle)

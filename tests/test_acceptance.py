@@ -195,8 +195,8 @@ def test_criterion_7_rank_convergence_phenomenology():
     _, e_star = harness.median_curve(curves[0.01], "alpha_star")
     _, e_star5 = harness.median_curve(curves[0.05], "alpha_star")
     _, e_under = harness.median_curve(curves[0.01], "0.1x")
-    mono1 = harness.nonincreasing_to_plateau(e_star, tol=0.10)
-    mono5 = harness.nonincreasing_to_plateau(e_star5, tol=0.10)
+    mono1 = harness.nonincreasing_to_plateau(e_star)
+    mono5 = harness.nonincreasing_to_plateau(e_star5)
     dip = harness.dip_rise_plateau(e_under)
     k1 = harness.optimal_rank(ks, e_star)
     k5 = harness.optimal_rank(ks, e_star5)

@@ -21,7 +21,7 @@ from rsvdreg.linalg import svd_full
 from rsvdreg.problems import InverseProblem, NoiseSpec, generate, make_sourcewise, with_noise
 from rsvdreg.rsvd import RsvdConfig, from_exact_svd, rsvd_auto
 from rsvdreg.smoothing import custom
-from rsvdreg.solvers import Regularization, tikhonov_solve_direct
+from rsvdreg.solvers import Regularization, _range_block, tikhonov_solve_direct
 
 
 class TestErrorReport:
@@ -200,7 +200,7 @@ def test_coefficient_curve_matches_the_block(name, penalty, wide):
     for delta in (0.0, 1e-6, 1e-2):
         prob = with_noise(base, NoiseSpec(delta, 3))
         a_star, curve = harness.alpha_selector(reg, approx)(prob)
-        X = reg.block(approx, prob.b, curve.alphas)
+        X = _range_block(reg.A, approx, prob.b, curve.alphas, reg.bundle)
         e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
         slack = 1e-9 * (e_block + 1e-10 * np.linalg.norm(prob.x_true))
         worst = np.max(np.abs(curve.errors - e_block) / slack)

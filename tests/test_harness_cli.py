@@ -13,10 +13,20 @@ from rsvdreg.cli import main
 from rsvdreg.rsvd import RsvdConfig, rsvd_auto
 
 
+@pytest.fixture
+def selection(monkeypatch):
+    """``set_(k_select, grid_count=100)``: the drivers select alpha at this
+    rank over a grid of this many points, small enough for a test's n."""
+    def set_(k_select, grid_count=100):
+        monkeypatch.setattr(harness, "K_SELECT", k_select)
+        monkeypatch.setattr(diagnostics, "ALPHA_GRID_COUNT", grid_count)
+    return set_
+
+
 class TestTableRun:
-    def test_records_and_aggregation(self):
-        recs = harness.table_run(["shaw"], [0.01], n=32, k=4, repeats=2,
-                                 k_select=8, grid_count=30)
+    def test_records_and_aggregation(self, selection):
+        selection(8, 30)
+        recs = harness.table_run(["shaw"], [0.01], n=32, k=4, repeats=2)
         assert len(recs) == 2
         assert recs[0].repeat == 0 and recs[1].repeat == 1
         assert recs[0].noise_seed != recs[1].noise_seed
@@ -25,24 +35,27 @@ class TestTableRun:
         med = np.median([r.e for r in recs])
         assert rows[0]["e"] == pytest.approx(med)
 
-    def test_penalty_cells(self):
+    def test_penalty_cells(self, selection):
+        selection(8, 30)
         recs = harness.table_run(["deriv2"], [0.01], penalty="d1", n=32, k=4,
-                                 repeats=1, k_select=8, grid_count=30)
+                                 repeats=1)
         assert len(recs) == 1
         assert np.isfinite(recs[0].e_ij) and recs[0].alpha_star > 0
 
-    def test_worker_count_does_not_change_results(self):
-        kw = dict(n=32, k=4, repeats=2, k_select=8, grid_count=20)
+    def test_worker_count_does_not_change_results(self, selection):
+        selection(8, 20)
+        kw = dict(n=32, k=4, repeats=2)
         serial = harness.table_run(["shaw"], [0.01], workers=1, **kw)
         threaded = harness.table_run(["shaw"], [0.01], workers=4, **kw)
         for a, b in zip(serial, threaded):
             assert a.e == b.e and a.alpha_star == b.alpha_star
 
-    def test_problem_workers_give_the_serial_records(self):
+    def test_problem_workers_give_the_serial_records(self, selection):
         # each worker owns a problem and its Gram matrix, which the direct
         # cells factor in place; more workers than cores and frequent
         # thread switches would expose a Gram matrix read mid-factorization
-        kw = dict(n=48, k=4, repeats=2, k_select=8, grid_count=20)
+        selection(8, 20)
+        kw = dict(n=48, k=4, repeats=2)
 
         def untimed(recs):
             return [replace(r, t_direct=0.0, t_proj=0.0, t_range=0.0) for r in recs]
@@ -59,9 +72,11 @@ class TestTableRun:
         assert untimed(threaded) == untimed(serial)
 
     @pytest.mark.parametrize("penalty, scans", [("none", 1), ("d1", 2)])
-    def test_matrix_scanned_once_per_build(self, monkeypatch, penalty, scans):
+    def test_matrix_scanned_once_per_build(self, monkeypatch, selection, penalty,
+                                           scans):
         # direct_gram (and weighted_pinv for a penalty) validate A; the
         # direct cells given its Gram matrix trust that validation
+        selection(8, 20)
         n = 32
         shapes = []
         as_matrix = linalg.as_matrix
@@ -73,41 +88,44 @@ class TestTableRun:
         for module in (linalg, smoothing, solvers):
             monkeypatch.setattr(module, "as_matrix", counting)
         recs = harness.table_run(["shaw", "deriv2"], [0.01, 0.05], penalty=penalty,
-                                 n=n, k=4, repeats=2, k_select=8, grid_count=20)
+                                 n=n, k=4, repeats=2)
         assert len(recs) == 8 and not any(r.note for r in recs)
         assert shapes.count((n, n)) == 2 * scans
 
     @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
-    def test_peak_memory_two_and_a_half_matrices(self, penalty):
+    def test_peak_memory_two_and_a_half_matrices(self, selection, penalty):
         # A and the Gram matrix, which each direct cell factors in place,
         # with no n-by-n copy of it (3.2 matrices with the copy) and, for a
         # penalty, no dense B (3.0 with it); a small selection rank keeps
         # the n-by-(k+p) probe arrays out of the way
+        selection(20)
         n = 400
         tracemalloc.start()
         try:
             harness.table_run(["deriv2"], [0.01, 0.05], penalty=penalty, n=n,
-                              repeats=2, k_select=20)
+                              repeats=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / (8 * n * n) < 2.5
 
-    def test_each_problem_generated_once(self, monkeypatch):
+    def test_each_problem_generated_once(self, monkeypatch, selection):
+        selection(8, 20)
         calls = []
         generate = problems.generate
         monkeypatch.setattr(problems, "generate",
                             lambda name, n: calls.append(name) or generate(name, n))
         recs = harness.table_run(["shaw", "deriv2"], [0.01, 0.05], n=32, k=4,
-                                 repeats=2, k_select=8, grid_count=20)
+                                 repeats=2)
         assert sorted(calls) == ["deriv2", "shaw"]
         assert len(recs) == 8 and not any(r.note for r in recs)
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
-    def test_deltas_do_not_interact(self, penalty):
+    def test_deltas_do_not_interact(self, selection, penalty):
         # the work shared by the noise levels of a repeat changes no result:
         # a two-delta table equals two one-delta tables
-        kw = dict(penalty=penalty, n=32, k=4, repeats=2, k_select=8, grid_count=20)
+        selection(8, 20)
+        kw = dict(penalty=penalty, n=32, k=4, repeats=2)
         names = ["shaw", "deriv2"]
         both = harness.table_run(names, (0.01, 0.05), **kw)
         apart = harness.table_run(names, (0.01,), **kw) + \
@@ -121,12 +139,13 @@ class TestTableRun:
 
     @pytest.mark.parametrize("penalty, per_repeat", [("none", 2), ("d1", 3)])
     @pytest.mark.parametrize("deltas", [(0.01,), (0.01, 0.02, 0.05)])
-    def test_one_factorization_set_per_repeat(self, monkeypatch, penalty,
-                                              per_repeat, deltas):
+    def test_one_factorization_set_per_repeat(self, monkeypatch, selection,
+                                              penalty, per_repeat, deltas):
         # the selection and rank-k factors of the target from one probe and
         # (with a penalty) the rank-k factors of A, all at the selection
         # seed, once per (problem, repeat) whatever the number of noise
         # levels
+        selection(8, 20)
         calls = []
         auto, nested = harness.rsvd_auto, harness.rsvd_nested
         monkeypatch.setattr(harness, "rsvd_auto",
@@ -137,7 +156,7 @@ class TestTableRun:
                                 ("nested", kw["seed"], len(ks)))
                             or nested(A, ks, **kw))
         recs = harness.table_run(["shaw", "deriv2"], deltas, penalty=penalty,
-                                 n=32, k=4, repeats=2, k_select=8, grid_count=20)
+                                 n=32, k=4, repeats=2)
         assert not any(r.note for r in recs)
         seeds = [harness._cell_seeds(0, rep)[1] for rep in range(2)]
         probes = sorted(seed for kind, seed, _ in calls if kind == "nested")
@@ -147,16 +166,17 @@ class TestTableRun:
         assert all(r.rsvd_seed == r.select_seed == seeds[r.repeat] for r in recs)
 
     @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
-    def test_rows_match_lone_solves(self, penalty):
+    def test_rows_match_lone_solves(self, selection, penalty):
         # a row's e_ij is reproduced by a lone factorization of the target
         # at its recorded seed and a lone range-preserving solve, and its
         # e_xz by a lone factorization of A and a projected solve.  (shaw's
         # spectrum decays so fast that its rank-10 prefix reproduces only
         # to about 5e-12 with d1 and d2 at this size.)
+        selection(20, 30)
         n = 64
         recs = harness.table_run(["deriv2", "phillips"], [0.01, 0.05],
                                  penalty=penalty, n=n, k=10, repeats=2,
-                                 base_seed=3, k_select=20, grid_count=30)
+                                 base_seed=3)
         assert len(recs) == 8 and not any(r.note for r in recs)
         for r in recs:
             prob = problems.make_problem(r.example, n,
@@ -172,20 +192,22 @@ class TestTableRun:
             e = np.linalg.norm(x - prob.x_true)
             assert abs(r.e_xz - e) <= 1e-12 * e
 
-    def test_alpha_grid_edge_is_recorded(self):
+    def test_alpha_grid_edge_is_recorded(self, selection):
         # a two-point grid holds only its edges, so alpha* sits on one
+        selection(8, 2)
         recs = harness.table_run(["shaw", "deriv2"], [0.01], n=32, k=4,
-                                 repeats=1, k_select=8, grid_count=2)
+                                 repeats=1)
         assert all(r.alpha_at_lower != r.alpha_at_upper for r in recs)
-        recs = harness.table_run(["deriv2"], [0.01], n=64, k=4, repeats=1,
-                                 k_select=20, grid_count=50)
+        selection(20, 50)
+        recs = harness.table_run(["deriv2"], [0.01], n=64, k=4, repeats=1)
         assert not recs[0].alpha_at_lower and not recs[0].alpha_at_upper
 
-    def test_failed_cell_carries_diagnostic(self):
+    def test_failed_cell_carries_diagnostic(self, selection):
         # phillips needs n divisible by 4: the cell fails but the run and
         # the remaining rows survive, with the reason in the note column
+        selection(8, 20)
         recs = harness.table_run(["phillips", "shaw"], [0.01], n=30, k=4,
-                                 repeats=1, k_select=8, grid_count=20)
+                                 repeats=1)
         notes = {r.example: r.note for r in recs}
         assert "divisible by 4" in notes["phillips"]
         assert notes["shaw"] == ""
@@ -193,10 +215,11 @@ class TestTableRun:
         bad = next(r for r in rows if r["example"] == "phillips")
         assert np.isnan(bad["e"]) and "divisible by 4" in bad["note"]
 
-    def test_cells_select_before_A_is_factored(self, monkeypatch):
+    def test_cells_select_before_A_is_factored(self, monkeypatch, selection):
         # every noise level's alpha is selected before a penalty's A is
         # factored for the projected column, so no selection block is held
         # beside those factors; a failed selection fails only its cell
+        selection(8, 20)
         events = []
         select, auto = harness.select_alpha, harness.rsvd_auto
 
@@ -210,34 +233,35 @@ class TestTableRun:
         monkeypatch.setattr(harness, "rsvd_auto",
                             lambda A, cfg: events.append("factor A") or auto(A, cfg))
         recs = harness.table_run(["shaw"], [0.01, 0.02, 0.05], penalty="d1",
-                                 n=32, k=4, repeats=1, k_select=8, grid_count=20)
+                                 n=32, k=4, repeats=1)
         assert events == ["select"] * 3 + ["factor A"]
         notes = {r.delta: r.note for r in recs}
         assert notes == {0.01: "", 0.02: "RuntimeError: selection failed", 0.05: ""}
 
 
 class TestSweepHelpers:
-    def test_median_curve(self):
-        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=2,
-                                  k_select=8, grid_count=20)
+    def test_median_curve(self, selection):
+        selection(8, 20)
+        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=2)
         ks, errs = harness.median_curve(rows, "alpha_star")
         assert list(ks) == [2, 4]
         assert np.all(np.isfinite(errs))
 
     @pytest.mark.parametrize("repeats", [1, 3])
-    def test_problem_generated_once(self, monkeypatch, repeats):
+    def test_problem_generated_once(self, monkeypatch, selection, repeats):
+        selection(8, 20)
         calls = []
         generate = problems.generate
         monkeypatch.setattr(problems, "generate",
                             lambda name, n: calls.append(name) or generate(name, n))
-        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=repeats,
-                                  k_select=8, grid_count=20)
+        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=repeats)
         assert calls == ["shaw"] and len(rows) == 2 * 3 * repeats
 
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
-    def test_one_factorization_per_repeat(self, monkeypatch, ks):
+    def test_one_factorization_per_repeat(self, monkeypatch, selection, ks):
         # one probe per repeat, at the selection seed, serves the selection
         # and every rank
+        selection(8, 20)
         calls = []
         auto, nested = harness.rsvd_auto, harness.rsvd_nested
         monkeypatch.setattr(harness, "rsvd_auto",
@@ -247,7 +271,7 @@ class TestSweepHelpers:
                             lambda A, ks, **kw: calls.append(("nested", kw["seed"]))
                             or nested(A, ks, **kw))
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, repeats=2,
-                                  base_seed=5, k_select=8, grid_count=20)
+                                  base_seed=5)
         assert len(rows) == len(ks) * 3 * 2
         seeds = [harness._cell_seeds(5, rep)[1] for rep in range(2)]
         assert calls == [("nested", s) for s in seeds]
@@ -255,10 +279,11 @@ class TestSweepHelpers:
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
     @pytest.mark.parametrize("ks", [[2, 4], [2, 4, 6, 8, 10]])
-    def test_sweep_solves_no_block(self, monkeypatch, ks, penalty):
+    def test_sweep_solves_no_block(self, monkeypatch, selection, ks, penalty):
         # the selection of a repeat takes the error curve of its widest
         # rank, and every rank's errors come from one coefficient-space call
         # per repeat: no block of solutions, and no rank forms its U or V
+        selection(8, 20)
         calls, views = [], []
         curve, errors = solvers.range_error_curve, solvers.rank_errors
         monkeypatch.setattr(solvers, "_range_block",
@@ -275,30 +300,30 @@ class TestSweepHelpers:
 
         monkeypatch.setattr(solvers, "rank_errors", rank_errors)
         rows = harness.rank_sweep("shaw", 0.01, ks, n=32, penalty=penalty,
-                                  repeats=2, k_select=8, grid_count=20)
+                                  repeats=2)
         assert len(rows) == len(ks) * 3 * 2
         assert calls == [("curve", 8), ks, ("curve", 8), ks]
         # only a rank equal to the selection's is its view, which the
         # selection read
         assert {view.k for view in views if {"U", "V"} & vars(view).keys()} <= {8}
 
-    def test_rows_record_probe_rank(self):
+    def test_rows_record_probe_rank(self, selection):
         # shaw's spectrum falls below the rank cutoff long before 45
         # directions, while a 7-column probe captures all of its columns
-        rows = harness.rank_sweep("shaw", 0.01, [2, 40], n=200, repeats=1,
-                                  k_select=60, grid_count=20)
+        selection(60, 20)
+        rows = harness.rank_sweep("shaw", 0.01, [2, 40], n=200, repeats=1)
         rank = {r["k"]: r["probe_rank"] for r in rows}
         assert rank[2] == 2 + 5
         assert rank[40] < 40 + 5
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
-    def test_rows_match_single_alpha_solves(self, penalty):
+    def test_rows_match_single_alpha_solves(self, selection, penalty):
         # every policy of a rank comes from one block product; each row
         # agrees with a lone range-preserving solve at its alpha
+        selection(20, 30)
         n = 64
         rows = harness.rank_sweep("deriv2", 0.01, [4, 10], n=n, penalty=penalty,
-                                  repeats=2, base_seed=3, k_select=20,
-                                  grid_count=30)
+                                  repeats=2, base_seed=3)
         A, x_true, b_exact = problems.generate("deriv2", n)
         L = harness.make_penalty(penalty, n)
         bundle = smoothing.weighted_pinv(A, L)
@@ -315,14 +340,15 @@ class TestSweepHelpers:
             assert abs(row["e_ij"] - e) <= 1e-12 * e
 
     @pytest.mark.parametrize("penalty", ["none", "d1"])
-    def test_rows_are_the_coefficient_errors_of_their_rank(self, penalty):
+    def test_rows_are_the_coefficient_errors_of_their_rank(self, selection,
+                                                           penalty):
         # each rank's row of every policy is its error from the repeat's
         # sketch in coefficient space (rank_errors) bit for bit, and within
         # 1e-12 of the norm of that rank's explicitly formed solution
+        selection(20, 30)
         n, ks = 64, [4, 10]
         rows = harness.rank_sweep("deriv2", 0.01, ks, n=n, penalty=penalty,
-                                  repeats=2, base_seed=3, k_select=20,
-                                  grid_count=30)
+                                  repeats=2, base_seed=3)
         base = problems.make_problem("deriv2", n)
         reg = solvers.Regularization(base.A, harness.make_penalty(penalty, n))
         policies = ("alpha_star", "10x", "0.1x")
@@ -334,15 +360,16 @@ class TestSweepHelpers:
             alphas = [mine[ks[0], pol]["alpha"] for pol in policies]
             errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
             for rank, errs in zip(ranks, errors):
-                X = reg.block(rank, prob.b, alphas)
+                X = solvers._range_block(reg.A, rank, prob.b, alphas, reg.bundle)
                 e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
                 for j, pol in enumerate(policies):
                     assert mine[rank.k, pol]["alpha"] == alphas[j]
                     assert mine[rank.k, pol]["e_ij"] == errs[j]
                     assert abs(errs[j] - e_block[j]) <= 1e-12 * e_block[j]
 
-    def test_rows_record_alpha_boundary_flags(self, monkeypatch):
+    def test_rows_record_alpha_boundary_flags(self, monkeypatch, selection):
         # every row of a repeat carries the flags of that repeat's selection
+        selection(8, 20)
         flags = iter([(True, False), (False, True)])
         select = harness.select_alpha
 
@@ -353,8 +380,7 @@ class TestSweepHelpers:
                                        at_upper_boundary=upper)
 
         monkeypatch.setattr(harness, "select_alpha", flagged)
-        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=2,
-                                  k_select=8, grid_count=20)
+        rows = harness.rank_sweep("shaw", 0.01, [2, 4], n=32, repeats=2)
         assert {(r["repeat"], r["alpha_at_lower"], r["alpha_at_upper"])
                 for r in rows} == {(0, True, False), (1, False, True)}
         assert list(rows[0])[-3:] == ["alpha_at_lower", "alpha_at_upper", "probe_rank"]
@@ -535,6 +561,23 @@ class TestVerifyRun:
         harness.verify_run(["rsvd_capture"], seeds=2)
         harness.verify_run(["weyl"], seeds=2)
         assert calls == []
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda: harness.rank_sweep("shaw", 0.01, [2, 4], n=32, policies=()), "policies"),
+    (lambda: harness.verify_run([]), "check_ids"),
+    (lambda: harness.bench_run(ns=(32, 64), ks=()), "ks"),
+    (lambda: harness.bench_run(ns=(32, 64), methods=()), "methods"),
+], ids=["sweep-policies", "verify-checks", "bench-ks", "bench-methods"])
+def test_empty_driver_run_is_rejected_before_any_work(monkeypatch, run, name):
+    # a driver that would return no rows fails at once, naming the argument
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(problems, "generate", no_work)
+    monkeypatch.setattr(diagnostics, "BoundTrial", no_work)
+    with pytest.raises(ValueError, match=f"^{name}: 0 given, at least 1 needed$"):
+        run()
 
 
 class TestCsv:
@@ -723,6 +766,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "ValueError"
         assert err["error"].startswith(f"{name}: ")
+
+    @pytest.mark.parametrize("option", ["--ks", "--methods"])
+    def test_bench_without_cells_is_rejected_before_any_work(self, monkeypatch,
+                                                            capsys, option):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(problems, "generate", no_work)
+        assert main(["bench", "--ns", "64,128", option, ""]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith(f"{option[2:]}: ")
 
     def test_bench_small(self, tmp_path):
         out = tmp_path / "bench.csv"

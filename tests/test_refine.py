@@ -5,7 +5,6 @@ from conftest import random_decaying
 from rsvdreg.refine import (
     dual_maximizer,
     dual_objective,
-    dual_solve,
     iterative_refine,
     primal_objective,
 )
@@ -44,7 +43,7 @@ class TestDualSolve:
         alpha = 0.2
         bundle = weighted_pinv(A, identity(12))
         apx = from_exact_svd(A, 12)
-        x = dual_solve(A, bundle, apx, b, alpha).x
+        x = rsvd_gen_tikhonov_range(A, identity(12), apx, b, alpha, bundle).x
         ref = tikhonov_solve_direct(A, b, alpha).x
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -52,7 +51,7 @@ class TestDualSolve:
         A, b, L, bundle, B = setup
         alpha = 0.3
         apx = from_exact_svd(B.toarray(), A.shape[0])
-        x = dual_solve(A, bundle, apx, b, alpha).x
+        x = rsvd_gen_tikhonov_range(A, L, apx, b, alpha, bundle).x
         xi = dual_maximizer(apx, b, alpha)
         scale = np.linalg.norm(b)
         Lm = L.matrix()
@@ -60,24 +59,15 @@ class TestDualSolve:
         assert np.linalg.norm(xi - (b - A @ x)) <= 1e-8 * scale
 
     def test_matches_range_solver_smooth_component(self, setup):
+        # the range solver's solution is the primal that the reduced duality
+        # relation alpha L x = B_k.T xi gives at the rank-k dual maximizer
         A, b, L, bundle, B = setup
         alpha = 0.25
         apx = rsvd_auto(B, RsvdConfig(k=6, p=4, seed=13))
-        x_dual = dual_solve(A, bundle, apx, b, alpha).x
+        xi = dual_maximizer(apx, b, alpha)
+        x_dual = bundle.sharp_apply(apx.V @ (apx.sigma * (apx.U.T @ xi))) / alpha
         x_range = rsvd_gen_tikhonov_range(A, L, apx, b, alpha, bundle).x
         assert np.linalg.norm(x_dual - x_range) <= 1e-9 * np.linalg.norm(x_range)
-
-    def test_wide_factors_map_through_v_sigma(self, rng):
-        A = random_decaying(rng, 10, 16)
-        b = rng.standard_normal(10)
-        bundle = weighted_pinv(A, anchored_gradient(16))
-        apx = rsvd_auto(form_B(A, bundle).toarray(), RsvdConfig(k=4, p=3, seed=5))
-        assert not apx.left_sketch
-        alpha = 0.3
-        x = dual_solve(A, bundle, apx, b, alpha).x
-        coeff = apx.sigma * (apx.U.T @ b) / (apx.sigma**2 + alpha)
-        ref = bundle.sharp_apply(apx.V @ coeff)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_nonfinite_A_rejected(self, setup):
         A, b, L, bundle, B = setup
@@ -85,24 +75,16 @@ class TestDualSolve:
         A = A.copy()
         A[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            dual_solve(A, bundle, apx, b, 0.25)
+            rsvd_gen_tikhonov_range(A, L, apx, b, 0.25)
 
     def test_duality_gap_vanishes_with_exact_factors(self, setup):
         A, b, L, bundle, B = setup
         alpha = 0.4
         apx = from_exact_svd(B.toarray(), A.shape[0])
-        x = dual_solve(A, bundle, apx, b, alpha).x
+        x = rsvd_gen_tikhonov_range(A, L, apx, b, alpha, bundle).x
         xi = dual_maximizer(apx, b, alpha)
         gap = primal_objective(A, L, b, alpha, x) - dual_objective(apx, b, alpha, xi)
         assert abs(gap) <= 1e-8 * (1.0 + abs(primal_objective(A, L, b, alpha, x)))
-
-    def test_requires_trivial_null_space(self, rng):
-        A = rng.standard_normal((8, 6))
-        L = first_difference(6)
-        bundle = weighted_pinv(A, L)
-        apx = rsvd_auto(form_B(A, bundle).toarray(), RsvdConfig(k=2, p=2, seed=0))
-        with pytest.raises(ValueError, match=r"N\(L\) = \{0\}"):
-            dual_solve(A, bundle, apx, b=np.ones(8), alpha=0.1)
 
 
 class TestIterativeRefine:

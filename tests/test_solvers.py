@@ -50,6 +50,14 @@ class TestTsvd:
         with pytest.raises(ValueError, match="numerical rank"):
             tsvd_solve(svd, 3, np.ones(3))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_truncation_below_one_is_refused(self, k):
+        # k=0 would return the zero vector and k=-1 would truncate at n-1
+        # modes under the label k=-1
+        prob = problems.make_problem("shaw", 32, problems.NoiseSpec(0.01, 0))
+        with pytest.raises(ValueError, match=f"k must be at least 1, got k={k}"):
+            tsvd_solve(svd_full(prob.A), k, prob.b)
+
 
 class TestTrsvdProjected:
     def test_exact_factors_match_tsvd(self, rng):
@@ -156,7 +164,7 @@ class TestTikhonovDirect:
         gram = direct_gram(A, weighted_pinv(A, identity(shape[1])))
         kept = gram.copy()
         for alpha in (0.3, 1e-4):
-            x = tikhonov_solve_direct(A, b, alpha, gram=gram).x
+            x = gen_tikhonov_direct(A, identity(shape[1]), b, alpha, gram=gram).x
             ref = tikhonov_solve_direct(A, b, alpha).x
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(gram, kept)
@@ -287,7 +295,7 @@ class TestBorrowedGram:
             gram[-1, -1] = -gram[-1, -1]
         kept = gram.copy()
         with pytest.raises(np.linalg.LinAlgError, match="shifted dual Gram"):
-            tikhonov_solve_direct(A, b, 0.5, gram=gram)
+            gen_tikhonov_direct(A, identity(n), b, 0.5, gram=gram)
         assert np.array_equal(gram, kept)
 
     def test_read_only_gram_is_refused_unchanged(self, rng):
@@ -296,7 +304,8 @@ class TestBorrowedGram:
         kept = gram.copy()
         gram.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
-            tikhonov_solve_direct(A, rng.standard_normal(6), 0.1, gram=gram)
+            gen_tikhonov_direct(A, identity(6), rng.standard_normal(6), 0.1,
+                                gram=gram)
         assert np.array_equal(gram, kept)
 
 
@@ -395,7 +404,7 @@ def test_range_block_is_the_assembly_of_its_images(penalty, rng):
     Z = [ap.V @ (ap.sigma * shifted_gram_coeffs(
         (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas).T).T for ap in approxes]
     for ap, z in zip(approxes, Z):
-        X = reg.block(ap, b, alphas)
+        X = _range_block(A, ap, b, alphas, reg.bundle)
         assert np.array_equal(X, reg.bundle.sharp_solution(z, b))
         ref = reg.bundle.L_sharp @ z + reg.bundle.w_term(b)[:, None]
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -499,17 +508,14 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        eye = Regularization(A, identity(12))
-        X = eye.block(ap, b, alphas)
-        gen_X = Regularization(A, L).block(apB, b, alphas)
+        X = _range_block(A, ap, b, alphas, weighted_pinv(A, identity(12)))
+        gen_X = _range_block(A, apB, b, alphas, bundle)
         assert X.shape == gen_X.shape == (12, 3)
         for j, alpha in enumerate(alphas):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
             assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
             x = rsvd_gen_tikhonov_range(A, L, apB, b, alpha, bundle).x
             assert np.linalg.norm(gen_X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
-        with pytest.raises(ValueError, match="alpha"):
-            eye.block(ap, b, (1.0, 0.0))
 
 
 class TestRegularization:
@@ -543,9 +549,9 @@ class TestRegularization:
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))
         assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
-        X = reg.block(apT, b, alphas)
+        X = _range_block(A, apT, b, alphas, reg.bundle)
         assert np.array_equal(X, block)
-        x = reg.block(apT, b, [1e-3])
+        x = _range_block(A, apT, b, [1e-3], reg.bundle)
         assert np.array_equal(x[:, 0], rng_)
         assert np.array_equal(X, _range_block(A, apT, b, alphas, bundle))
         if L.order == 0:
@@ -677,7 +683,8 @@ def test_back_transform_equals_product_form(penalty):
 
     alphas = np.array([1e-5, 1e-3, 1e-1]) * approxes[1].sigma[0] ** 2
     for ap, ap_ref in zip(approxes, ref):
-        assert close(reg.block(ap, b, alphas), reg.block(ap_ref, b, alphas))
+        assert close(_range_block(A, ap, b, alphas, reg.bundle),
+                     _range_block(A, ap_ref, b, alphas, reg.bundle))
         for alpha in alphas:
             assert close(reg.range(ap, b, alpha).x, reg.range(ap_ref, b, alpha).x)
     if penalty == "none":
@@ -703,7 +710,7 @@ def test_rank_errors_match_explicit_solutions(penalty):
         errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
         assert errors.shape == (len(ks), alphas.size)
         for rank, errs in zip(ranks, errors):
-            X = reg.block(rank, prob.b, alphas)
+            X = _range_block(reg.A, rank, prob.b, alphas, reg.bundle)
             e = np.linalg.norm(X - prob.x_true[:, None], axis=0)
             assert np.all(np.abs(errs - e) <= 1e-12 * e), (seed, rank.k)
 
@@ -725,11 +732,11 @@ def test_wide_factors_take_the_product(penalty, rng):
         v = solve_shifted_gram(ap.U, ap.sigma, alpha, b)
         assert np.array_equal(reg.range(ap, b, alpha).x,
                               bundle.solution(A.T @ v, b))
-        x = reg.block(ap, b, [alpha])
+        x = _range_block(A, ap, b, [alpha], bundle)
         assert np.array_equal(x[:, 0], bundle.solution(A.T @ v, b))
     Y = ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
                                    alphas)
-    X = reg.block(ap, b, alphas)
+    X = _range_block(A, ap, b, alphas, bundle)
     assert np.array_equal(X, bundle.solution((Y.T @ A).T, b))
     if penalty == "none":
         assert np.array_equal(trsvd_solve_range(A, ap, b).x,
@@ -753,7 +760,7 @@ def test_wide_range_block_is_the_product_form_solution(penalty, rng):
     Y = [ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
          for ap in approxes]
     for ap, Yi in zip(approxes, Y):
-        X = reg.block(ap, b, alphas)
+        X = _range_block(A, ap, b, alphas, reg.bundle)
         assert np.array_equal(X, reg.bundle.solution((Yi.T @ A).T, b))
 
 
