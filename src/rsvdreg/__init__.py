@@ -29,7 +29,6 @@ from .rsvd import (
     rsvd_error,
     rsvd_nested,
     rsvd_tall,
-    rsvd_wide,
     theorem_spectral_bounds,
 )
 from .smoothing import (

@@ -190,6 +190,13 @@ def cmd_solve(args):
     if not (args.penalty == "none" or method in _PENALIZED):
         raise ValueError(f"--method {method} solves the identity problem, so "
                          f"--penalty {args.penalty} needs a gtikh_* method")
+    if method in _NO_ALPHA and (args.alpha is not None or args.alpha_grid):
+        flag = "--alpha" if args.alpha is not None else "--alpha-grid"
+        raise ValueError(f"--method {method} takes no alpha, so {flag} "
+                         f"would be ignored")
+    if args.alpha is not None and args.alpha_grid:
+        raise ValueError("--alpha fixes alpha, so --alpha-grid would be "
+                         "ignored; give one of them")
     _, seed = harness._cell_seeds(args.seed, 0)
     cfg = RsvdConfig(k=args.k, p=args.p, q=args.q, seed=seed)
     approx_k = None  # rank-k factors of reg.target from the selection probe

@@ -86,7 +86,7 @@ def error_report(x_hat, x_tilde, x_direct, x_true):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class AlphaCurve:
     """Error curve of a regularization-parameter sweep."""
 

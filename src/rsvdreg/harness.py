@@ -126,7 +126,7 @@ def alpha_selector(reg, approx, grid=None):
     taken from k coefficients per alpha, with no m-by-count block."""
     if grid is None:
         grid = default_alpha_grid(approx.sigma[0])
-    errors = solvers.range_error_curve(reg.A, approx, reg.bundle)
+    errors = solvers.range_error_curve(approx, reg.bundle)
     return lambda prob: select_alpha(
         prob, lambda alphas: errors(prob.b, prob.x_true, alphas), grid)
 

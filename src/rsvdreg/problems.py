@@ -67,7 +67,7 @@ class NoiseSpec:
             raise ValueError(f"delta_rel must be nonnegative, got {self.delta_rel}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseProblem:
     """One benchmark instance ``A x = b`` with known ground truth.
 

@@ -9,9 +9,9 @@ variable ``xi``, with ``B = A L^+``; the primal is recovered through
 into the dual gives its maximizer in closed form (:func:`dual_maximizer`),
 at which ``B_k.T xi = alpha V (sigma * c)`` with ``c_i = (u_i, b) /
 (sigma_i^2 + alpha)``.  The reduced duality relation ``alpha L x = B_k.T
-xi`` then gives ``x = L_sharp V (sigma * c)``: for left-sketch factors,
-whose ``B.T U = V diag(sigma)`` holds exactly, the back-transform of
-:func:`rsvdreg.solvers.rsvd_gen_tikhonov_range`, which is therefore the
+xi`` then gives ``x = L_sharp V (sigma * c)``: as every factorization of
+:mod:`rsvdreg.rsvd` satisfies ``B.T U = V diag(sigma)``, the back-transform
+of :func:`rsvdreg.solvers.rsvd_gen_tikhonov_range`, which is therefore the
 dual solve.  :func:`dual_objective` and :func:`primal_objective` measure
 the gap between the two problems.
 
@@ -68,7 +68,7 @@ def primal_objective(A, L, b, alpha, x):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class RefineState:
     """Outcome of the refinement loop.
 

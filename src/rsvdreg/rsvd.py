@@ -1,10 +1,11 @@
 """Randomized SVD with Gaussian range probing, power iterations and
 oversampling, plus the probabilistic accuracy bounds used to audit it.
 
-The probe matrix is filled from the seeded stream in column-major order on
-the tall path; the wide path consumes the identical stream transposed, so
-``rsvd_wide(A)`` reproduces ``rsvd_tall(A.T)`` with the factor roles
-swapped.
+One factorization serves every shape (Halko, Martinsson & Tropp, SIAM Rev.
+53, 2011, Alg. 4.1 and 5.1): probe the columns of ``A``, take an
+orthonormal basis ``Q`` of the sample and factor the sketch ``Q.T @ A``.
+Its factors satisfy ``A.T @ U == V @ diag(sigma)`` to rounding, which the
+range-preserving solvers of :mod:`rsvdreg.solvers` rely on.
 """
 
 import functools
@@ -66,28 +67,22 @@ class _Factors:
         return (self.U * self.sigma) @ self.V.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankKApprox(_Factors):
     """Rank-k factors ``A ~= U @ diag(sigma) @ V.T`` plus their provenance.
 
-    On the tall path the factors satisfy the projection identity
-    ``U @ diag(sigma) @ V.T == (U @ U.T) @ A`` to rounding; on the wide
-    path the analogous right-projection identity holds.
-
-    ``left_sketch`` is True when ``A.T @ U == V @ diag(sigma)`` holds
-    exactly: for tall-path factors (``U = Q Wt.T`` with the SVD
-    ``Q.T @ A = Wt.T diag(s) Z.T``) and the exact SVD, not the wide path.
-    It selects only how a range-preserving solve forms the image ``A.T U
-    C`` it maps back: ``V diag(sigma) C`` when set, else one product with
-    ``A.T``.  Either image is assembled into the solution alike.
+    Factors of :func:`rsvd_tall` and :func:`from_exact_svd`, of any shape,
+    satisfy ``A.T @ U == V @ diag(sigma)`` (``U = Q Wt.T`` with the SVD
+    ``Q.T @ A = Wt.T diag(s) Z.T``) and with it the projection identity
+    ``U @ diag(sigma) @ V.T == (U @ U.T) @ A``, both to rounding.
 
     ``probe_rank`` is the numerical rank of the (k+p)-row sketch the factors
     were cut from: its singular values above ``default_pinv_rtol`` times
     the largest.  Below k+p, the probe captured fewer directions than it
     had columns.  None for factors not taken from a probe.
 
-    :func:`rsvd_nested` of a tall matrix returns :class:`SketchRank`
-    views instead, with the same attributes.
+    :func:`rsvd_nested` returns :class:`SketchRank` views instead, with
+    the same attributes.  Holding arrays, factors compare by identity.
     """
 
     U: np.ndarray
@@ -95,12 +90,11 @@ class RankKApprox(_Factors):
     V: np.ndarray
     config: RsvdConfig = field(repr=False)
     probe_rank: int | None = None
-    left_sketch: bool = False
 
 
 @dataclass(frozen=True, eq=False)
 class Sketch:
-    """One probe of a tall ``A``, factored once, which every rank of
+    """One probe of ``A``, factored once, which every rank of
     :func:`rsvd_nested` is cut from.
 
     ``Q`` is the orthonormal n-by-ell basis of the probe (:func:`range_basis`,
@@ -150,8 +144,6 @@ class SketchRank(_Factors):
     Zm: np.ndarray | None = field(repr=False)
     Wtl: np.ndarray = field(repr=False)
 
-    left_sketch = True
-
     @functools.cached_property
     def U(self):
         ell = self.config.k + self.config.p
@@ -165,8 +157,7 @@ class SketchRank(_Factors):
     def factors(self):
         """The explicit :class:`RankKApprox` of this rank: its ``U`` and
         ``V``, without the sketch."""
-        return RankKApprox(self.U, self.sigma, self.V, self.config, self.probe_rank,
-                           left_sketch=True)
+        return RankKApprox(self.U, self.sigma, self.V, self.config, self.probe_rank)
 
     def left_coefficients(self, Qtb):
         """``U.T @ b`` from the sketch's ``Qtb = Q.T @ b``, without ``U``."""
@@ -187,11 +178,13 @@ def from_exact_svd(A, k, seed=0):
     tri = svd_full(A)
     cfg = RsvdConfig(k=k, p=0, q=0, seed=seed)
     return RankKApprox(tri.U[:, :k].copy(), tri.sigma[:k].copy(),
-                       tri.V[:, :k].copy(), cfg, left_sketch=True)
+                       tri.V[:, :k].copy(), cfg)
 
 
 def _gaussian_probe_tall(m, ell, seed):
-    # Column-major fill so the wide path can reuse the stream transposed.
+    # Column-major fill: a narrower probe of one seed is the leading columns
+    # of a wider one (rsvd_nested relies on it), and every seeded output
+    # depends on this stream.
     rng = np.random.default_rng(seed)
     return rng.standard_normal(m * ell).reshape((m, ell), order="F")
 
@@ -219,23 +212,22 @@ def _powered_sample(A, omega, q):
 
 
 def range_basis(A, k, p, seed, q=0):
-    """Orthonormal basis of the probed range (steps 3-5 of the tall path).
+    """Orthonormal basis of the probed range (steps 3-5 of the
+    factorization).
 
     Returns the n-by-(k+p) matrix ``Q`` spanning ``range((A A^T)^q A Omega)``
-    for the seeded Gaussian probe ``Omega``.
+    for the seeded Gaussian probe ``Omega``, for ``A`` of any shape.
     """
-    n, m = A.shape
-    if n < m:
-        raise ValueError(f"range_basis expects a tall matrix, got {A.shape}")
-    omega = _gaussian_probe_tall(m, k + p, seed)
+    omega = _gaussian_probe_tall(A.shape[1], k + p, seed)
     Y = _powered_sample(A, omega, q)
     return qr_thin(Y)
 
 
-def _rsvd_tall_nested(A, cfgs):
-    """Rank-``k`` views of one :class:`Sketch` of a tall ``A`` for every
-    config in ``cfgs`` (one seed, ``p`` and ``q``), all from one probe of the
-    widest rank.
+def rsvd_nested(A, ks, p=5, q=0, seed=0):
+    """Randomized rank-k SVDs of ``A`` for every rank in ``ks`` from one
+    factorization: one probe of ``max(ks) + p`` columns, one sample, one
+    QR (:func:`range_basis`), one product ``Q.T @ A`` and one SVD of that
+    widest sketch; each narrower rank adds only a (max(ks)+p)-by-(k+p) SVD.
 
     The probe is filled column-major, column j of the sample depends only
     on the leading j+1 probe columns (on column j alone when ``q <= 2``) and
@@ -243,22 +235,30 @@ def _rsvd_tall_nested(A, cfgs):
     of the sample, so the basis of the width-(k+p) probe is the leading
     k+p columns of the widest basis.  Each rank therefore factors the
     leading ``l = k+p`` rows of the one sketch ``B = Q.T @ A``; its factors
-    agree to rounding with a lone factorization of that rank.  With ``q`` of
-    1 or 2 the sample is not re-orthonormalized, and on a fast-decaying
-    spectrum its rounding errors are amplified alike in both computations.
+    agree to rounding with the lone ``rsvd_tall(A, RsvdConfig(k, p, q,
+    seed))``.  With ``q`` of 1 or 2 the sample is not re-orthonormalized,
+    and on a fast-decaying spectrum its rounding errors are amplified alike
+    in both computations.
 
     Only the widest sketch is factored, ``B.T = Z diag(s) Wt``, exactly as
     a lone call factors it, so the widest rank is bit for bit the lone
-    call.  Then ``B[:l].T = Z M`` with the small
+    call.  ``B.T`` is tall whatever the shape of ``A``, as ``k + p`` is at
+    most ``min(A.shape)``.  Then ``B[:l].T = Z M`` with the small
     ``M = diag(s) Wt[:, :l]``, and ``Z`` has orthonormal columns, so a
     narrower rank takes the SVD of ``M`` (O((k+p)^3) instead of O(m (k+p)^2))
     and maps its left factor back through ``Z`` (:meth:`Sketch.rank`).
+
+    Returns the :class:`SketchRank` views of the one :class:`Sketch`, one
+    per entry of ``ks``, in input order (duplicates included); they form
+    ``U`` and ``V`` only when read.  Raises ``ValueError`` for an empty
+    ``ks`` and when ``max(ks) + p`` exceeds ``min(A.shape)``.
     """
-    n, m = A.shape
+    cfgs = [RsvdConfig(k=k, p=p, q=q, seed=seed) for k in ks]
+    if not cfgs:
+        raise ValueError("rsvd_nested needs at least one rank")
     widest = max(cfgs, key=lambda c: c.k)
-    widest.validate_shape((n, m))
+    widest.validate_shape(A.shape)
     Q = range_basis(A, widest.k, widest.p, widest.seed, widest.q)
-    # the wide sketch B = Q.T @ A, factored through its tall transpose
     sketch = Sketch(Q, *svd_tall((Q.T @ A).T), widest)
     out = {}
     for cfg in cfgs:
@@ -267,13 +267,8 @@ def _rsvd_tall_nested(A, cfgs):
     return [out[cfg.k] for cfg in cfgs]
 
 
-def _swapped(approx):
-    return RankKApprox(approx.V, approx.sigma, approx.U, approx.config,
-                       approx.probe_rank)
-
-
 def rsvd_tall(A, cfg):
-    """Randomized rank-k SVD for ``A`` with rows >= cols.
+    """Randomized rank-k SVD of ``A``, of any shape.
 
     Pipeline: Gaussian probe, optional power iterations, thin QR of the
     sample (:func:`range_basis`), exact SVD of the small projected matrix
@@ -284,55 +279,11 @@ def rsvd_tall(A, cfg):
     ``A`` may be any object supporting ``shape``, ``.T`` and products with
     arrays on either side (dense ndarray or a lazy product operator).
     """
-    n, m = A.shape
-    if n < m:
-        raise ValueError(f"rsvd_tall needs rows >= cols, got shape {A.shape}")
-    return _rsvd_tall_nested(A, [cfg])[0].factors()
+    return rsvd_nested(A, [cfg.k], cfg.p, cfg.q, cfg.seed)[0].factors()
 
 
-def rsvd_wide(A, cfg):
-    """Randomized rank-k SVD for ``A`` with rows < cols.
-
-    Runs the tall pipeline on ``A.T`` (the probe stream transposes exactly,
-    see module docstring) and swaps the factor roles.
-    """
-    n, m = A.shape
-    if n >= m:
-        raise ValueError(f"rsvd_wide needs rows < cols, got shape {A.shape}")
-    return _swapped(rsvd_tall(A.T, cfg))
-
-
-def rsvd_auto(A, cfg):
-    """Dispatch on shape; square matrices take the tall path."""
-    n, m = A.shape
-    if n >= m:
-        return rsvd_tall(A, cfg)
-    return rsvd_wide(A, cfg)
-
-
-def rsvd_nested(A, ks, p=5, q=0, seed=0):
-    """Randomized rank-k SVDs of ``A`` for every rank in ``ks`` from one
-    factorization: one probe of ``max(ks) + p`` columns, one sample, one
-    QR, one product ``Q.T @ A`` and one SVD of that widest sketch; each
-    narrower rank adds only a (max(ks)+p)-by-(k+p) SVD.
-
-    The rank-k factors come from the leading k+p columns of that basis, so
-    the ranks' subspaces are nested, and each agrees to rounding with the
-    lone ``rsvd_auto(A, RsvdConfig(k, p, q, seed))`` (the widest rank bit
-    for bit).  Returns one rank per entry of ``ks``, in input order
-    (duplicates included): for a tall ``A`` the :class:`SketchRank` views of
-    its one :class:`Sketch`, which form ``U`` and ``V`` only when read; for a
-    wide one the explicit factors of those of ``A.T``, swapped.  Raises
-    ``ValueError`` for an empty ``ks`` and, like the lone call, when
-    ``max(ks) + p`` exceeds ``min(A.shape)``.
-    """
-    cfgs = [RsvdConfig(k=k, p=p, q=q, seed=seed) for k in ks]
-    if not cfgs:
-        raise ValueError("rsvd_nested needs at least one rank")
-    n, m = A.shape
-    if n >= m:
-        return _rsvd_tall_nested(A, cfgs)
-    return [_swapped(a) for a in _rsvd_tall_nested(A.T, cfgs)]
+#: The factorization for every shape, under the name its callers use.
+rsvd_auto = rsvd_tall
 
 
 def refine_singular_values(A, approx):
@@ -433,12 +384,8 @@ def rsvd_error(A, approx):
             f"match matrix shape {A.shape}"
         )
     err_rank_k = spectral_norm(A - approx.matrix())
-    if n >= m:
-        Q = range_basis(A, cfg.k, cfg.p, cfg.seed, cfg.q)
-        err_range = spectral_norm(A - Q @ (Q.T @ A))
-    else:
-        Q = range_basis(A.T, cfg.k, cfg.p, cfg.seed, cfg.q)
-        err_range = spectral_norm(A - (A @ Q) @ Q.T)
+    Q = range_basis(A, cfg.k, cfg.p, cfg.seed, cfg.q)
+    err_range = spectral_norm(A - Q @ (Q.T @ A))
     sigma = svd_full(A).sigma
     first, second = theorem_spectral_bounds(sigma, cfg.k, cfg.p)
     applicable = cfg.q == 0 and cfg.p >= 4

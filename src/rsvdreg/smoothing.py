@@ -247,7 +247,7 @@ def custom(matrix):
     return SmoothingOperator("custom", matrix.shape[1], matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedPinvBundle:
     """Standard-form reduction data for a pair ``(A, L)``.
 

@@ -27,15 +27,14 @@ The range-preserving flavors keep the solution inside ``range(A.T)``
 ``sum_i (u_i, b) / (sigma_i^2 + alpha) u_i`` over the captured modes back
 by ``Gamma A.T``, dropping the component of ``b`` orthogonal to the
 captured range rather than amplifying it by ``1/alpha`` (so ``alpha -> 0``
-recovers the truncated solver).  Factors of ``B`` cut from a left sketch
-(``RankKApprox.left_sketch``) satisfy ``B.T U = V diag(sigma)`` exactly, so
-``Gamma A.T U = L_sharp B.T U = L_sharp V diag(sigma)``: for them the
-solution is ``L_sharp V (sigma * c) + W (A W)^+ b``, in
-``range(Gamma A.T)`` by that identity, at O(m k d) and with no product
-with ``A``.  Wide-path factors take one product with ``A.T``.  One
-function computes it, ``_range_block``, which both range-preserving
-solvers call.  Where only the errors of the solutions are wanted, none is
-formed: the alpha selection takes them from k coefficients per alpha
+recovers the truncated solver).  Every factorization of
+:mod:`rsvdreg.rsvd` satisfies ``B.T U = V diag(sigma)``, so
+``Gamma A.T U = L_sharp B.T U = L_sharp V diag(sigma)``: the solution is
+``L_sharp V (sigma * c) + W (A W)^+ b``, in ``range(Gamma A.T)`` by that
+identity, at O(m k d) and with no product with ``A``.  One function
+computes it, ``_range_block``, which both range-preserving solvers call.
+Where only the errors of the solutions are wanted, none is formed: the
+alpha selection takes them from k coefficients per alpha
 (:func:`range_error_curve`), and a rank sweep takes every rank's from the
 coefficients of its solutions in the bases of the one sketch the ranks
 are cut from (:func:`rank_errors`).  Every penalized solution is assembled
@@ -75,7 +74,7 @@ METHODS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverResult:
     """Solution vector plus the knobs that produced it."""
 
@@ -137,7 +136,7 @@ def trsvd_solve_range(A, approx, b):
     t0 = time.perf_counter()
     _check_positive_spectrum(approx.sigma, "trsvd_solve_range")
     eye = smoothing.weighted_pinv(A, smoothing.identity(A.shape[1]))
-    x = _range_block(A, approx, b, [0.0], eye)[:, 0]
+    x = _range_block(approx, b, [0.0], eye)[:, 0]
     return _result(x, None, approx.k, t0)
 
 
@@ -198,25 +197,20 @@ def rsvd_tikhonov_projected(approx, b, alpha):
 def rsvd_tikhonov_range(A, approx, b, alpha):
     """Range-preserving randomized Tikhonov
     ``A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i``: the order-0 entry
-    point of :func:`rsvd_gen_tikhonov_range`, O(nk) after a tall-path
+    point of :func:`rsvd_gen_tikhonov_range`, O(nk) after the
     factorization."""
     return rsvd_gen_tikhonov_range(A, smoothing.identity(A.shape[1]),
                                    approx, b, alpha)
 
 
-def _range_block(A, approx, b, alphas, bundle):
+def _range_block(approx, b, alphas, bundle):
     """The one range-preserving solve: for factors ``approx`` of ``B = A @
     L_sharp``, the m-by-len(alphas) block whose column j is the solution of
     ``b`` at ``alphas[j]`` (unchecked, so :func:`trsvd_solve_range` can pass
-    ``alpha = 0``).  The image ``B.T U C`` is ``V diag(sigma) C`` for
-    left-sketch factors, which ``bundle.sharp_solution`` maps back, and
-    ``L_sharp.T A.T U C`` for wide-path ones, whose ``A.T U C`` (formed with
-    the thin block on the left: OpenBLAS is faster that way) is mapped back
-    as the direct solve maps its own, by ``bundle.solution``."""
+    ``alpha = 0``).  The image ``B.T U C`` is ``V diag(sigma) C``, which
+    ``bundle.sharp_solution`` maps back."""
     C = shifted_gram_coeffs((approx.U.T @ b)[:, None], approx.sigma[:, None], alphas)
-    if approx.left_sketch:
-        return bundle.sharp_solution(approx.V @ (approx.sigma * C.T).T, b)
-    return bundle.solution(((approx.U @ C).T @ A).T, b)
+    return bundle.sharp_solution(approx.V @ (approx.sigma * C.T).T, b)
 
 
 def _split_distances(M, orthonormal):
@@ -254,27 +248,24 @@ def _split_distances(M, orthonormal):
     return distances
 
 
-def range_error_curve(A, approx, bundle):
+def range_error_curve(approx, bundle):
     """``errors(b, x_true, alphas)``: ``||x - x_true||`` for the
     range-preserving solution ``x`` of ``b`` at each of ``alphas`` (factors
     ``approx`` of ``B = A @ L_sharp``), with no solution formed: ``x = M g +
-    W (A W)^+ b`` with k coefficients ``g`` per alpha and ``M = L_sharp V``
-    (``L_sharp B.T U``, one product with ``A``, for wide-path factors),
+    W (A W)^+ b`` with k coefficients ``g = sigma * c`` per alpha and ``M =
+    L_sharp V`` (``V`` itself for the identity: ``Q = V`` and ``R = I``),
     factored once, and each error taken from ``g`` and ``r = x_true - W (A
     W)^+ b`` in split form (:func:`_split_distances`)."""
-    U, sigma, left = approx.U, approx.sigma, approx.left_sketch
-    if bundle.L.order == 0 and left:  # M = V: Q = V and R = I
-        distances = _split_distances(approx.V, orthonormal=True)
-    else:  # M is not held here, so that it goes once factored
-        distances = _split_distances(bundle.sharp_apply(
-            approx.V if left else bundle.sharp_t_apply((U.T @ A).T)),
-            orthonormal=False)
+    U, sigma = approx.U, approx.sigma
+    orthonormal = bundle.L.order == 0
+    # M is not held here, so that it goes once factored
+    distances = _split_distances(
+        approx.V if orthonormal else bundle.sharp_apply(approx.V), orthonormal)
 
     def errors(b, x_true, alphas):
         b = as_vector(b)
         G = shifted_gram_coeffs((U.T @ b)[:, None], sigma[:, None], alphas)
-        if left:
-            G *= sigma[:, None]
+        G *= sigma[:, None]
         return distances(x_true - bundle.w_term(b))(G)
 
     return errors
@@ -395,7 +386,7 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     ``approx_B`` must factor ``B = A @ L_sharp`` (see
     :func:`rsvdreg.smoothing.form_B`).  The smooth component is
     ``Gamma A.T @ sum_i (u_i, b)/(sigma_i^2 + alpha) u_i`` (``L_sharp V
-    (sigma * c)`` for left-sketch factors, see the module docstring) and
+    (sigma * c)``, see the module docstring) and
     the null-space term ``W (A W)^+ b`` is added exactly.  ``weighted_pinv``
     validates ``A`` for a penalty.
     """
@@ -405,7 +396,7 @@ def rsvd_gen_tikhonov_range(A, L, approx_B, b, alpha, bundle=None):
     if bundle is None:
         bundle = smoothing.weighted_pinv(A, L)
     t0 = time.perf_counter()
-    x = _range_block(A, approx_B, b, [alpha], bundle)[:, 0]
+    x = _range_block(approx_B, b, [alpha], bundle)[:, 0]
     return _result(x, alpha, approx_B.k, t0)
 
 

@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,16 +173,16 @@ def _base_problem(name, n):
 
 # every problem under every penalty but deriv2 and foxgood under d2, whose
 # ramp x_true lies in the null space of the penalty, so that their curves
-# are rounding; plus wide-path factors (the same factors, flagged off) and
-# a custom penalty with a null space
+# are rounding; plus the explicit factors of a sketch's view and a custom
+# penalty with a null space
 _CURVE_CASES = [(name, pen, False) for pen in ("none", "d1", "d2")
                 for name in problems.PROBLEM_NAMES
                 if not (pen == "d2" and name in ("deriv2", "foxgood"))]
 _CURVE_CASES += [("phillips", "d1", True), ("shaw", "custom", False)]
 
 
-@pytest.mark.parametrize("name, penalty, wide", _CURVE_CASES)
-def test_coefficient_curve_matches_the_block(name, penalty, wide):
+@pytest.mark.parametrize("name, penalty, explicit", _CURVE_CASES)
+def test_coefficient_curve_matches_the_block(name, penalty, explicit):
     # the curve taken from coefficients agrees with the norms of the
     # explicitly formed block of solutions wherever the error is above the
     # rounding of x_true, noise-free data included, and selects its alpha;
@@ -194,13 +193,12 @@ def test_coefficient_curve_matches_the_block(name, penalty, wide):
          else harness.make_penalty(penalty, n))
     reg = Regularization(base.A, L)
     [approx] = harness.selection_probe(reg, 100, [], 5, 0, 7)
-    assert approx.left_sketch
-    if wide:
-        approx = replace(approx.factors(), left_sketch=False)
+    if explicit:
+        approx = approx.factors()
     for delta in (0.0, 1e-6, 1e-2):
         prob = with_noise(base, NoiseSpec(delta, 3))
         a_star, curve = harness.alpha_selector(reg, approx)(prob)
-        X = _range_block(reg.A, approx, prob.b, curve.alphas, reg.bundle)
+        X = _range_block(approx, prob.b, curve.alphas, reg.bundle)
         e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
         slack = 1e-9 * (e_block + 1e-10 * np.linalg.norm(prob.x_true))
         worst = np.max(np.abs(curve.errors - e_block) / slack)

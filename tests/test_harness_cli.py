@@ -289,9 +289,9 @@ class TestSweepHelpers:
         monkeypatch.setattr(solvers, "_range_block",
                             lambda *args: calls.append("block"))
         monkeypatch.setattr(solvers, "range_error_curve",
-                            lambda A, approx, bundle:
+                            lambda approx, bundle:
                             calls.append(("curve", approx.k))
-                            or curve(A, approx, bundle))
+                            or curve(approx, bundle))
 
         def rank_errors(ranks, *args):
             calls.append([rank.k for rank in ranks])
@@ -360,7 +360,7 @@ class TestSweepHelpers:
             alphas = [mine[ks[0], pol]["alpha"] for pol in policies]
             errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
             for rank, errs in zip(ranks, errors):
-                X = solvers._range_block(reg.A, rank, prob.b, alphas, reg.bundle)
+                X = solvers._range_block(rank, prob.b, alphas, reg.bundle)
                 e_block = np.linalg.norm(X - prob.x_true[:, None], axis=0)
                 for j, pol in enumerate(policies):
                     assert mine[rank.k, pol]["alpha"] == alphas[j]
@@ -633,14 +633,34 @@ class TestCli:
     def test_solve_penalty_needs_a_gtikh_method(self, capsys, method):
         # these methods solve the identity problem; a row labelled with a
         # penalty it did not use would be wrong
+        alpha = ["--alpha", "1e-4"]
         args = ["solve", "--problem", "deriv2", "--n", "32", "--delta", "0.01",
-                "--k", "4", "--alpha", "1e-4", "--format", "json"]
+                "--k", "4", "--format", "json"]
+        args += [] if method in ("tsvd", "trsvd_range") else alpha
         assert main(args + ["--method", method, "--penalty", "d1"]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "ValueError"
         assert "--method" in err["error"] and "--penalty" in err["error"]
         assert main(args + ["--method", method]) == 0
-        assert main(args + ["--method", "gtikh_range", "--penalty", "d1"]) == 0
+        assert main(args + ["--method", "gtikh_range", "--penalty", "d1"] + alpha) == 0
+
+    @pytest.mark.parametrize("method, flags, named", [
+        ("tsvd", ["--alpha", "1e-4"], "--alpha"),
+        ("trsvd_proj", ["--alpha-grid", "1e-8,1.0,11"], "--alpha-grid"),
+        ("trsvd_range", ["--alpha", "1e-4", "--alpha-grid", "1e-8,1.0,11"], "--alpha"),
+        ("tikh_range", ["--alpha", "1e-4", "--alpha-grid", "1e-8,1.0,11"], "--alpha-grid"),
+        ("gtikh_direct", ["--alpha", "1e-4", "--alpha-grid", "1e-8,1.0,11"], "--alpha-grid"),
+    ], ids=["tsvd-alpha", "trsvd_proj-grid", "trsvd_range-both", "tikh_range-both",
+            "gtikh_direct-both"])
+    def test_solve_refuses_a_flag_it_would_ignore(self, capsys, method, flags, named):
+        # a truncated method takes no alpha, and a given alpha leaves no
+        # grid to select from: the ignored flag is named, not dropped
+        args = ["solve", "--problem", "shaw", "--n", "16", "--delta", "0.01",
+                "--k", "4", "--method", method, "--format", "json"]
+        assert main(args + flags) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ValueError"
+        assert f"{named} would be ignored" in err["error"]
 
     @pytest.mark.parametrize("grid", ["1e-8,1.0", "1e-8,1.0,11,3", "lo,1.0,11",
                                       "1e-8,1.0,eleven"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_decaying
 
 from rsvdreg import problems
-from rsvdreg.linalg import svd_full, svd_tall
+from rsvdreg.linalg import spectral_norm, svd_full, svd_tall
 from rsvdreg.rsvd import (
     RankKApprox,
     RsvdConfig,
@@ -18,7 +18,6 @@ from rsvdreg.rsvd import (
     rsvd_error,
     rsvd_nested,
     rsvd_tall,
-    rsvd_wide,
     theorem_spectral_bounds,
 )
 from rsvdreg.smoothing import SmoothingOperator, form_B, weighted_pinv
@@ -105,50 +104,50 @@ class TestTall:
         assert lhs <= 1e-10 * np.linalg.norm(A, 2)
 
     def test_shape_errors(self, rng):
-        with pytest.raises(ValueError, match="rows >= cols"):
-            rsvd_tall(rng.standard_normal((3, 5)), RsvdConfig(k=1, p=1))
-        with pytest.raises(ValueError, match="k \\+ p"):
-            rsvd_tall(rng.standard_normal((5, 3)), RsvdConfig(k=3, p=3, seed=0))
+        for shape in ((5, 3), (3, 5)):
+            with pytest.raises(ValueError, match="k \\+ p"):
+                rsvd_tall(rng.standard_normal(shape), RsvdConfig(k=3, p=3, seed=0))
 
 
 class TestWide:
+    # a wide matrix takes the one factorization: its m columns are probed
     def test_rank_one_wide(self):
         A = np.zeros((3, 5))
         A[0, 0] = 3.0
-        ap = rsvd_wide(A, RsvdConfig(k=1, p=1, seed=2))
+        ap = rsvd_auto(A, RsvdConfig(k=1, p=1, seed=2))
         assert ap.sigma[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_transpose_duality(self, rng):
+        # the factors of A.T with U and V exchanged factor A through its
+        # row space: A U = V diag(sigma), so V diag(sigma) U.T = A U U.T
         A = rng.standard_normal((4, 9))
-        cfg = RsvdConfig(k=3, p=1, seed=31)
-        w = rsvd_wide(A, cfg)
-        t = rsvd_tall(A.T, cfg)
-        assert np.allclose(w.U, t.V) and np.allclose(w.V, t.U)
-        assert np.array_equal(w.sigma, t.sigma)
+        t = rsvd_tall(A.T, RsvdConfig(k=3, p=1, seed=31))
+        scale = np.linalg.norm(A, 2)
+        assert np.linalg.norm(A @ t.U - t.V * t.sigma, 2) <= 1e-12 * scale
+        row_space = (t.V * t.sigma) @ t.U.T
+        assert np.linalg.norm(row_space - (A @ t.U) @ t.U.T, 2) <= 1e-12 * scale
 
     def test_weyl_window(self, rng):
         A = rng.standard_normal((4, 9))
-        ap = rsvd_wide(A, RsvdConfig(k=3, p=1, seed=8))
+        ap = rsvd_auto(A, RsvdConfig(k=3, p=1, seed=8))
         s = np.linalg.svd(A, compute_uv=False)
         err = np.linalg.norm(A - ap.matrix(), 2)
         assert np.all(np.abs(ap.sigma - s[:3]) <= err + 1e-10)
 
     def test_wide_projection_identity(self, rng):
         A = rng.standard_normal((5, 11))
-        ap = rsvd_wide(A, RsvdConfig(k=3, p=2, seed=4))
-        lhs = np.linalg.norm(ap.matrix() - (A @ ap.V) @ ap.V.T, 2)
+        ap = rsvd_auto(A, RsvdConfig(k=3, p=2, seed=4))
+        lhs = np.linalg.norm(ap.matrix() - ap.U @ (ap.U.T @ A), 2)
         assert lhs <= 1e-10 * np.linalg.norm(A, 2)
 
 
 class TestAutoDispatch:
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
     def test_dispatch(self, rng, shape):
-        A = rng.standard_normal(shape)
-        cfg = RsvdConfig(k=2, p=1, seed=3)
-        auto = rsvd_auto(A, cfg)
-        ref = rsvd_tall(A, cfg) if shape[0] >= shape[1] else rsvd_wide(A, cfg)
-        assert np.array_equal(auto.U, ref.U)
-        assert np.array_equal(auto.sigma, ref.sigma)
+        # every shape takes the one factorization
+        assert rsvd_auto is rsvd_tall
+        ap = rsvd_auto(rng.standard_normal(shape), RsvdConfig(k=2, p=1, seed=3))
+        assert ap.U.shape == (shape[0], 2) and ap.V.shape == (shape[1], 2)
 
 
 def rel(x, ref):
@@ -165,6 +164,8 @@ class TestNested:
         A = random_decaying(np.random.default_rng(11), 60, 40, decay=0.9)
         if kind == "wide":
             return A.T
+        if kind == "square":
+            return A[:40]
         if kind == "form_B":
             return form_B(A, weighted_pinv(A, SmoothingOperator("first_difference", 40)))
         return A
@@ -218,7 +219,25 @@ class TestNested:
             assert rel(Z @ view.lift(g[:k]), V @ g[:k]) <= 1e-13
             factors = view.factors()
             assert factors.U is view.U and factors.V is view.V
-            assert factors.left_sketch and factors.probe_rank == view.probe_rank
+            assert factors.probe_rank == view.probe_rank
+
+    @pytest.mark.parametrize("factorization", ["auto", "nested", "exact"])
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "form_B"])
+    def test_factor_contract(self, kind, factorization):
+        # every factorization of every shape satisfies A.T U = V diag(sigma)
+        # and the projection identity U diag(sigma) V.T = U U.T A, which the
+        # range-preserving solvers rely on
+        M = self.target(kind)
+        dense = M if isinstance(M, np.ndarray) else M.toarray()
+        out = {"auto": lambda: [rsvd_auto(M, RsvdConfig(k=5, p=3, seed=1))],
+               "nested": lambda: rsvd_nested(M, self.KS, p=5, seed=4),
+               "exact": lambda: [from_exact_svd(dense, 5)]}[factorization]()
+        scale = np.linalg.norm(dense, 2)
+        for ap in out:
+            assert ap.U.shape == (dense.shape[0], ap.k)
+            assert np.linalg.norm(M.T @ ap.U - ap.V * ap.sigma, 2) <= 1e-12 * scale
+            lhs = np.linalg.norm(ap.matrix() - ap.U @ (ap.U.T @ dense), 2)
+            assert lhs <= 1e-12 * scale
 
     def test_duplicates_and_order(self):
         out = rsvd_nested(self.target("tall"), [5, 2, 5], p=2, seed=1)
@@ -244,21 +263,6 @@ class TestNested:
         out = rsvd_nested(A, [1, 4, 8], p=2, seed=0)
         assert [a.probe_rank for a in out] == [3, 4, 4]
         assert from_exact_svd(A, 2).probe_rank is None
-
-    def test_left_sketch_provenance(self, rng):
-        # tall-path and exact factors satisfy A.T U = V diag(sigma) and say
-        # so; wide-path factors and hand-built ones do not claim it
-        tall = rng.standard_normal((30, 20))
-        cfg = RsvdConfig(k=5, p=3, seed=1)
-        left = [rsvd_tall(tall, cfg), *rsvd_nested(tall, [2, 5], p=3, seed=1),
-                from_exact_svd(tall, 5), from_exact_svd(tall.T, 5)]
-        for ap in left:
-            M = tall if ap.U.shape[0] == 30 else tall.T
-            assert ap.left_sketch
-            assert np.allclose(M.T @ ap.U, ap.V * ap.sigma, rtol=0, atol=1e-12)
-        right = [rsvd_wide(tall.T, cfg), *rsvd_nested(tall.T, [2, 5], p=3, seed=1),
-                 RankKApprox(np.eye(3), np.ones(3), np.eye(3), cfg)]
-        assert not any(ap.left_sketch for ap in right)
 
     @pytest.mark.filterwarnings("ignore::rsvdreg.linalg.RankDeficiencyWarning")
     @pytest.mark.parametrize("penalty", [None, "first_difference"])
@@ -321,6 +325,17 @@ class TestErrorReportAndBounds:
         assert rep.err_rank_k == pytest.approx(2.0, abs=1e-10)
         assert rep.bound_first > 0 and rep.bound_second > 0
         assert rep.bounds_applicable
+
+    def test_wide_matrix_audits_its_own_basis(self, rng):
+        # the regenerated basis is the one the factors were cut from, so the
+        # rank-k error is no smaller than the basis's own error
+        A = random_decaying(rng, 20, 35)
+        ap = rsvd_auto(A, RsvdConfig(k=4, p=3, seed=2))
+        Q = range_basis(A, 4, 3, 2)
+        assert np.linalg.norm(ap.U - Q @ (Q.T @ ap.U), 2) <= 1e-12
+        rep = rsvd_error(A, ap)
+        assert rep.err_range == spectral_norm(A - Q @ (Q.T @ A))
+        assert rep.err_range <= rep.err_rank_k
 
     def test_bound_formula_matches_hand_evaluation(self):
         sigma = np.array([5.0, 3.0, 2.0, 1.0, 0.5])

@@ -1,13 +1,13 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_decaying
 from rsvdreg import harness, problems, smoothing, solvers
-from rsvdreg.diagnostics import default_alpha_grid
-from rsvdreg.linalg import shifted_gram_coeffs, solve_shifted_gram, svd_full
+from rsvdreg.diagnostics import AlphaCurve, default_alpha_grid
+from rsvdreg.linalg import shifted_gram_coeffs, svd_full
+from rsvdreg.refine import RefineState
 from rsvdreg.rsvd import (RankKApprox, RsvdConfig, from_exact_svd, rsvd_auto,
                           rsvd_nested)
 from rsvdreg.smoothing import (custom, first_difference, form_B, identity,
@@ -389,7 +389,7 @@ def test_direct_gram_copies_no_panel(penalty, layout):
 
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
 def test_range_block_is_the_assembly_of_its_images(penalty, rng):
-    # the block of left-sketch factors is bit for bit the one assembly of
+    # the block of the factors is bit for bit the one assembly of
     # their image V diag(sigma) C, and that assembly is L_sharp z + W (A W)^+ b
     n, m = 60, 50
     A = random_decaying(rng, n, m)
@@ -399,12 +399,11 @@ def test_range_block_is_the_assembly_of_its_images(penalty, rng):
          "custom": custom(rng.standard_normal((m - 2, m)))}[penalty]
     reg = Regularization(A, L)
     approxes = [rsvd_auto(reg.target, RsvdConfig(k=k, p=4, seed=2)) for k in (5, 9)]
-    assert all(ap.left_sketch for ap in approxes)
     alphas = np.array([1e-4, 1e-2, 1.0])
     Z = [ap.V @ (ap.sigma * shifted_gram_coeffs(
         (ap.U.T @ b)[:, None], ap.sigma[:, None], alphas).T).T for ap in approxes]
     for ap, z in zip(approxes, Z):
-        X = _range_block(A, ap, b, alphas, reg.bundle)
+        X = _range_block(ap, b, alphas, reg.bundle)
         assert np.array_equal(X, reg.bundle.sharp_solution(z, b))
         ref = reg.bundle.L_sharp @ z + reg.bundle.w_term(b)[:, None]
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -508,8 +507,8 @@ class TestRangePath:
         L = first_difference(12)
         bundle = weighted_pinv(A, L)
         apB = rsvd_auto(form_B(A, bundle), RsvdConfig(k=5, p=3, seed=2))
-        X = _range_block(A, ap, b, alphas, weighted_pinv(A, identity(12)))
-        gen_X = _range_block(A, apB, b, alphas, bundle)
+        X = _range_block(ap, b, alphas, weighted_pinv(A, identity(12)))
+        gen_X = _range_block(apB, b, alphas, bundle)
         assert X.shape == gen_X.shape == (12, 3)
         for j, alpha in enumerate(alphas):
             x = rsvd_tikhonov_range(A, ap, b, alpha).x
@@ -542,18 +541,18 @@ class TestRegularization:
         alphas = np.array([1e-6, 1e-3, 0.1])
         direct = gen_tikhonov_direct(A, L, b, 1e-3, bundle).x
         rng_ = rsvd_gen_tikhonov_range(A, L, apT, b, 1e-3, bundle).x
-        # Gamma A.T U C of tall-path factors is L_sharp V diag(sigma) C
+        # Gamma A.T U C is L_sharp V diag(sigma) C
         C = shifted_gram_coeffs((apT.U.T @ b)[:, None], apT.sigma[:, None], alphas)
         block = bundle.sharp_solution(apT.V @ (apT.sigma * C.T).T, b)
         assert np.array_equal(reg.direct(b, 1e-3).x, direct)
         assert np.array_equal(reg.direct(b, 1e-3, gram=reg.gram).x, direct)
         assert np.array_equal(reg.gram, direct_gram(A, bundle))
         assert np.array_equal(reg.range(apT, b, 1e-3).x, rng_)
-        X = _range_block(A, apT, b, alphas, reg.bundle)
+        X = _range_block(apT, b, alphas, reg.bundle)
         assert np.array_equal(X, block)
-        x = _range_block(A, apT, b, [1e-3], reg.bundle)
+        x = _range_block(apT, b, [1e-3], reg.bundle)
         assert np.array_equal(x[:, 0], rng_)
-        assert np.array_equal(X, _range_block(A, apT, b, alphas, bundle))
+        assert np.array_equal(X, _range_block(apT, b, alphas, bundle))
         if L.order == 0:
             # the one identity choice: the projected closed form
             proj = rsvd_tikhonov_projected(ap, b, 1e-3).x
@@ -648,8 +647,8 @@ def test_order_zero_bundle_is_the_identity(layout, rng):
 def test_identity_bundle_path_equals_bundleless_path(name):
     # the identity's bundle degenerates to Gamma = I with no null-space
     # term, and its block over the alpha grid is the bundle-less arithmetic
-    # V (Sigma (Sigma^2 + alpha)^-1 U.T b) of the tall-path identity
-    # A.T U = V Sigma, bit for bit
+    # V (Sigma (Sigma^2 + alpha)^-1 U.T b) of the identity A.T U = V Sigma,
+    # bit for bit
     n = 64
     prob = problems.make_problem(name, n, problems.NoiseSpec(0.01, 1))
     A, b = prob.A, prob.b
@@ -657,15 +656,27 @@ def test_identity_bundle_path_equals_bundleless_path(name):
     ap = rsvd_auto(A, RsvdConfig(k=20, p=5, seed=2))
     lo, hi, count = default_alpha_grid(ap.sigma[0])
     alphas = np.logspace(np.log10(lo), np.log10(hi), count)
-    X = _range_block(A, ap, b, alphas, bundle)
+    X = _range_block(ap, b, alphas, bundle)
     C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
     assert np.array_equal(X, ap.V @ (ap.sigma * C.T).T)
 
 
+def product_form(A, bundle, ap, b, alphas):
+    """``Gamma A.T U C + W (A W)^+ b``, column j the range-preserving
+    solution at ``alphas[j]`` by its definition: one product with ``A.T``,
+    independent of the identity ``A.T U = V diag(sigma)`` the solvers use."""
+    C = shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
+    return bundle.gamma_apply(A.T @ (ap.U @ C)) + bundle.w_term(b)[:, None]
+
+
+def close(x, y):
+    return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
 def test_back_transform_equals_product_form(penalty):
-    # on full-rank tall-path sketches, L_sharp V (sigma * c) + W (A W)^+ b
-    # equals Gamma A.T U c + W (A W)^+ b: the lone solvers and the block.
+    # on full-rank sketches, L_sharp V (sigma * c) + W (A W)^+ b equals
+    # Gamma A.T U c + W (A W)^+ b: the lone solvers and the block.
     # Below alpha ~ 1e-5 sigma_1^2 the product
     # form's own rounding, amplified by 1/(sigma_k^2 + alpha), exceeds
     # 1e-12 with d2 (1.4e-12 at 1e-6 sigma_1^2, 3.4e-12 at 1e-8)
@@ -674,23 +685,16 @@ def test_back_transform_equals_product_form(penalty):
     A, b = prob.A, prob.b
     reg = Regularization(A, harness.make_penalty(penalty, n))
     approxes = rsvd_nested(reg.target, [6, 20], p=5, seed=3)
-    assert all(ap.left_sketch and ap.probe_rank == ap.k + 5 for ap in approxes)
-    # the same factors without the flag take the product with A.T
-    ref = [replace(ap.factors(), left_sketch=False) for ap in approxes]
-
-    def close(x, y):
-        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
-
+    assert all(ap.probe_rank == ap.k + 5 for ap in approxes)
     alphas = np.array([1e-5, 1e-3, 1e-1]) * approxes[1].sigma[0] ** 2
-    for ap, ap_ref in zip(approxes, ref):
-        assert close(_range_block(A, ap, b, alphas, reg.bundle),
-                     _range_block(A, ap_ref, b, alphas, reg.bundle))
-        for alpha in alphas:
-            assert close(reg.range(ap, b, alpha).x, reg.range(ap_ref, b, alpha).x)
-    if penalty == "none":
-        for ap, ap_ref in zip(approxes, ref):
+    for ap in approxes:
+        ref = product_form(A, reg.bundle, ap, b, alphas)
+        assert close(_range_block(ap, b, alphas, reg.bundle), ref)
+        for alpha, x_ref in zip(alphas, ref.T):
+            assert close(reg.range(ap, b, alpha).x, x_ref)
+        if penalty == "none":
             assert close(trsvd_solve_range(A, ap, b).x,
-                         trsvd_solve_range(A, ap_ref, b).x)
+                         product_form(A, reg.bundle, ap, b, [0.0])[:, 0])
 
 
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2"])
@@ -710,43 +714,16 @@ def test_rank_errors_match_explicit_solutions(penalty):
         errors = solvers.rank_errors(ranks, reg.bundle, prob.b, prob.x_true, alphas)
         assert errors.shape == (len(ks), alphas.size)
         for rank, errs in zip(ranks, errors):
-            X = _range_block(reg.A, rank, prob.b, alphas, reg.bundle)
+            X = _range_block(rank, prob.b, alphas, reg.bundle)
             e = np.linalg.norm(X - prob.x_true[:, None], axis=0)
             assert np.all(np.abs(errs - e) <= 1e-12 * e), (seed, rank.k)
 
 
-@pytest.mark.parametrize("penalty", ["none", "d1"])
-def test_wide_factors_take_the_product(penalty, rng):
-    # wide-path factors do not satisfy A.T U = V Sigma; they go through one
-    # product with A.T, bit for bit the arithmetic of the product form
-    n, m = 30, 50
-    A = random_decaying(rng, n, m)
-    b = rng.standard_normal(n)
-    L = harness.make_penalty(penalty, m)
-    reg = Regularization(A, L)
-    bundle = reg.bundle
-    ap = rsvd_auto(reg.target, RsvdConfig(k=6, p=4, seed=1))
-    assert not ap.left_sketch
-    alphas = np.array([1e-3, 1e-1])
-    for alpha in alphas:
-        v = solve_shifted_gram(ap.U, ap.sigma, alpha, b)
-        assert np.array_equal(reg.range(ap, b, alpha).x,
-                              bundle.solution(A.T @ v, b))
-        x = _range_block(A, ap, b, [alpha], bundle)
-        assert np.array_equal(x[:, 0], bundle.solution(A.T @ v, b))
-    Y = ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None],
-                                   alphas)
-    X = _range_block(A, ap, b, alphas, bundle)
-    assert np.array_equal(X, bundle.solution((Y.T @ A).T, b))
-    if penalty == "none":
-        assert np.array_equal(trsvd_solve_range(A, ap, b).x,
-                              A.T @ solve_shifted_gram(ap.U, ap.sigma, 0.0, b))
-
-
 @pytest.mark.parametrize("penalty", ["none", "d1", "d2", "custom"])
 def test_wide_range_block_is_the_product_form_solution(penalty, rng):
-    # the block of wide-path factors is bit for bit the solution of the
-    # product form A.T U C, assembled as bundle.solution assembles Gamma y
+    # a wide A takes the one factorization too: its block and lone solvers
+    # are the product form Gamma A.T U C + W (A W)^+ b, whose smooth part
+    # lies in range(Gamma A.T), a proper subspace here
     n, m = 30, 50
     A = random_decaying(rng, n, m)
     b = rng.standard_normal(n)
@@ -754,14 +731,22 @@ def test_wide_range_block_is_the_product_form_solution(penalty, rng):
          "d2": second_difference(m),
          "custom": custom(rng.standard_normal((m - 2, m)))}[penalty]
     reg = Regularization(A, L)
-    approxes = [rsvd_auto(reg.target, RsvdConfig(k=k, p=4, seed=3)) for k in (4, 7)]
-    assert not any(ap.left_sketch for ap in approxes)
+    U, s, _ = np.linalg.svd(reg.bundle.gamma_apply(A.T), full_matrices=False)
+    basis = U[:, s > 1e-10 * s[0]]
+    assert basis.shape[1] == n - reg.bundle.null_dim
     alphas = np.array([1e-4, 1e-2, 1.0])
-    Y = [ap.U @ shifted_gram_coeffs((ap.U.T @ b)[:, None], ap.sigma[:, None], alphas)
-         for ap in approxes]
-    for ap, Yi in zip(approxes, Y):
-        X = _range_block(A, ap, b, alphas, reg.bundle)
-        assert np.array_equal(X, reg.bundle.solution((Yi.T @ A).T, b))
+    for k in (4, 7):
+        ap = rsvd_auto(reg.target, RsvdConfig(k=k, p=4, seed=3))
+        ref = product_form(A, reg.bundle, ap, b, alphas)
+        X = _range_block(ap, b, alphas, reg.bundle)
+        assert close(X, ref)
+        for alpha, x_ref in zip(alphas, ref.T):
+            assert close(reg.range(ap, b, alpha).x, x_ref)
+        smooth = X - reg.bundle.w_term(b)[:, None]
+        assert close(basis @ (basis.T @ smooth), smooth)
+        if penalty == "none":
+            assert close(trsvd_solve_range(A, ap, b).x,
+                         product_form(A, reg.bundle, ap, b, [0.0])[:, 0])
 
 
 @pytest.mark.parametrize("call, penalty, where", [
@@ -799,3 +784,27 @@ def test_nonfinite_input_rejected(call, penalty, where, rng):
     }
     with pytest.raises(ValueError, match="non-finite"):
         calls[call]()
+
+
+def _array_holder(kind):
+    A = random_decaying(np.random.default_rng(3), 12, 8)
+    return {
+        "RankKApprox": lambda: rsvd_auto(A, RsvdConfig(k=3, p=2, seed=1)),
+        "SolverResult": lambda: tsvd_solve(svd_full(A), 2, A[:, 0]),
+        "InverseProblem": lambda: problems.make_problem("shaw", 16),
+        "WeightedPinvBundle": lambda: weighted_pinv(A, first_difference(8)),
+        "AlphaCurve": lambda: AlphaCurve(np.ones(3), np.ones(3), 1.0, False, False),
+        "RefineState": lambda: RefineState(np.zeros(8), np.zeros(12), 0),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["RankKApprox", "SolverResult", "InverseProblem",
+                                  "WeightedPinvBundle", "AlphaCurve", "RefineState"])
+def test_array_holders_compare_by_identity(kind):
+    # two holders of equal arrays are two objects: comparing, finding and
+    # hashing them neither raises nor compares the arrays
+    a, b = _array_holder(kind), _array_holder(kind)
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert a in [b, a] and [b, a].index(a) == 1
+    assert len({a, b, a}) == 2
